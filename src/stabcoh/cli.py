@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .cohomology import continuous_via_quotients, units_cohomology
 from .config import FORMATS, RunConfig
@@ -116,14 +115,9 @@ def compute_route_table(route: str, cfg: RunConfig, verbose=False, err=None) -> 
         return golden_table(cfg.p, (cfg.t_lo, cfg.t_hi), cfg.s_max, cfg.t0_even_row)
     fn = _route_cell_fn(route, cfg)
     weights = sorted({t // 2 for t in range(cfg.t_lo, cfg.t_hi + 1) if t % 2 == 0})
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = dict(zip(weights, pool.map(fn, weights)))
-    else:
-        results = {w: fn(w) for w in weights}
     cells = []
     for w in weights:
-        res = results[w]
+        res = fn(w)
         if verbose:
             err.write(f"[{route}] w={w}: certificate {res.certificate}\n")
         t = 2 * w

@@ -34,6 +34,7 @@ on every instance small enough to afford it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -489,94 +490,104 @@ def _geometric_sum(a: int, count: int, M: int) -> int:
 @dataclass
 class _LevelData:
     r: int
-    cocycles: list[list[np.ndarray]]  # per degree: generator vectors
-    boundaries: list[list[np.ndarray]]
+    cocycles: list[list[list[int]]]  # per degree: generator vectors
+    boundaries: list[list[list[int]]]
 
 
 def _cyclic_order_at_level(p: int, r: int) -> int:
     return p ** max(r - 2, 0) if p == 2 else p ** max(r - 1, 0)
 
 
-def _min_level(p: int, w: int, N: int) -> int:
-    r = 2 if p == 2 else 1
-    gamma = procyclic_generator(p)
+def _action_class(p: int, w: int, N: int) -> tuple[int, int]:
+    """(gamma^w, omega^w) mod p^N: how the procyclic generator and the
+    torsion generator act on Z/p^N(w).  Everything the finite levels see of
+    the weight is this pair."""
     M = p**N
-    while pow(gamma, w * _cyclic_order_at_level(p, r), M) != 1:
+    a = pow(procyclic_generator(p), w, M)
+    t = pow(teichmuller(p, N), w % torsion_order(p), M)
+    return a, t
+
+
+def _min_level(p: int, a: int, N: int) -> int:
+    """Smallest level r whose cyclic factor the action a = gamma^w mod p^N
+    factors through."""
+    r = 2 if p == 2 else 1
+    M = p**N
+    while pow(a, _cyclic_order_at_level(p, r), M) != 1:
         r += 1
     return r
 
 
-def _level_complex_matrices(p: int, w: int, r: int, N: int, s_top: int):
-    """Differentials of the (torsion x cyclic)-periodic total complex of
-    (Z/p^r)^x on Z/p^N(w); Tot^s has s+1 cells ordered by torsion degree."""
+def _level_complex_matrices(p: int, a: int, t: int, r: int, N: int, s_top: int):
+    """Differentials, as lists of rows, of the (torsion x cyclic)-periodic
+    total complex of (Z/p^r)^x on Z/p^N(w), where (a, t) is the action
+    class of w; Tot^s has s+1 cells ordered by torsion degree."""
     M = p**N
     m0 = torsion_order(p)
-    t = pow(teichmuller(p, N), w % m0, M)
     ht = [(t - 1) % M, _geometric_sum(t, m0, M)]
     q = _cyclic_order_at_level(p, r)
-    a = pow(procyclic_generator(p), w, M)
     if pow(a, q, M) != 1:
         raise ValueError(f"action does not descend to level {r}")
     hc = [(a - 1) % M, _geometric_sum(a, q, M)]
     diffs = []
     for s in range(s_top + 1):
-        d = np.zeros((s + 2, s + 1), dtype=np.int64)
+        d = [[0] * (s + 1) for _ in range(s + 2)]
         for i in range(s + 1):  # cell (i, s - i)
-            d[i + 1, i] = ht[i % 2]
-            sign = 1 if i % 2 == 0 else M - 1
-            d[i, i] = (sign * hc[(s - i) % 2]) % M
+            d[i + 1][i] = ht[i % 2]
+            d[i][i] = hc[(s - i) % 2] if i % 2 == 0 else (-hc[(s - i) % 2]) % M
         diffs.append(d)
     return diffs
 
 
-def _level_data(p: int, w: int, r: int, N: int, s_top: int) -> _LevelData:
-    diffs = _level_complex_matrices(p, w, r, N, s_top)
+def _level_data(p: int, a: int, t: int, r: int, N: int, s_top: int) -> _LevelData:
+    diffs = _level_complex_matrices(p, a, t, r, N, s_top)
     M = p**N
     cocycles, boundaries = [], []
     for s in range(s_top + 1):
         n = s + 1
-        vals, _, _, V, _ = snf_mod(diffs[s].copy(), p, N, want_cols=True)
+        vals, _, _, V, _ = snf_mod(diffs[s], p, N, want_cols=True)
         avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
-        gens = [(V[:, i] * p ** (N - avals[i])) % M for i in range(n)]
+        gens = [
+            [(row[i] * p ** (N - avals[i])) % M for row in V] for i in range(n)
+        ]
         cocycles.append(gens)
-        if s == 0:
-            boundaries.append([])
-        else:
-            b = diffs[s - 1] % M
-            boundaries.append([b[:, j].copy() for j in range(b.shape[1])])
+        boundaries.append([list(col) for col in zip(*diffs[s - 1])] if s else [])
     return _LevelData(r, cocycles, boundaries)
 
 
-def _inflation_scalars(p: int, s: int) -> np.ndarray:
-    """Cellwise multiplier of one inflation step on Tot^s: the cyclic
-    factor's index grows by p, contributing p^floor(j/2) in cyclic
-    degree j; the torsion factor is untouched."""
-    return np.array([p ** ((s - i) // 2) for i in range(s + 1)], dtype=np.int64)
-
-
 def _image_exponents(levels: dict[int, _LevelData], p: int, N: int, s: int, r_from: int, r_to: int):
-    """Exponents of im(H^s(level r_from) -> H^s(level r_to))."""
+    """Exponents of im(H^s(level r_from) -> H^s(level r_to)).  One inflation
+    step multiplies the cell in cyclic degree j by p^floor(j/2); the torsion
+    factor is untouched."""
     M = p**N
-    scalar = np.ones(s + 1, dtype=object)
-    for _ in range(r_to - r_from):
-        scalar = scalar * _inflation_scalars(p, s)
-    scalar = np.array([int(x) % M for x in scalar], dtype=np.int64)
-    pushed = [(z * scalar) % M for z in levels[r_from].cocycles[s]]
+    lag = r_to - r_from
+    scalar = [pow(p, ((s - i) // 2) * lag, M) for i in range(s + 1)]
+    pushed = [
+        [(x * c) % M for x, c in zip(z, scalar)] for z in levels[r_from].cocycles[s]
+    ]
     return lattice_quotient_exponents(
         pushed, levels[r_to].boundaries[s], s + 1, p, N
     )
 
 
-def _stable_colimit_exponents(p, w, N, s_top, level_ceiling):
+@lru_cache(maxsize=4096)
+def _stable_colimit_exponents(p, a, t, N, s_top, level_ceiling):
     """For each degree s <= s_top, the stabilized inflation image of
-    H^s((Z/p^r)^x, Z/p^N(w)): stop once the image exponents agree for two
-    consecutive lags and three consecutive base levels."""
-    r0 = _min_level(p, w, N)
+    H^s((Z/p^r)^x, Z/p^N(w)), where (a, t) = (gamma^w, omega^w) mod p^N is
+    the action class of w: stop once the image exponents agree for two
+    consecutive lags and three consecutive base levels.
+
+    The cache is exact.  Every finite-level complex is built from p, N, r,
+    s_top and the action class alone, and the function never sees w, so
+    two weights with the same action class cannot get different answers.
+    NoStabilization messages leave the weight to the caller.
+    """
+    r0 = _min_level(p, a, N)
     levels: dict[int, _LevelData] = {}
 
     def level(r):
         if r not in levels:
-            levels[r] = _level_data(p, w, r, N, s_top)
+            levels[r] = _level_data(p, a, t, r, N, s_top)
         return levels[r]
 
     out = []
@@ -599,7 +610,7 @@ def _stable_colimit_exponents(p, w, N, s_top, level_ceiling):
                 lag_prev = cur
             if lag_val is None:
                 raise NoStabilization(
-                    f"no lag stabilization for s={s}, w={w}, N={N} "
+                    f"no lag stabilization for s={s}, N={N} "
                     f"within level ceiling {level_ceiling}"
                 )
             stable_run.append(lag_val)
@@ -608,18 +619,22 @@ def _stable_colimit_exponents(p, w, N, s_top, level_ceiling):
             base += 1
             if base > level_ceiling:
                 raise NoStabilization(
-                    f"no base stabilization for s={s}, w={w}, N={N} "
+                    f"no base stabilization for s={s}, N={N} "
                     f"within level ceiling {level_ceiling}"
                 )
         out.append(answer)
-    return out, max(levels)
+    return tuple(out), max(levels)
 
 
 def _bar_crosscheck(p: int, w: int, s_top: int, bar_budget: int) -> None:
     """Confirm the periodic quotient model against the honest bar complex
-    of the smallest usable quotient, when the budget affords it."""
+    of the smallest usable quotient, when the budget affords it.  Building
+    the group checks associativity on an |G|^3 tensor, so the check is
+    skipped before anything is built once |G|^3 exceeds the budget."""
     N = 2
-    r = _min_level(p, w, N)
+    r = _min_level(p, _action_class(p, w, N)[0], N)
+    if (p ** (r - 1) * (p - 1)) ** 3 > bar_budget:
+        return
     try:
         g = units_group_data(p, r, w, N)
     except ValueError:
@@ -638,6 +653,20 @@ def _bar_crosscheck(p: int, w: int, s_top: int, bar_budget: int) -> None:
                 f"quotient model disagrees with the bar complex at level {r}, "
                 f"degree {s}"
             )
+
+
+def _anchor_valuation(p: int, w: int) -> int:
+    """v_p(gamma^|w| - 1), exactly, without forming gamma^|w|: the residue
+    mod p^K has the true valuation as soon as it is nonzero."""
+    if w == 0:
+        return 0
+    gamma = procyclic_generator(p)
+    K = 64
+    while True:
+        x = (pow(gamma, abs(w), p**K) - 1) % p**K
+        if x:
+            return vp(x, p)
+        K *= 2
 
 
 def continuous_via_quotients(
@@ -667,23 +696,24 @@ def continuous_via_quotients(
         raise ValueError("s_max must be >= 0")
     s_top = s_max if _s_top is None else _s_top
     _bar_crosscheck(p, w, s_top, bar_budget)
-    gamma = procyclic_generator(p)
-    v_anchor = 0 if w == 0 else vp(gamma ** abs(w) - 1, p)
-    n_top = max(4, v_anchor + 2)
+    n_top = max(4, _anchor_valuation(p, w) + 2)
+    last_failure = ""
     while True:
         if n_top > precision_ceiling:
             raise NoStabilization(
-                f"precision ceiling {precision_ceiling} hit for w={w}"
+                f"precision ceiling {precision_ceiling} hit for w={w}{last_failure}"
             )
         ceiling = level_ceiling or (2 * n_top + 10)
         orders: dict[int, list[int]] = {}
         max_level = 0
         try:
             for N in range(1, n_top + 1):
-                exps, used = _stable_colimit_exponents(p, w, N, s_top, ceiling)
+                a, t = _action_class(p, w, N)
+                exps, used = _stable_colimit_exponents(p, a, t, N, s_top, ceiling)
                 max_level = max(max_level, used)
                 orders[N] = [sum(e) for e in exps]
-        except NoStabilization:
+        except NoStabilization as e:
+            last_failure = f"; last colimit failure: {e}"
             n_top += 2
             continue
         unfolded = _unfold_orders(orders, s_top, n_top)
@@ -759,7 +789,8 @@ def quotient_level_cohomology(p: int, w: int, r: int, N: int, s_max: int) -> lis
     """Raw H^s((Z/p^r)^x, Z/p^N(w)) for s <= s_max from the periodic
     product model (no inflation stabilization); used to cross-check the
     model against the bar complex of the same finite group."""
-    diffs = _level_complex_matrices(p, w, r, N, s_max + 1)
-    ranks = tuple(s + 1 for s in range(s_max + 3))
-    cx = CochainComplex(BaseZMod(p, N), 0, ranks[: s_max + 2], tuple(diffs[: s_max + 1]))
+    a, t = _action_class(p, w, N)
+    diffs = _level_complex_matrices(p, a, t, r, N, s_max)
+    ranks = tuple(s + 1 for s in range(s_max + 2))
+    cx = CochainComplex(BaseZMod(p, N), 0, ranks, tuple(IntMatrix.from_rows(d) for d in diffs))
     return [complex_cohomology(cx, s) for s in range(s_max + 1)]

@@ -2,23 +2,13 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cohomology import DEFAULT_BAR_BUDGET
 from .exact_linalg import PRECISION_CEILING, is_prime
 
 ROUTES = ("structured", "brute", "ss", "golden")
 FORMATS = ("json", "csv", "pretty")
-
-
-def thread_cap() -> int:
-    """Parallelism cap from STABCOH_THREADS (default 1)."""
-    raw = os.environ.get("STABCOH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -33,7 +23,6 @@ class RunConfig:
     fmt: str = "pretty"
     routes: tuple[str, ...] = ("structured",)
     t0_even_row: bool = True
-    threads: int = field(default_factory=thread_cap)
     verbose: bool = False
 
     def __post_init__(self):

@@ -4,7 +4,8 @@ Three base rings are supported:
 
 * ``BaseZ(p)``      -- honest integers; answers are read p-locally.
 * ``BaseZMod(p,N)`` -- the finite ring Z/p^N; every question is decidable
-  in-ring, and large matrices (bar complexes) run on int64 numpy arrays.
+  in-ring.  Small matrices eliminate on Python ints, large ones (bar
+  complexes) on int64 numpy arrays while the modulus fits.
 * ``BaseZpTrunc(p,N)`` -- p-adic integers carried at working precision N.
   Elements are stored as (valuation, unit mod p^prec); any rank or torsion
   decision that would need a valuation at or beyond N aborts with
@@ -431,7 +432,114 @@ def snf_int(rows, transforms: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z/p^L (numpy, minimal-valuation pivoting)
+# Smith normal form over Z/p^L (minimal-valuation pivoting)
+
+# Matrices with at least this many entries run on int64 numpy arrays when the
+# modulus allows; below it numpy's per-call overhead outweighs the
+# vectorization, and Python ints win (the brute route's matrices are at most
+# about 7 x 19, the bar complexes' start in the hundreds of entries).
+NUMPY_MIN_ENTRIES = 256
+
+
+def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False):
+    """Diagonalize over Z/p^L.  Returns (vals, U, Ui, V, Vi).
+
+    vals has length min(m, n); an entry equal to L means zero in the ring.
+    The valuation chain is non-decreasing because pivots are globally
+    minimal.  Transforms are unimodular mod p^L and come back in the
+    container the matrix came in: numpy arrays for an array, lists of rows
+    for lists.  Large matrices run on int64 numpy arrays; small ones, and
+    any whose modulus would overflow int64 products, on Python ints.  Both
+    paths apply the same pivot rule and the same row and column operations.
+    """
+    M = p**L
+    is_array = isinstance(A, np.ndarray)
+    m, n = A.shape if is_array else (len(A), len(A[0]) if A else 0)
+    if m * n >= NUMPY_MIN_ENTRIES and max(m, n) * M * M < 2**62:
+        vals, *T = _snf_mod_np(np.asarray(A, dtype=np.int64), p, L, want_cols, want_rows)
+        if not is_array:
+            T = [None if X is None else X.tolist() for X in T]
+    else:
+        vals, *T = _snf_mod_py(A.tolist() if is_array else A, p, L, want_cols, want_rows)
+        if is_array:
+            dtype = np.int64 if M < 2**63 else object
+            T = [None if X is None else np.array(X, dtype=dtype) for X in T]
+    return (vals, *T)
+
+
+def _snf_mod_py(A, p: int, L: int, want_cols: bool, want_rows: bool):
+    """snf_mod on lists of Python ints; A is not modified."""
+    M = p**L
+    A = [[x % M for x in row] for row in A]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    U = _identity_ll(m) if want_rows else None
+    Ui = _identity_ll(m) if want_rows else None
+    V = _identity_ll(n) if want_cols else None
+    Vi = _identity_ll(n) if want_cols else None
+    vals: list[int] = []
+    for t in range(min(m, n)):
+        # first entry, in row-major order, of minimal valuation
+        a, i0, j0 = L, -1, -1
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                x = row[j]
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if v < a:
+                        a, i0, j0 = v, i, j
+                        if v == 0:
+                            break
+            if a == 0:
+                break
+        if i0 < 0:
+            break
+        if i0 != t:
+            A[t], A[i0] = A[i0], A[t]
+            if want_rows:
+                U[t], U[i0] = U[i0], U[t]
+                for r in Ui:
+                    r[t], r[i0] = r[i0], r[t]
+        if j0 != t:
+            for r in A:
+                r[t], r[j0] = r[j0], r[t]
+            if want_cols:
+                for r in V:
+                    r[t], r[j0] = r[j0], r[t]
+                Vi[t], Vi[j0] = Vi[j0], Vi[t]
+        pa = p**a
+        u = A[t][t] // pa
+        uinv = pow(u, -1, M)
+        At = A[t] = [(x * uinv) % M for x in A[t]]
+        if want_rows:
+            U[t] = [(x * uinv) % M for x in U[t]]
+            for r in Ui:
+                r[t] = (r[t] * u) % M
+        for i in range(t + 1, m):
+            f = A[i][t] // pa
+            if f:
+                A[i] = [(x - f * y) % M for x, y in zip(A[i], At)]
+                if want_rows:
+                    U[i] = [(x - f * y) % M for x, y in zip(U[i], U[t])]
+                    for r in Ui:
+                        r[t] = (r[t] + r[i] * f) % M
+        # column t is now clear away from row t, so clearing row t touches
+        # nothing below it
+        for j in range(t + 1, n):
+            g = At[j] // pa
+            if g:
+                At[j] = 0
+                if want_cols:
+                    for r in V:
+                        r[j] = (r[j] - r[t] * g) % M
+                    Vi[t] = [(x + g * y) % M for x, y in zip(Vi[t], Vi[j])]
+        vals.append(a)
+    vals.extend([L] * (min(m, n) - len(vals)))
+    return vals, U, Ui, V, Vi
 
 
 def _find_min_val_pivot(sub: np.ndarray, p: int, L: int):
@@ -450,20 +558,13 @@ def _find_min_val_pivot(sub: np.ndarray, p: int, L: int):
     return None, L
 
 
-def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False):
-    """Diagonalize over Z/p^L.  Returns (vals, U, Ui, V, Vi).
-
-    vals has length min(m, n); an entry equal to L means zero in the ring.
-    The valuation chain is non-decreasing because pivots are globally
-    minimal.  Transforms are unimodular int64 matrices mod p^L.
+def _snf_mod_np(A: np.ndarray, p: int, L: int, want_cols: bool, want_rows: bool):
+    """snf_mod on int64 arrays; needs max(m, n) * p^(2L) < 2^62.
     Elimination touches only the live lower-right block, so tall bar
-    matrices stay affordable.
-    """
+    matrices stay affordable."""
     M = p**L
-    A = np.asarray(A, dtype=np.int64) % M
+    A = A % M
     m, n = A.shape
-    if max(m, n, 1) * M * M >= 2**62:
-        raise ValueError("modulus too large for int64 elimination")
     U = np.eye(m, dtype=np.int64) if want_rows else None
     Ui = np.eye(m, dtype=np.int64) if want_rows else None
     V = np.eye(n, dtype=np.int64) if want_cols else None
@@ -675,9 +776,7 @@ def snf(A: IntMatrix, base: Base = BaseZ()) -> SnfResult:
     p, N = base.p, base.N
     if isinstance(base, BaseZMod):
         if A.rows and A.cols:
-            arr = np.array(A.to_lists(), dtype=np.int64)
-            vals, U, Ui, V, Vi = snf_mod(arr, p, N, want_cols=True, want_rows=True)
-            U, Ui, V, Vi = (x.tolist() for x in (U, Ui, V, Vi))
+            vals, U, Ui, V, Vi = snf_mod(A.to_lists(), p, N, want_cols=True, want_rows=True)
         else:
             vals = []
             U = Ui = _identity_ll(A.rows)
@@ -1004,24 +1103,26 @@ def lattice_quotient_exponents(num, den, ambient: int, p: int, N: int) -> tuple[
     """
     M = p**N
     L1 = p ** (N + 1)
-    num = [list(map(int, v)) for v in num]
-    den = [list(map(int, v)) for v in den]
-    pad = (M * np.eye(ambient, dtype=np.int64)).tolist()
-    g2 = den + pad
-    g1 = num + g2
-    a1 = np.array(g1, dtype=np.int64).T % L1
-    a2 = np.array(g2, dtype=np.int64).T % L1
+    pad = [[M if i == j else 0 for j in range(ambient)] for i in range(ambient)]
+    g2 = [list(map(int, v)) for v in den] + pad
+    g1 = [list(map(int, v)) for v in num] + g2
+    a1 = [[v[i] % L1 for v in g1] for i in range(ambient)]
+    a2 = [[v[i] % L1 for v in g2] for i in range(ambient)]
     vals1, u1, _, _, _ = snf_mod(a1, p, N + 1, want_rows=True)
     vals1 = [min(v, N) for v in vals1]
     if len(vals1) < ambient:
         raise AssertionError("numerator lattice is not full rank")
-    y = (u1 @ a2) % L1
-    c = np.zeros_like(y)
+    c = []
     for i in range(ambient):
         gap = p ** vals1[i]
-        if (y[i] % gap).any():
-            raise AssertionError("denominator lattice escapes the numerator")
-        c[i] = y[i] // gap
+        ui = u1[i]
+        row = []
+        for col in zip(*a2):
+            y = sum(x * z for x, z in zip(ui, col)) % L1
+            if y % gap:
+                raise AssertionError("denominator lattice escapes the numerator")
+            row.append(y // gap)
+        c.append(row)
     vals2, *_ = snf_mod(c, p, N + 1)
     if any(v > N for v in vals2):
         raise AssertionError("quotient exceeded its exponent bound")

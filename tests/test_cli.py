@@ -142,13 +142,25 @@ def test_console_entry_point_subprocess():
     assert proc.stdout.strip() == "Zp"
 
 
-def test_threads_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("STABCOH_THREADS", "4")
+def test_brute_past_int64_ceiling_p101(capsys):
+    # p^(N+1) passes the int64 ceiling at p = 101, and |(Z/101^2)^x| = 10100
+    # is far too big for the bar cross-check; both must be handled quietly
     code, out, _ = run_cli(
-        capsys, "cohomology", "--p", "2", "--t=-8:8", "--smax", "1",
-        "--route", "structured", "--format", "json",
+        capsys, "cohomology", "--p", "101", "--t", "0:4", "--smax", "2",
+        "--route", "brute", "--format", "json",
     )
     assert code == 0
-    table = table_from_json(out)
-    assert str(table.get(1, 8)) == "Z/2^4"
-    assert str(table.get(1, -8)) == "Z/2^4"
+    assert json.loads(out)["cells"] == [
+        {"s": 0, "t": 0, "module": "Zp", "collision": False},
+        {"s": 1, "t": 0, "module": "Zp", "collision": False},
+    ]
+
+
+def test_brute_deep_weight_3_pow_15(capsys):
+    # w = 3^15 is odd, so (p - 1) = 2 does not divide it: every cell is zero
+    code, out, _ = run_cli(
+        capsys, "cohomology", "--p", "3", "--t", "28697814", "--smax", "1",
+        "--route", "brute", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["cells"] == []

@@ -4,6 +4,9 @@ import pytest
 
 from oracles import bar_cohomology_by_enumeration
 from stabcoh.cohomology import (
+    _action_class,
+    _anchor_valuation,
+    _stable_colimit_exponents,
     bar_cohomology_finite,
     continuous_via_quotients,
     cyclic_cohomology,
@@ -256,6 +259,35 @@ def test_brute_agrees_with_structured(p, weights):
         s = units_cohomology(p, w, 3)
         for k in range(4):
             assert b.group(k) == s.group(k), (p, w, k)
+
+
+@pytest.mark.parametrize(
+    "p,weights",
+    [(2, (1, 3, 5, 9, 17, -7, 4, 12, 20)), (3, (2, 4, 8, 20, -2, -16)), (5, (4, 24, 44, -16, 1, 21))],
+)
+def test_brute_colimit_memo_is_exact(p, weights):
+    # the weights share action classes at small N, so later weights read
+    # colimits that earlier ones put in the cache; fresh recomputation,
+    # with the cache emptied first, must give the same groups
+    _stable_colimit_exponents.cache_clear()
+    warm = [continuous_via_quotients(p, w, 3) for w in weights]
+    assert _stable_colimit_exponents.cache_info().hits > 0
+    classes = {_action_class(p, w, 2) for w in weights}
+    assert len(classes) < len(weights)
+    for w, res in zip(weights, warm):
+        _stable_colimit_exponents.cache_clear()
+        cold = continuous_via_quotients(p, w, 3)
+        assert cold.groups == res.groups, (p, w)
+        assert cold.certificate == res.certificate, (p, w)
+
+
+def test_anchor_valuation_matches_direct_power():
+    for p in (2, 3, 5, 7):
+        g = procyclic_generator(p)
+        for w in list(range(-60, 61)) + [p**5, -(p**5) * (p - 1)]:
+            want = 0 if w == 0 else vp(g ** abs(w) - 1, p)
+            assert _anchor_valuation(p, w) == want, (p, w)
+    assert _anchor_valuation(3, 3**15) == 16
 
 
 def test_brute_certificate_reports_levels():

@@ -16,8 +16,11 @@ from stabcoh.exact_linalg import (
     TruncMatrix,
     cokernel_structure,
     complex_cohomology,
+    _snf_mod_np,
+    _snf_mod_py,
     lattice_quotient_exponents,
     snf,
+    snf_int,
     snf_mod,
     snf_trunc,
     vp,
@@ -89,6 +92,70 @@ def test_snf_mod_agrees_with_integer_p_parts(rows, p, N):
     assert not ((V @ Vi) % M - np.eye(A.shape[1], dtype=np.int64) % M).any()
     for i in range(min(D.shape)):
         assert (D[i, i] - (p ** vals[i] if vals[i] < N else 0)) % M == 0
+
+
+def _check_mod_transforms(A, vals, U, Ui, V, Vi, p, L):
+    """U A V is diagonal with p^vals on the diagonal, and Ui, Vi are the
+    inverses of U, V, all mod p^L; exact Python-int arithmetic."""
+    M = p**L
+    m, n = len(A), len(A[0])
+
+    def mul(X, Y):
+        return [[sum(x * y for x, y in zip(row, col)) % M for col in zip(*Y)] for row in X]
+
+    def eye(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    D = mul(mul(U, A), V)
+    for i in range(m):
+        for j in range(n):
+            want = p ** vals[i] % M if i == j and vals[i] < L else 0
+            assert D[i][j] == want, (i, j)
+    assert mul(U, Ui) == eye(m)
+    assert mul(V, Vi) == eye(n)
+
+
+@given(small_matrices, st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=5))
+@settings(max_examples=150)
+def test_snf_mod_python_and_numpy_paths_agree(rows, p, L):
+    py = _snf_mod_py(rows, p, L, True, True)
+    npy = _snf_mod_np(np.array(rows, dtype=np.int64), p, L, True, True)
+    assert py[0] == npy[0]
+    _check_mod_transforms(rows, *py, p, L)
+    _check_mod_transforms(rows, npy[0], *(T.tolist() for T in npy[1:]), p, L)
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda m: st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(min_value=-(3**45), max_value=3**45), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+)
+@settings(max_examples=60)
+def test_snf_mod_past_int64_matches_integer_p_parts(rows):
+    # 3^40 > 2^63: the numpy kernel cannot hold these residues
+    p, L = 3, 40
+    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want_cols=True, want_rows=True)
+    diag, *_ = snf_int(rows, transforms=False)
+    assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
+    _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
+
+
+def test_snf_mod_container_follows_input():
+    rows = [[2, 4, 6], [1, 3, 5]]
+    vals, U, Ui, V, Vi = snf_mod(rows, 2, 3, want_cols=True, want_rows=True)
+    assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
+    avals, *arrays = snf_mod(np.array(rows), 2, 3, want_cols=True, want_rows=True)
+    assert avals == vals
+    assert all(isinstance(T, np.ndarray) for T in arrays)
+    big = [[3**50, 1], [2, 3**41]]
+    _, _, _, V, _ = snf_mod(np.array(big, dtype=object), 3, 45, want_cols=True)
+    assert V.dtype == object
 
 
 @given(small_matrices, st.sampled_from([2, 3]), st.integers(min_value=1, max_value=4))
