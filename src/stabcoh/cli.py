@@ -49,6 +49,21 @@ def _parse_window(spec: str) -> tuple[int, int]:
     return t, t
 
 
+def _parse_cell(spec: str) -> tuple[int, int]:
+    try:
+        s, t = (int(x) for x in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected S,T, got {spec!r}") from None
+    return s, t
+
+
+def _nonnegative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {n}")
+    return n
+
+
 def _bool_flag(value: str) -> bool:
     if value.lower() in ("true", "1", "yes"):
         return True
@@ -255,7 +270,7 @@ def cmd_verify(args) -> int:
             print(f"route {route} failed: {e}", file=sys.stderr)
             return EXIT_PRECISION
     if args.inject_fault:
-        s, t = (int(x) for x in args.inject_fault.split(","))
+        s, t = args.inject_fault
         tables["golden"] = _inject_fault(tables["golden"], (s, t))
         print(f"injected fault at (s={s}, t={t})", file=sys.stderr)
     names = ["ss", "structured", "brute", "golden"]
@@ -324,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     l = sp.add_parser("l", help="apply a derived completion functor to a module expression")
-    l.add_argument("--s", type=int, required=True, help="derived functor index")
+    l.add_argument("--s", type=_nonnegative_int, required=True, help="derived functor index")
     l.add_argument("--p", type=int, default=2)
     l.add_argument("expr", help="module expression, e.g. 'Zp + Z/2^4 + Q/Z(2)'")
     l.set_defaults(fn=cmd_l)
@@ -353,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(vf)
     vf.add_argument(
         "--inject-fault",
+        type=_parse_cell,
         default=None,
         metavar="S,T",
         help="flip one reference cell first (negative testing)",

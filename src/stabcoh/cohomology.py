@@ -9,8 +9,10 @@ Two independent computational routes live here.
 
 * ``units_cohomology`` (structured): the total complex of the two-term
   complex M --(gamma^w - 1)--> M for the procyclic factor against the
-  2-periodic resolution of the torsion factor; exact p-adic linear algebra
-  throughout, so free ranks and torsion exponents come out certified.
+  2-periodic resolution of the torsion factor.  Rescaled by p-adic units
+  it becomes a small integer complex (entries 0, 1, -2, the torsion order
+  and p^v), eliminated exactly over Z under the Z_p precision contract,
+  so free ranks and torsion exponents come out certified.
 
 * ``continuous_via_quotients`` (brute): cohomology of the finite quotients
   (Z/p^r)^x with coefficients Z/p^N(w), stabilized along inflation in r,
@@ -47,8 +49,6 @@ from .exact_linalg import (
     BaseZpTrunc,
     CochainComplex,
     IntMatrix,
-    PadicScalar,
-    TruncMatrix,
     complex_cohomology,
     lattice_quotient_exponents,
     snf_mod,
@@ -155,31 +155,31 @@ def _result(p, w, exprs: dict[int, ModuleExpr], route, certificate) -> Cohomolog
 # procyclic factor
 
 
-def _procyclic_scalar(p: int, w: int) -> int:
-    """gamma^w - 1 as an exact integer, up to a unit.
-
-    For negative w the honest value (gamma^w - 1) is not an integer; the
-    two-term complex is rescaled by the unit gamma^|w|, replacing it with
-    1 - gamma^|w|, which has the same kernel and cokernel.
-    """
-    g = procyclic_generator(p)
+def _anchor_valuation(p: int, w: int) -> int:
+    """v_p(gamma^|w| - 1), exactly, without forming gamma^|w|: the residue
+    mod p^K has the true valuation as soon as it is nonzero.  For negative
+    w, gamma^w - 1 = -gamma^w (gamma^|w| - 1) has the same valuation."""
     if w == 0:
         return 0
-    if w > 0:
-        return g**w - 1
-    return 1 - g ** (-w)
+    gamma = procyclic_generator(p)
+    K = 64
+    while True:
+        x = (pow(gamma, abs(w), p**K) - 1) % p**K
+        if x:
+            return vp(x, p)
+        K *= 2
 
 
 def procyclic_cohomology(p: int, w: int, precision: int = DEFAULT_PRECISION) -> CohomologyResult:
     """H^0 and H^1 of the procyclic factor of the units on Z_p(w), from the
-    two-term complex multiplication-by-(gamma^w - 1)."""
-    c = _procyclic_scalar(p, w)
+    two-term complex multiplication-by-(gamma^w - 1), whose cokernel is
+    Z/p^v with v = v_p(gamma^|w| - 1)."""
     if w == 0:
         from .modules import padic
 
         groups = {0: padic(p), 1: padic(p)}
         return _result(p, w, groups, "procyclic", {"precision": precision})
-    v = vp(c, p)
+    v = _anchor_valuation(p, w)
     if precision <= v:
         raise PrecisionExhausted(
             f"v_p(gamma^w - 1) = {v} needs precision > {v}, got {precision}"
@@ -226,7 +226,7 @@ def cyclic_cohomology(m: int, a: int, base: BaseZMod | BaseZpTrunc, s_max: int) 
         for s in range(1, s_max + 1):
             groups[s] = subquotient(vn, va) if s % 2 else subquotient(va, vn)
         return _result(p, None, groups, "cyclic", {"precision": N})
-    # truncated Z_p base: the action unit must be exact (typically +-1)
+    # Z_p base: the action unit must be exact (typically +-1)
     if a**m != 1:
         raise ValueError("over Z_p the action unit must satisfy a^m = 1 exactly")
     from .modules import cyclic as cyc, padic
@@ -256,67 +256,61 @@ def cyclic_cohomology(m: int, a: int, base: BaseZMod | BaseZpTrunc, s_max: int) 
 
 
 # ---------------------------------------------------------------------------
-# structured route: torsion x procyclic total complex over truncated Z_p
+# structured route: torsion x procyclic total complex over Z_p
 
 
-def _torsion_scalars(p: int, w: int, N: int):
-    """(t - 1, norm) for the torsion generator acting by its w-th power.
-    Entries are exact integers whenever the acting root of unity is +-1;
-    otherwise they are Teichmueller residues (odd p only)."""
+def _torsion_scalars(p: int, w: int) -> tuple[int, int]:
+    """(h_even, h_odd) = (t - 1, norm) for the torsion generator acting by
+    t = omega^w, up to p-adic units: (0, m) for the trivial character,
+    (-2, 0) for the sign character, and (1, 0) for a character of order
+    > 2, where t - 1 is a unit and the norm (t^m - 1)/(t - 1) is 0."""
     m = torsion_order(p)
     wm = w % m
     if wm == 0:
-        return 0, m, True
+        return 0, m
     if 2 * wm == m:
-        return -2, 0, True
-    om = teichmuller(p, N)
-    t = pow(om, wm, p**N)
-    # a nontrivial root of unity: t - 1 is a unit, and the full norm sum
-    # (t^m - 1)/(t - 1) vanishes exactly
-    h_even = PadicScalar.from_residue(t - 1, p, N)
-    h_odd = PadicScalar.exact_zero(p)
-    return h_even, h_odd, False
+        return -2, 0
+    return 1, 0
 
 
 def _units_total_complex(p: int, w: int, s_top: int, N: int) -> CochainComplex:
     """Total complex of (2-periodic torsion resolution) x (two-term
-    procyclic complex) on Z_p(w), degrees 0..s_top.
+    procyclic complex) on Z_p(w), degrees 0..s_top, as a 2x2 integer
+    complex with small entries.
 
-    Tot^0 is one copy of the base; Tot^s for s >= 1 has cells
-    (s, 0) and (s-1, 1), cyclic degree second.  The s-th differential is
-    [[h_s, 0], [(-1)^s c, h_(s-1)]] with h alternating (t-1, norm) and
-    c = gamma^w - 1 (unit-rescaled for negative w)."""
-    h_even, h_odd, exact = _torsion_scalars(p, w, N)
-    c = _procyclic_scalar(p, w)
+    Tot^0 is one copy of the base; Tot^s for s >= 1 has cells (s, 0) and
+    (s-1, 1), cyclic degree second.  The s-th differential is
+    [[h_s, 0], [(-1)^s c, h_(s-1)]] with h alternating (h_even, h_odd) from
+    ``_torsion_scalars`` and c = p^v, v = v_p(gamma^|w| - 1) (c = 0 at
+    w = 0).
+
+    The honest complex has h = (u, norm) with u = omega^w - 1 and
+    c_w = gamma^w - 1 = e p^v for a p-adic unit e.  Multiplying the
+    coordinate of cell (s, 0) by alpha_s and that of cell (s-1, 1) by
+    beta_s, with alpha_0 = 1, is a chain isomorphism onto the complex whose
+    entries are h_s alpha_(s+1)/alpha_s, (-1)^s c_w beta_(s+1)/alpha_s and
+    h_(s-1) beta_(s+1)/beta_s.  For a character of order > 2 the norm is 0;
+    take alpha_(s+1) = alpha_s/u after even s, alpha_(s+1) = alpha_s after
+    odd s, and beta_(s+1) = alpha_s.  The torsion entries become 1 and 0
+    and the c entries keep their value.  Scaling every cyclic-degree-1
+    cell by a further (c_w/p^v)^(-1) = e^(-1) turns c_w into p^v.  For the
+    trivial and the sign character h is already (0, m) and (-2, 0), and
+    only that last scaling applies.  Every cohomology group, and the
+    valuation of every invariant factor the precision contract inspects,
+    is therefore that of the honest complex."""
+    h_even, h_odd = _torsion_scalars(p, w)
+    c = p ** _anchor_valuation(p, w) if w else 0
 
     def h(i):
         return h_even if i % 2 == 0 else h_odd
 
     ranks = tuple(1 if s == 0 else 2 for s in range(s_top + 1))
     diffs = []
-    if exact:
-        for s in range(s_top):
-            if s == 0:
-                diffs.append(IntMatrix.from_rows([[h(0)], [c]]))
-            else:
-                diffs.append(
-                    IntMatrix.from_rows([[h(s), 0], [(-1) ** s * c, h(s - 1)]])
-                )
-    else:
-        zero = PadicScalar.exact_zero(p)
-
-        def sc(x):
-            return x if isinstance(x, PadicScalar) else PadicScalar.from_int(x, p, N)
-
-        for s in range(s_top):
-            if s == 0:
-                diffs.append(TruncMatrix.from_rows([[sc(h(0))], [sc(c)]]))
-            else:
-                diffs.append(
-                    TruncMatrix.from_rows(
-                        [[sc(h(s)), zero], [sc((-1) ** s * c), sc(h(s - 1))]]
-                    )
-                )
+    for s in range(s_top):
+        if s == 0:
+            diffs.append(IntMatrix.from_rows([[h(0)], [c]]))
+        else:
+            diffs.append(IntMatrix.from_rows([[h(s), 0], [(-1) ** s * c, h(s - 1)]]))
     return CochainComplex(BaseZpTrunc(p, N), 0, ranks, tuple(diffs))
 
 
@@ -655,20 +649,6 @@ def _bar_crosscheck(p: int, w: int, s_top: int, bar_budget: int) -> None:
             )
 
 
-def _anchor_valuation(p: int, w: int) -> int:
-    """v_p(gamma^|w| - 1), exactly, without forming gamma^|w|: the residue
-    mod p^K has the true valuation as soon as it is nonzero."""
-    if w == 0:
-        return 0
-    gamma = procyclic_generator(p)
-    K = 64
-    while True:
-        x = (pow(gamma, abs(w), p**K) - 1) % p**K
-        if x:
-            return vp(x, p)
-        K *= 2
-
-
 def continuous_via_quotients(
     p: int,
     w: int,
@@ -730,7 +710,11 @@ def continuous_via_quotients(
             w,
             groups,
             "brute",
-            {"precision": n_top, "max_level": max_level},
+            {
+                "precision": n_top,
+                "max_level": max_level,
+                "precision_ceiling": precision_ceiling,
+            },
         )
 
 

@@ -1,29 +1,24 @@
 """Exact kernels, cokernels and cohomology via Smith normal form.
 
-Three base rings are supported:
+Two base rings are supported:
 
-* ``BaseZ(p)``      -- honest integers; answers are read p-locally.
 * ``BaseZMod(p,N)`` -- the finite ring Z/p^N; every question is decidable
   in-ring.  Small matrices eliminate on Python ints, large ones (bar
-  complexes) on int64 numpy arrays while the modulus fits.
-* ``BaseZpTrunc(p,N)`` -- p-adic integers carried at working precision N.
-  Elements are stored as (valuation, unit mod p^prec); any rank or torsion
-  decision that would need a valuation at or beyond N aborts with
-  PrecisionExhausted instead of silently truncating.  Callers double N and
-  retry, up to a ceiling.
-
-The local Smith forms pivot on a globally minimal valuation at every step.
-That discipline is what keeps truncated elimination exact: a multiplier is
-uncertain only beyond p^(prec), and it always multiplies an entry divisible
-by the pivot valuation, so products are determined through the working
-modulus.  Invariant factors with valuation strictly below the precision are
-stable under refinement; the property suite checks this.
+  complexes) on int64 numpy arrays while the modulus fits.  The Smith
+  forms pivot on a globally minimal valuation at every step, so the
+  valuation chain is non-decreasing.
+* ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
+  Differentials are exact integer matrices and eliminate over Z, whose
+  Smith form has the p-adic valuations of the one over Z_p.  Any rank or
+  torsion decision that rests on an invariant factor of valuation N or
+  more aborts with PrecisionExhausted.  Callers double N and retry, up to
+  a ceiling; an answer certified at N is the same at every larger N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -33,19 +28,12 @@ from .modules import ModuleExpr, zero_module
 __all__ = [
     "DEFAULT_PRECISION",
     "PRECISION_CEILING",
-    "BaseZ",
     "BaseZMod",
     "BaseZpTrunc",
     "IntMatrix",
-    "TruncMatrix",
-    "PadicScalar",
-    "TruncatedEntry",
-    "SnfResult",
-    "snf",
     "snf_int",
     "snf_mod",
     "snf_trunc",
-    "cokernel_structure",
     "CochainComplex",
     "complex_cohomology",
     "lattice_quotient_exponents",
@@ -84,11 +72,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class BaseZ:
-    p: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class BaseZMod:
     p: int
     N: int
@@ -100,7 +83,7 @@ class BaseZpTrunc:
     N: int
 
 
-Base = Union[BaseZ, BaseZMod, BaseZpTrunc]
+Base = Union[BaseZMod, BaseZpTrunc]
 
 
 # ---------------------------------------------------------------------------
@@ -158,148 +141,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-
-# ---------------------------------------------------------------------------
-# truncated p-adic scalars
-
-
-@dataclass(frozen=True)
-class PadicScalar:
-    """A p-adic integer known to finite precision.
-
-    ``val is None`` encodes an exact zero.  Otherwise, if ``known``, the
-    element is p^val * unit with unit invertible and determined mod p^prec
-    (prec >= 1); if not ``known``, all we have is v_p(x) >= val.
-    """
-
-    p: int
-    val: Optional[int]
-    unit: int = 1
-    prec: int = 0
-    known: bool = True
-
-    @staticmethod
-    def exact_zero(p: int) -> "PadicScalar":
-        return PadicScalar(p, None)
-
-    @staticmethod
-    def from_int(x: int, p: int, N: int) -> "PadicScalar":
-        if x == 0:
-            return PadicScalar.exact_zero(p)
-        v = vp(x, p)
-        return PadicScalar(p, v, (x // p**v) % p**N, N)
-
-    @staticmethod
-    def from_residue(res: int, p: int, N: int) -> "PadicScalar":
-        """An element known only through its residue mod p^N."""
-        res %= p**N
-        if res == 0:
-            return PadicScalar(p, N, known=False)
-        v = vp(res, p)
-        return PadicScalar(p, v, (res // p**v) % p ** (N - v), N - v)
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return self.val is None
-
-    def residue(self, N: int) -> int:
-        """Residue mod p^N; requires the element to be determined there."""
-        if self.is_exact_zero:
-            return 0
-        if not self.known or self.val + self.prec < N:
-            if self.val >= N:
-                return 0
-            raise PrecisionExhausted("residue beyond known precision")
-        if self.val >= N:
-            return 0
-        return (self.p**self.val * self.unit) % self.p**N
-
-    def __neg__(self) -> "PadicScalar":
-        if self.is_exact_zero or not self.known:
-            return self
-        return PadicScalar(self.p, self.val, (-self.unit) % self.p**self.prec, self.prec)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        p = self.p
-        if self.is_exact_zero or other.is_exact_zero:
-            return PadicScalar.exact_zero(p)
-        if not (self.known and other.known):
-            return PadicScalar(p, self.val + other.val, known=False)
-        prec = min(self.prec, other.prec)
-        return PadicScalar(p, self.val + other.val, (self.unit * other.unit) % p**prec, prec)
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        p = self.p
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
-        if not self.known and not other.known:
-            return PadicScalar(p, min(self.val, other.val), known=False)
-        if not self.known or not other.known:
-            unk, kn = (self, other) if not self.known else (other, self)
-            margin = unk.val - kn.val
-            if margin <= 0:
-                return PadicScalar(p, min(unk.val, kn.val), known=False)
-            prec = min(kn.prec, margin)
-            return PadicScalar(p, kn.val, kn.unit % p**prec, prec)
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        d = b.val - a.val
-        prec = min(a.prec, d + b.prec)
-        c = (a.unit + b.unit * p**d) % p**prec
-        if c == 0:
-            return PadicScalar(p, a.val + prec, known=False)
-        delta = vp(c, p)
-        return PadicScalar(p, a.val + delta, (c // p**delta) % p ** (prec - delta), prec - delta)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        return self + (-other)
-
-    def divide_by(self, piv: "PadicScalar") -> "PadicScalar":
-        """Exact division by a scalar of smaller or equal valuation."""
-        if self.is_exact_zero:
-            return self
-        if not (self.known and piv.known) or piv.is_exact_zero:
-            raise PrecisionExhausted("division by an undetermined pivot")
-        if self.val < piv.val:
-            raise ValueError("division would leave the valuation ring")
-        p = self.p
-        prec = min(self.prec, piv.prec)
-        uinv = pow(piv.unit % p**prec, -1, p**prec)
-        return PadicScalar(p, self.val - piv.val, (self.unit * uinv) % p**prec, prec)
-
-    def certainly_zero_mod(self, N: int) -> bool:
-        return self.is_exact_zero or self.val >= N
-
-
-@dataclass(frozen=True)
-class TruncMatrix:
-    """Matrix of PadicScalar entries (small structured complexes only)."""
-
-    rows: int
-    cols: int
-    scalars: tuple[PadicScalar, ...]
-
-    def __post_init__(self):
-        if len(self.scalars) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows) -> "TruncMatrix":
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        return TruncMatrix(m, n, tuple(x for r in rows for x in r))
-
-    def to_lists(self) -> list[list[PadicScalar]]:
-        n = self.cols
-        return [list(self.scalars[i * n : (i + 1) * n]) for i in range(self.rows)]
-
-    @staticmethod
-    def from_int_matrix(a: IntMatrix, p: int, N: int) -> "TruncMatrix":
-        return TruncMatrix(
-            a.rows, a.cols, tuple(PadicScalar.from_int(x, p, N) for x in a.entries)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -618,226 +459,22 @@ def _snf_mod_np(A: np.ndarray, p: int, L: int, want_cols: bool, want_rows: bool)
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over truncated Z_p (pure python scalars)
+# Smith normal form over Z_p at working precision N
 
 
-def snf_trunc(mat: TruncMatrix, p: int, N: int, want_rows: bool = False):
-    """Smith form over Z_p at working precision N.
-
-    Returns (vals, U, Ui, V, Vi): vals[i] is an exact valuation, or None
-    for a certified exact zero; transforms are exact integer matrices whose
-    residues mod p^N realize the reduction.  Raises PrecisionExhausted when
-    a pivot valuation cannot be certified strictly below N or an
-    undetermined entry blocks a decision.
-    """
-    A = mat.to_lists()
-    m, n = mat.rows, mat.cols
-    MN = p**N
-    U = _identity_ll(m) if want_rows else None
-    Ui = _identity_ll(m) if want_rows else None
-    V = _identity_ll(n)
-    Vi = _identity_ll(n)
-    vals: list[Optional[int]] = []
-    rmax = min(m, n)
-    t = 0
-    while t < rmax:
-        piv = None
-        best = None
-        has_unknown = False
-        for i in range(t, m):
-            for j in range(t, n):
-                s = A[i][j]
-                if s.is_exact_zero:
-                    continue
-                if not s.known:
-                    has_unknown = True
-                    continue
-                if best is None or s.val < best:
-                    best = s.val
-                    piv = (i, j)
-        if piv is None:
-            if has_unknown:
-                raise PrecisionExhausted(
-                    f"undecidable block at precision {N}; raise N and retry"
-                )
-            break  # remaining block is exactly zero
-        if best >= N:
+def snf_trunc(rows, p: int, N: int, transforms: bool = True):
+    """Smith form over Z_p at working precision N, for an exact integer
+    matrix: ``snf_int``, whose invariant factors have the p-adic
+    valuations of the Z_p Smith form.  Raises PrecisionExhausted when a
+    nonzero invariant factor has valuation N or more, so every decision a
+    caller reads off the result is certified below the precision."""
+    diag, *T = snf_int(rows, transforms)
+    for d in diag:
+        if d and vp(d, p) >= N:
             raise PrecisionExhausted(
-                f"pivot valuation {best} not separated below precision {N}"
+                f"invariant factor valuation {vp(d, p)} not separated below precision {N}"
             )
-        i0, j0 = piv
-        if i0 != t:
-            A[t], A[i0] = A[i0], A[t]
-            if want_rows:
-                U[t], U[i0] = U[i0], U[t]
-                for r in Ui:
-                    r[t], r[i0] = r[i0], r[t]
-        if j0 != t:
-            for r in A:
-                r[t], r[j0] = r[j0], r[t]
-            for r in V:
-                r[t], r[j0] = r[j0], r[t]
-            Vi[t], Vi[j0] = Vi[j0], Vi[t]
-        # normalize the pivot row so the pivot is p^val exactly
-        pivot = A[t][t]
-        ures = pow(pivot.unit % MN, -1, MN)
-        scale = PadicScalar(p, 0, ures % p**pivot.prec, pivot.prec)
-        A[t] = [scale * x for x in A[t]]
-        if want_rows:
-            U[t] = [ures * x for x in U[t]]
-            uorig = pivot.unit % MN
-            for r in Ui:
-                r[t] = r[t] * uorig
-        pivot = A[t][t]
-        for i in range(t + 1, m):
-            s = A[i][t]
-            if s.is_exact_zero:
-                continue
-            q = s.divide_by(pivot)
-            qr = q.residue(N)
-            A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-            if want_rows:
-                U[i] = [x - qr * y for x, y in zip(U[i], U[t])]
-                for r in Ui:
-                    r[t] = r[t] + qr * r[i]
-        for j in range(t + 1, n):
-            s = A[t][j]
-            if s.is_exact_zero:
-                continue
-            q = s.divide_by(pivot)
-            qr = q.residue(N)
-            for i in range(m):
-                A[i][j] = A[i][j] - q * A[i][t]
-            for r in V:
-                r[j] = r[j] - qr * r[t]
-            Vi[t] = [x + qr * y for x, y in zip(Vi[t], Vi[j])]
-        vals.append(pivot.val)
-        t += 1
-    vals.extend([None] * (rmax - len(vals)))
-    return vals, U, Ui, V, Vi
-
-
-# ---------------------------------------------------------------------------
-# public snf() facade
-
-
-@dataclass(frozen=True)
-class TruncatedEntry:
-    """Invariant factor over a truncated base: p^valuation with the unit
-    normalized to 1; valuation None encodes a certified exact zero."""
-
-    valuation: Optional[int]
-    unit: Optional[int]
-    precision: int
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    base: Base
-    D: tuple
-    U: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
-
-    def diagonal_matrix(self) -> IntMatrix:
-        m, n = self.U.rows, self.V.rows
-        ent = [[0] * n for _ in range(m)]
-        for i, d in enumerate(self.D):
-            if isinstance(d, TruncatedEntry):
-                if d.valuation is not None:
-                    ent[i][i] = self.base.p**d.valuation
-            else:
-                ent[i][i] = d
-        return IntMatrix.from_rows(ent) if m else IntMatrix(0, n, ())
-
-    def verify(self, A: IntMatrix) -> bool:
-        """Recompute U A V and compare with D (exactly, or mod p^N)."""
-        prod = self.U @ A @ self.V
-        target = self.diagonal_matrix()
-        if isinstance(self.base, BaseZ):
-            return prod.entries == target.entries
-        M = self.base.p**self.base.N
-        return all((x - y) % M == 0 for x, y in zip(prod.entries, target.entries))
-
-
-def snf(A: IntMatrix, base: Base = BaseZ()) -> SnfResult:
-    """Smith normal form of an integer matrix over the given base ring."""
-    if isinstance(base, BaseZ):
-        diag, U, V, Ui, Vi = snf_int(A.to_lists())
-        return SnfResult(
-            base,
-            tuple(diag),
-            IntMatrix.from_rows(U),
-            IntMatrix.from_rows(V),
-            IntMatrix.from_rows(Ui),
-            IntMatrix.from_rows(Vi),
-        )
-    p, N = base.p, base.N
-    if isinstance(base, BaseZMod):
-        if A.rows and A.cols:
-            vals, U, Ui, V, Vi = snf_mod(A.to_lists(), p, N, want_cols=True, want_rows=True)
-        else:
-            vals = []
-            U = Ui = _identity_ll(A.rows)
-            V = Vi = _identity_ll(A.cols)
-        D = tuple(p**v if v < N else 0 for v in vals)
-        return SnfResult(
-            base,
-            D,
-            IntMatrix.from_rows(U),
-            IntMatrix.from_rows(V),
-            IntMatrix.from_rows(Ui),
-            IntMatrix.from_rows(Vi),
-        )
-    # exact integer input: eliminate over Z, then read the result as a
-    # p-adic matrix, refusing any decision at or beyond the precision
-    diag, U, V, Ui, Vi = snf_int(A.to_lists())
-    MN = p**N
-    D = []
-    for i, d in enumerate(diag):
-        if d == 0:
-            D.append(TruncatedEntry(None, None, N))
-            continue
-        v = vp(d, p)
-        if v >= N:
-            raise PrecisionExhausted(
-                f"invariant factor valuation {v} not separated below precision {N}"
-            )
-        D.append(TruncatedEntry(v, 1, N))
-        unit = d // p**v
-        uinv = pow(unit % MN, -1, MN)
-        U[i] = [x * uinv for x in U[i]]
-        for r in Ui:
-            r[i] = r[i] * unit
-
-    def clip(rows):
-        return [[x % MN for x in r] for r in rows]
-
-    return SnfResult(
-        base,
-        tuple(D),
-        IntMatrix.from_rows(clip(U)),
-        IntMatrix.from_rows(clip(V)),
-        IntMatrix.from_rows(clip(Ui)),
-        IntMatrix.from_rows(clip(Vi)),
-    )
-
-
-def cokernel_structure(A: IntMatrix, p: int) -> ModuleExpr:
-    """p-localized cokernel of A : Z^cols -> Z^rows as a module expression.
-
-    Free rank from the corank, cyclic atoms from the p-parts of the
-    invariant factors; prime-to-p torsion disappears under localization.
-    """
-    if A.rows == 0:
-        return zero_module()
-    diag, *_ = snf_int(A.to_lists(), transforms=False)
-    nonzero = [d for d in diag if d != 0]
-    free = A.rows - len(nonzero)
-    cyclics = tuple(v for v in (vp(d, p) for d in nonzero) if v >= 1)
-    return ModuleExpr(p, free=free, cyclics=cyclics)
-
+    return (diag, *T)
 
 # ---------------------------------------------------------------------------
 # cochain complexes
@@ -847,10 +484,9 @@ def cokernel_structure(A: IntMatrix, p: int) -> ModuleExpr:
 class CochainComplex:
     """A finite complex of free modules; d(i) maps degree lo+i to lo+i+1.
 
-    Differentials are IntMatrix (any base), TruncMatrix (BaseZpTrunc with
-    genuinely truncated entries, e.g. Teichmueller units), or int numpy
-    arrays (BaseZMod at bar-complex sizes).  Adjacent composites are
-    checked to vanish in the base ring on construction.
+    Differentials are IntMatrix (either base) or int numpy arrays
+    (BaseZMod at bar-complex sizes).  Adjacent composites are checked to
+    vanish in the base ring on construction.
     """
 
     base: Base
@@ -893,7 +529,7 @@ class CochainComplex:
 
 
 def _shape(d):
-    if isinstance(d, (IntMatrix, TruncMatrix)):
+    if isinstance(d, IntMatrix):
         return d.rows, d.cols
     return d.shape
 
@@ -912,29 +548,13 @@ def _composite_vanishes(dout, din, base: Base) -> bool:
         if a.shape[1] * M * M >= 2**62:
             raise ValueError("modulus too large for int64 product check")
         return not ((a @ b) % M).any() if a.size and b.size else True
-    if isinstance(dout, IntMatrix) and isinstance(din, IntMatrix):
-        prod = dout @ din
-        if isinstance(base, BaseZ):
-            return prod.is_zero()
-        return all(x % base.p**base.N == 0 for x in prod.entries)
-    a = dout if isinstance(dout, TruncMatrix) else TruncMatrix.from_int_matrix(dout, base.p, base.N)
-    b = din if isinstance(din, TruncMatrix) else TruncMatrix.from_int_matrix(din, base.p, base.N)
-    al, bl = a.to_lists(), b.to_lists()
-    for i in range(a.rows):
-        for j in range(b.cols):
-            s = PadicScalar.exact_zero(base.p)
-            for k in range(a.cols):
-                s = s + al[i][k] * bl[k][j]
-            if s.known and not s.is_exact_zero and s.val < base.N:
-                return False
-    return True
+    return (dout @ din).is_zero()
 
 
 def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
     """ker(d^degree)/im(d^(degree-1)) as a module expression.
 
-    Over BaseZ the answer is read p-locally (free atoms Z_(p)); over
-    BaseZpTrunc free atoms are Z_p and uncertifiable decisions raise
+    Over BaseZpTrunc free atoms are Z_p and uncertifiable decisions raise
     PrecisionExhausted; over BaseZMod every summand is cyclic.
     """
     if not (c.degree_lo <= degree <= c.degree_hi):
@@ -945,35 +565,22 @@ def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
     base = c.base
     if isinstance(base, BaseZMod):
         return _cohomology_mod(dout, din, n, base.p, base.N)
-    if base.p is None:
-        raise ValueError("cohomology needs a prime on the base")
-    if isinstance(base, BaseZ):
-        return _cohomology_int(dout, din, n, base.p)
-    return _cohomology_trunc(dout, din, n, base.p, base.N)
+    return _cohomology_int(dout, din, n, base.p, base.N)
 
 
-def _cohomology_int(
-    dout, din, n: int, p: int, free_padic: bool = False, check_N: Optional[int] = None
-) -> ModuleExpr:
-    """Exact kernel-mod-image over Z, read p-locally.
-
-    With check_N set (truncated-base discipline) any certified valuation at
-    or beyond the precision raises PrecisionExhausted even though the
-    integer arithmetic itself is exact.
-    """
+def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
+    """Exact kernel-mod-image of an integer complex, read over Z_p at
+    working precision N: both eliminations go through ``snf_trunc``, so a
+    kernel or torsion decision at or beyond the precision raises
+    PrecisionExhausted even though the arithmetic itself is exact."""
     if n == 0:
         return zero_module()
     if dout is None or dout.rows == 0:
         rank = 0
         vi = _identity_ll(n)
-        diag = []
     else:
-        diag, _, _, _, vi = snf_int(dout.to_lists())
+        diag, _, _, _, vi = snf_trunc(dout.to_lists(), p, N)
         rank = sum(1 for d in diag if d != 0)
-    if check_N is not None:
-        for d in diag:
-            if d and vp(d, p) >= check_N:
-                raise PrecisionExhausted("kernel decision at or beyond precision")
     kdim = n - rank
     if kdim == 0:
         return zero_module()
@@ -991,17 +598,11 @@ def _cohomology_int(
         free = kdim
         cyc: tuple[int, ...] = ()
     else:
-        diag2, *_ = snf_int(rel, transforms=False)
+        diag2, *_ = snf_trunc(rel, p, N, transforms=False)
         nonzero = [d for d in diag2 if d != 0]
-        if check_N is not None:
-            for d in nonzero:
-                if vp(d, p) >= check_N:
-                    raise PrecisionExhausted("torsion exponent at or beyond precision")
         free = kdim - len(nonzero)
         cyc = tuple(v for v in (vp(d, p) for d in nonzero) if v >= 1)
-    if free_padic:
-        return ModuleExpr(p, padics=free, cyclics=cyc)
-    return ModuleExpr(p, free=free, cyclics=cyc)
+    return ModuleExpr(p, padics=free, cyclics=cyc)
 
 
 def _cohomology_mod(dout, din, n: int, p: int, N: int) -> ModuleExpr:
@@ -1035,58 +636,6 @@ def _cohomology_mod(dout, din, n: int, p: int, N: int) -> ModuleExpr:
         raise AssertionError("finite quotient exceeded its exponent bound")
     exps = tuple(v for v in vals2 if 1 <= v <= N)
     return ModuleExpr(p, cyclics=exps)
-
-
-def _cohomology_trunc(dout, din, n: int, p: int, N: int) -> ModuleExpr:
-    if n == 0:
-        return zero_module()
-    if (dout is None or isinstance(dout, IntMatrix)) and (
-        din is None or isinstance(din, IntMatrix)
-    ):
-        # exact integer data: eliminate over Z, keep the precision contract
-        return _cohomology_int(dout, din, n, p, free_padic=True, check_N=N)
-
-    def as_trunc(d):
-        if d is None or isinstance(d, TruncMatrix):
-            return d
-        return TruncMatrix.from_int_matrix(d, p, N)
-
-    dout, din = as_trunc(dout), as_trunc(din)
-    if dout is None or dout.rows == 0:
-        full: list[Optional[int]] = [None] * n
-        vi = _identity_ll(n)
-    else:
-        diagvals, _, _, _, vi = snf_trunc(dout, p, N)
-        full = list(diagvals) + [None] * (n - len(diagvals))
-    kernel_idx = [i for i, val in enumerate(full) if val is None]
-    if not kernel_idx:
-        return zero_module()
-    if din is None or din.cols == 0:
-        return ModuleExpr(p, padics=len(kernel_idx))
-    dl = din.to_lists()
-    rel_rows = []
-    for i in range(n):
-        row = []
-        for j in range(din.cols):
-            s = PadicScalar.exact_zero(p)
-            for k in range(n):
-                s = s + PadicScalar.from_int(vi[i][k], p, N) * dl[k][j]
-            row.append(s)
-        if full[i] is None:
-            rel_rows.append(row)
-        else:
-            for s in row:
-                if s.known and not s.is_exact_zero and s.val < N:
-                    raise ValueError("boundaries do not lie in the kernel")
-    vals2, _, _, _, _ = snf_trunc(TruncMatrix.from_rows(rel_rows), p, N)
-    free = 0
-    cyc: list[int] = []
-    for val in list(vals2) + [None] * (len(kernel_idx) - len(vals2)):
-        if val is None:
-            free += 1
-        elif val >= 1:
-            cyc.append(val)
-    return ModuleExpr(p, padics=free, cyclics=tuple(cyc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """CLI behavior: subcommands, exit codes, stream discipline."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from stabcoh import cli
 from stabcoh.cli import main
 from stabcoh.spectral import table_from_json
 
@@ -96,6 +98,39 @@ def test_verify_fault_injection(capsys):
     assert "(s=1, t=8)" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--inject-fault", "1"),
+        ("verify", "--inject-fault", "a,b"),
+        ("l", "--s", "-1", "Zp"),
+    ],
+)
+def test_malformed_arguments_exit_2_before_any_route(capsys, monkeypatch, argv):
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route ran before the arguments were checked")
+
+    monkeypatch.setattr(cli, "compute_route_table", no_route)
+    monkeypatch.setattr(cli, "derived_completion", no_route)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: argument" in out.err
+
+
+def test_verbose_brute_certificate_names_precision_cap(capsys):
+    # the brute route caps its precision at min(--precision-max, 24)
+    for cap, want in (("256", 24), ("16", 16)):
+        code, _, err = run_cli(
+            capsys, "cohomology", "--p", "2", "--t", "2", "--smax", "1",
+            "--route", "brute", "--precision-max", cap, "--verbose",
+        )
+        assert code == 0
+        assert f"'precision_ceiling': {want}" in err
+
+
 def test_verify_odd_prime_refused(capsys):
     code, _, err = run_cli(capsys, "verify", "--p", "3", "--t", "0:4", "--smax", "1")
     assert code == 2
@@ -133,10 +168,14 @@ def test_stdout_is_machine_parseable_in_json_mode(capsys):
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same stabcoh as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stabcoh.cli", "l", "--s", "1", "Q/Z(2)"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Zp"

@@ -220,11 +220,40 @@ def test_units_cohomology_precision_ceiling():
 
 
 def test_units_cohomology_teichmuller_entries():
-    # p = 5, torsion C4: weights 1 and 3 hit genuinely truncated scalars
+    # p = 5, torsion C4: weights 1 and 3 act through characters of order 4,
+    # whose unit t - 1 the structured complex rescales to 1
     for w, want in [(1, zero_module()), (3, zero_module()), (4, cyclic(5, 1)), (20, cyclic(5, 2))]:
         r = units_cohomology(5, w, 2)
         assert r.group(1) == want
         assert r.group(2) == zero_module()
+
+
+def _odd_closed_form(p, w, s):
+    """H^s(Z_p^x, Z_p(w)) at odd p: Z_p in degrees 0 and 1 at w = 0,
+    Z/p^(1 + v_p(w)) in degree 1 when (p - 1) | w, and 0 otherwise."""
+    if w == 0:
+        return padic(p) if s in (0, 1) else zero_module()
+    if s == 1 and w % (p - 1) == 0:
+        return cyclic(p, 1 + vp(w, p))
+    return zero_module()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_units_cohomology_odd_prime_closed_form(p):
+    # at p = 7 the weights run through torsion characters of order 1, 2, 3
+    # and 6; the deep ones need the precision retry
+    small = range(-2 * (p - 1), 2 * (p - 1) + 1)
+    deep = [sign * p**k * (p - 1) for k in range(12) for sign in (1, -1)]
+    s_max = 3
+    structured = {w: units_cohomology(p, w, s_max) for w in list(small) + deep}
+    for w, res in structured.items():
+        for s in range(s_max + 1):
+            assert res.group(s) == _odd_closed_form(p, w, s), (p, w, s)
+        assert res.groups == structured[-w].groups, (p, w)
+    brute = {w: continuous_via_quotients(p, w, s_max) for w in small}
+    for w, res in brute.items():
+        assert res.groups == structured[w].groups, (p, w)
+        assert res.groups == brute[-w].groups, (p, w)
 
 
 def test_teichmuller_is_root_of_unity():
@@ -294,6 +323,9 @@ def test_brute_certificate_reports_levels():
     r = continuous_via_quotients(2, 4, 2)
     assert r.certificate["max_level"] >= 6
     assert r.certificate["precision"] >= 6
+    assert r.certificate["precision_ceiling"] == 24
+    r = continuous_via_quotients(2, 4, 2, precision_ceiling=12)
+    assert r.certificate["precision_ceiling"] == 12
 
 
 def test_weight_scalar_negative_weights():
