@@ -6,8 +6,9 @@ Subcommands: ``l`` (derived completion of a module expression),
 reference tables), ``verify`` (three routes against the reference).
 
 Exit codes: 0 success, 1 verification disagreement, 2 usage or parse
-error, 3 precision or stabilization failure.  Diagnostics go to stderr;
-stdout stays machine-parseable in json/csv modes.
+error, 3 precision or stabilization failure, 4 internal error (any other
+exception, reported as one stderr line without a traceback).  Diagnostics
+go to stderr; stdout stays machine-parseable in json/csv modes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_window(spec: str) -> tuple[int, int]:
@@ -379,7 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as e:
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

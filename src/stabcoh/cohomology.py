@@ -273,15 +273,17 @@ def _torsion_scalars(p: int, w: int) -> tuple[int, int]:
     return 1, 0
 
 
-def _units_total_complex(p: int, w: int, s_top: int, N: int) -> CochainComplex:
+def _units_total_complex(
+    p: int, h: tuple[int, int], c: int, s_top: int, N: int
+) -> CochainComplex:
     """Total complex of (2-periodic torsion resolution) x (two-term
     procyclic complex) on Z_p(w), degrees 0..s_top, as a 2x2 integer
     complex with small entries.
 
     Tot^0 is one copy of the base; Tot^s for s >= 1 has cells (s, 0) and
     (s-1, 1), cyclic degree second.  The s-th differential is
-    [[h_s, 0], [(-1)^s c, h_(s-1)]] with h alternating (h_even, h_odd) from
-    ``_torsion_scalars`` and c = p^v, v = v_p(gamma^|w| - 1) (c = 0 at
+    [[h_s, 0], [(-1)^s c, h_(s-1)]] with h_s alternating h = (h_even, h_odd)
+    from ``_torsion_scalars`` and c = p^v, v = v_p(gamma^|w| - 1) (c = 0 at
     w = 0).
 
     The honest complex has h = (u, norm) with u = omega^w - 1 and
@@ -298,20 +300,44 @@ def _units_total_complex(p: int, w: int, s_top: int, N: int) -> CochainComplex:
     only that last scaling applies.  Every cohomology group, and the
     valuation of every invariant factor the precision contract inspects,
     is therefore that of the honest complex."""
-    h_even, h_odd = _torsion_scalars(p, w)
-    c = p ** _anchor_valuation(p, w) if w else 0
+    h_even, h_odd = h
 
-    def h(i):
+    def h_at(i):
         return h_even if i % 2 == 0 else h_odd
 
     ranks = tuple(1 if s == 0 else 2 for s in range(s_top + 1))
     diffs = []
     for s in range(s_top):
         if s == 0:
-            diffs.append(IntMatrix.from_rows([[h(0)], [c]]))
+            diffs.append(IntMatrix.from_rows([[h_at(0)], [c]]))
         else:
-            diffs.append(IntMatrix.from_rows([[h(s), 0], [(-1) ** s * c, h(s - 1)]]))
+            diffs.append(IntMatrix.from_rows([[h_at(s), 0], [(-1) ** s * c, h_at(s - 1)]]))
     return CochainComplex(BaseZpTrunc(p, N), 0, ranks, tuple(diffs))
+
+
+@lru_cache(maxsize=4096)
+def _units_groups(p, h, c, s_max, precision, precision_ceiling):
+    """(groups, N): H^s of ``_units_total_complex(p, h, c, ...)`` for
+    s <= s_max as ((s, expr), ...), and the precision N they were certified
+    at.  Starts at the given precision and doubles on PrecisionExhausted up
+    to the ceiling; a refusal raises and is not cached.
+
+    The cache is exact.  The complex, and so every elimination and every
+    precision decision, is built from p, h, c, s_max and N alone, and N
+    runs through a sequence fixed by precision and precision_ceiling.  The
+    function never sees w, so two weights with the same torsion scalars h
+    and the same c = p^v get the same groups and the same N.  The result
+    is a tuple of immutable module expressions; callers wrap it in a fresh
+    CohomologyResult and certificate."""
+    N = precision
+    while True:
+        try:
+            cx = _units_total_complex(p, h, c, s_max + 1, N)
+            return tuple((s, complex_cohomology(cx, s)) for s in range(s_max + 1)), N
+        except PrecisionExhausted:
+            if N >= precision_ceiling:
+                raise
+            N = min(2 * N, precision_ceiling)
 
 
 def units_cohomology(
@@ -323,21 +349,19 @@ def units_cohomology(
 ) -> CohomologyResult:
     """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by the structured route.
 
-    Starts at the given working precision and doubles on
-    PrecisionExhausted up to the ceiling.
+    Starts at the given working precision, or at the ceiling when that is
+    lower, and doubles on PrecisionExhausted up to the ceiling.  Weights
+    that share the torsion scalars and v_p(gamma^|w| - 1) share one
+    elimination (``_units_groups``).
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
-    N = precision
-    while True:
-        try:
-            cx = _units_total_complex(p, w, s_max + 1, N)
-            groups = {s: complex_cohomology(cx, s) for s in range(s_max + 1)}
-            return _result(p, w, groups, "structured", {"precision": N})
-        except PrecisionExhausted:
-            if N >= precision_ceiling:
-                raise
-            N = min(2 * N, precision_ceiling)
+    c = p ** _anchor_valuation(p, w) if w else 0
+    groups, N = _units_groups(
+        p, _torsion_scalars(p, w), c, s_max,
+        min(precision, precision_ceiling), precision_ceiling,
+    )
+    return CohomologyResult(p, w, groups, "structured", {"precision": N})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ instead of guessing extensions.
 
 The target table (continuous cohomology of the height-1 stabilizer group)
 is transcribed as ``golden_table``; ``compare_tables`` closes the loop.
+Cell lookups on tables and pages are dict lookups, so assembling and
+comparing a window costs time linear in its number of cells.
 
 Row-overlap convention: both tables have a "t even, s >= 2" line next to
 dedicated t = 0 entries, and t = 0 is itself even.  Whether t = 0 belongs
@@ -29,6 +31,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnsupportedPrime, WindowMismatch
 from .modules import (
@@ -68,7 +71,11 @@ DEFAULT_T0_EVEN_ROW = True
 @dataclass(frozen=True)
 class BigradedTable:
     """Map (s, t) -> module expression on a declared window; zero cells are
-    absent and every stored expression is canonical."""
+    absent and every stored expression is canonical.
+
+    ``cells`` is the table's value: equality and hashing read it alone.
+    ``get`` looks a cell up in a dict built from it on first use, so a
+    lookup costs O(1) instead of a scan of the table."""
 
     p: int
     t_window: tuple[int, int]
@@ -86,11 +93,13 @@ class BigradedTable:
             if expr.is_zero:
                 raise ValueError("zero cells must be omitted")
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[int, int], ModuleExpr]:
+        return dict(self.cells)
+
     def get(self, s: int, t: int) -> ModuleExpr:
-        for key, expr in self.cells:
-            if key == (s, t):
-                return expr
-        return zero_module()
+        expr = self._by_key.get((s, t))
+        return zero_module() if expr is None else expr
 
     def as_dict(self) -> dict[tuple[int, int], ModuleExpr]:
         return dict(self.cells)
@@ -195,7 +204,8 @@ def golden_table(
 
 @dataclass(frozen=True)
 class SSPage:
-    """E_2 = E_infinity page: (i, s, t) -> module, i in {0, 1} only."""
+    """E_2 = E_infinity page: (i, s, t) -> module, i in {0, 1} only;
+    ``get`` reads a dict index of ``cells`` as ``BigradedTable.get`` does."""
 
     p: int
     t_window: tuple[int, int]
@@ -207,11 +217,13 @@ class SSPage:
             if i not in (0, 1):
                 raise ValueError("derived index must be 0 or 1")
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[int, int, int], ModuleExpr]:
+        return dict(self.cells)
+
     def get(self, i: int, s: int, t: int) -> ModuleExpr:
-        for key, expr in self.cells:
-            if key == (i, s, t):
-                return expr
-        return zero_module()
+        expr = self._by_key.get((i, s, t))
+        return zero_module() if expr is None else expr
 
 
 @dataclass(frozen=True)
@@ -319,7 +331,7 @@ def compare_tables(a: BigradedTable, b: BigradedTable) -> list[tuple[int, int, M
             f"windows differ: {a.t_window}x{a.s_window} vs {b.t_window}x{b.s_window}"
         )
     diffs = []
-    keys = sorted(set(dict(a.cells)) | set(dict(b.cells)))
+    keys = sorted(a._by_key.keys() | b._by_key.keys())
     for s, t in keys:
         ea, eb = a.get(s, t), b.get(s, t)
         if ea != eb:

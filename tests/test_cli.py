@@ -131,6 +131,29 @@ def test_verbose_brute_certificate_names_precision_cap(capsys):
         assert f"'precision_ceiling': {want}" in err
 
 
+def test_precision_max_below_start_refused_by_both_routes(capsys):
+    # v_2(5^4 - 1) = 4 needs precision 5; --precision-max 4 is also below
+    # the structured route's starting precision 8, which must not pass it
+    for route in ("structured", "brute"):
+        code, out, err = run_cli(
+            capsys, "cohomology", "--t", "8", "--smax", "1",
+            "--precision-max", "4", "--route", route, "--verbose",
+        )
+        assert code == 3, route
+        assert out == "" and f"route {route} failed" in err
+
+
+def test_unexpected_exception_exits_4_on_one_line(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("route broke\nacross two lines")
+
+    monkeypatch.setattr(cli, "units_cohomology", broken)
+    code, out, err = run_cli(capsys, "cohomology", "--t", "2", "--smax", "1")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: route broke across two lines\n"
+
+
 def test_verify_odd_prime_refused(capsys):
     code, _, err = run_cli(capsys, "verify", "--p", "3", "--t", "0:4", "--smax", "1")
     assert code == 2

@@ -1,5 +1,7 @@
 """Weight-module cohomology: routes, oracles, and cross-validation."""
 
+import dataclasses
+
 import pytest
 
 from oracles import bar_cohomology_by_enumeration
@@ -7,6 +9,8 @@ from stabcoh.cohomology import (
     _action_class,
     _anchor_valuation,
     _stable_colimit_exponents,
+    _torsion_scalars,
+    _units_groups,
     bar_cohomology_finite,
     continuous_via_quotients,
     cyclic_cohomology,
@@ -228,29 +232,37 @@ def test_units_cohomology_teichmuller_entries():
         assert r.group(2) == zero_module()
 
 
-def _odd_closed_form(p, w, s):
-    """H^s(Z_p^x, Z_p(w)) at odd p: Z_p in degrees 0 and 1 at w = 0,
-    Z/p^(1 + v_p(w)) in degree 1 when (p - 1) | w, and 0 otherwise."""
+def _closed_form(p, w, s):
+    """H^s(Z_p^x, Z_p(w)).  At odd p: Z_p in degrees 0 and 1 at w = 0,
+    Z/p^(1 + v_p(w)) in degree 1 when (p - 1) | w, and 0 otherwise.  At
+    p = 2 (the reference table at t = 2w): Z_2 in degrees 0 and 1 at w = 0,
+    Z/2 in degree 1 for odd w and Z/2^(2 + v_2(w)) for even w != 0, and Z/2
+    in every degree s >= 2."""
+    if p == 2 and s >= 2:
+        return cyclic(2, 1)
     if w == 0:
         return padic(p) if s in (0, 1) else zero_module()
+    if p == 2:
+        return zero_module() if s == 0 else cyclic(2, 1 if w % 2 else 2 + vp(w, 2))
     if s == 1 and w % (p - 1) == 0:
         return cyclic(p, 1 + vp(w, p))
     return zero_module()
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_units_cohomology_odd_prime_closed_form(p):
-    # at p = 7 the weights run through torsion characters of order 1, 2, 3
-    # and 6; the deep ones need the precision retry
-    small = range(-2 * (p - 1), 2 * (p - 1) + 1)
+    # the closed form, structured == brute and H^s(w) == H^s(-w) on both
+    # routes; at p = 7 the weights run through torsion characters of order
+    # 1, 2, 3 and 6, and the deep ones need the precision retry
+    small = list(range(-2 * (p - 1), 2 * (p - 1) + 1))
     deep = [sign * p**k * (p - 1) for k in range(12) for sign in (1, -1)]
     s_max = 3
-    structured = {w: units_cohomology(p, w, s_max) for w in list(small) + deep}
+    structured = {w: units_cohomology(p, w, s_max) for w in small + deep}
     for w, res in structured.items():
         for s in range(s_max + 1):
-            assert res.group(s) == _odd_closed_form(p, w, s), (p, w, s)
+            assert res.group(s) == _closed_form(p, w, s), (p, w, s)
         assert res.groups == structured[-w].groups, (p, w)
-    brute = {w: continuous_via_quotients(p, w, s_max) for w in small}
+    brute = {w: continuous_via_quotients(p, w, s_max) for w in small + deep[:14]}
     for w, res in brute.items():
         assert res.groups == structured[w].groups, (p, w)
         assert res.groups == brute[-w].groups, (p, w)
@@ -308,6 +320,57 @@ def test_brute_colimit_memo_is_exact(p, weights):
         cold = continuous_via_quotients(p, w, 3)
         assert cold.groups == res.groups, (p, w)
         assert cold.certificate == res.certificate, (p, w)
+
+
+@pytest.mark.parametrize(
+    "p,weights",
+    [
+        (2, (1, 3, -5, 2, 6, -10, 4, 12, 20, 64, -192, 0)),
+        (3, (1, 5, -1, 2, 4, -8, 3, 6, -12, 18, 0)),
+        (5, (1, 3, -1, 2, 6, 4, 8, -16, 20, 60, 0)),
+    ],
+)
+def test_structured_memo_is_exact(p, weights):
+    # weights with the same torsion scalars and the same v_p(gamma^|w| - 1)
+    # share one elimination; fresh recomputation, with the cache emptied
+    # first, must give the same groups and certificates
+    _units_groups.cache_clear()
+    warm = [units_cohomology(p, w, 3) for w in weights]
+    assert _units_groups.cache_info().hits > 0
+    for w, res in zip(weights, warm):
+        _units_groups.cache_clear()
+        cold = units_cohomology(p, w, 3)
+        assert cold == res and cold.w == w, (p, w)
+        assert cold.certificate == res.certificate, (p, w)
+    # two weights that share a key get results that differ only in w, and
+    # no certificate dict is shared between them
+    key = {w: (_torsion_scalars(p, w), _anchor_valuation(p, w)) for w in weights}
+    a, b = next(
+        (a, b) for i, a in enumerate(weights) for b in weights[i + 1 :] if key[a] == key[b]
+    )
+    ra, rb = units_cohomology(p, a, 3), units_cohomology(p, b, 3)
+    assert ra != rb and dataclasses.replace(ra, w=b) == rb
+    assert ra.certificate == rb.certificate and ra.certificate is not rb.certificate
+
+
+def test_structured_certificate_precision_within_ceiling():
+    # the working precision starts at min(precision, ceiling), so a
+    # certificate never names a precision past the ceiling
+    for p in (2, 3, 5):
+        for w in (0, 1, 2, p - 1, 4 * p, p**4 * (p - 1), -(p**6)):
+            for precision, ceiling in ((8, 4), (8, 5), (8, 16), (3, 3), (2, 7), (32, 256)):
+                try:
+                    r = units_cohomology(p, w, 2, precision=precision, precision_ceiling=ceiling)
+                except PrecisionExhausted:
+                    assert w != 0 and _anchor_valuation(p, w) >= ceiling, (p, w, ceiling)
+                    continue
+                assert r.certificate["precision"] <= ceiling, (p, w, precision, ceiling)
+    # v_2(5^4 - 1) = 4 needs precision 5: refused under a ceiling of 4,
+    # answered at exactly 5 under a ceiling of 5
+    with pytest.raises(PrecisionExhausted):
+        units_cohomology(2, 4, 1, precision=8, precision_ceiling=4)
+    r = units_cohomology(2, 4, 1, precision=8, precision_ceiling=5)
+    assert r.group(1) == cyclic(2, 4) and r.certificate["precision"] == 5
 
 
 def test_anchor_valuation_matches_direct_power():

@@ -142,6 +142,33 @@ def test_compare_tables_reports_cells():
         compare_tables(a, golden_table(t_window=(0, 6), s_max=2))
 
 
+def test_cell_index_takes_no_part_in_equality_or_hash():
+    a = golden_table(t_window=(-16, 16), s_max=3)
+    b = BigradedTable(a.p, a.t_window, a.s_window, a.route, a.cells)
+    assert a.get(1, 8) == cyclic(2, 4)  # builds the index of a only
+    assert a == b and hash(a) == hash(b)
+    for (s, t), expr in a.cells:
+        assert b.get(s, t) == expr
+    assert a == b and hash(a) == hash(b)
+    assert a.get(1, 7) == zero_module() and a.get(9, 0) == zero_module()
+    page = apply_l_functors(hovey_sadofsky_table(t_window=(-16, 16), s_max=3))
+    twin = SSPage(page.p, page.t_window, page.s_window, page.cells)
+    assert page.get(1, 2, 0) == padic(2) and page.get(0, 1, 7) == zero_module()
+    assert page == twin and hash(page) == hash(twin)
+    # a cell present on one side only reads zero on the other
+    cells = dict(a.cells)
+    del cells[(1, 8)]
+    c = BigradedTable(a.p, a.t_window, a.s_window, a.route, tuple(sorted(cells.items())))
+    assert compare_tables(a, c) == [(1, 8, cyclic(2, 4), zero_module())]
+
+
+def test_wide_window_assembly_matches_golden():
+    window = (-512, 512)
+    ss = derived_ss_table(2, window, 5)
+    assert ss.collisions == frozenset()
+    assert compare_tables(ss, golden_table(2, window, 5)) == []
+
+
 def test_json_round_trip_and_schema():
     import json
 
