@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Condense parent/change perfbench records into one BENCH_<n>.json.
+
+    python3 scripts/bench_record.py --parent PARENT/perfbench/out \\
+        --change CHANGE/perfbench/out --out BENCH_<n>.json
+
+Each directory holds the records ``perfbench/run.py`` writes
+(``<workload>-seed<seed>-trace<0|1>.json``).  A parent record and a change
+record with the same workload, seed and trace flag form one pair.  For
+every workload and metric the output lists the per-pair values, each
+side's median and quartiles, and how many pairs the change won, lost and
+tied, judged by the metric's ``better`` direction in BENCHMARK.json.
+Untraced pairs give the end-to-end metrics, traced pairs the per-layer
+ones.  ``gain`` applies the claim rule: the change wins at least nine
+tenths of the pairs and the medians differ by more than the parent's
+interquartile range.  Standard library only.
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_records(directory: pathlib.Path) -> dict:
+    """{(workload, seed, trace): record} for every record in directory."""
+    out = {}
+    for path in sorted(directory.glob("*-seed*-trace*.json")):
+        rec = json.loads(path.read_text())
+        out[(rec["workload"], rec["seed"], rec["trace"])] = rec
+    return out
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(name: str, pairs: list, better: str, unit: str) -> dict:
+    """Per-pair values, medians, quartiles and the win count of one metric
+    over pairs of (seed, parent record, change record)."""
+    parent = [p["metrics"][name]["value"] for _, p, _ in pairs]
+    change = [c["metrics"][name]["value"] for _, _, c in pairs]
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+    losses = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    pq1, pmed, pq3 = quartiles(parent)
+    cq1, cmed, cq3 = quartiles(change)
+    return {
+        "unit": unit,
+        "better": better,
+        "seeds": [seed for seed, _, _ in pairs],
+        "parent": parent,
+        "change": change,
+        "parent_median": pmed,
+        "parent_quartiles": [pq1, pq3],
+        "change_median": cmed,
+        "change_quartiles": [cq1, cq3],
+        "wins": wins,
+        "losses": losses,
+        "ties": len(pairs) - wins - losses,
+        "gain": wins >= 0.9 * len(pairs) and sign * (pmed - cmed) > pq3 - pq1,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=pathlib.Path, required=True, help="parent record directory")
+    ap.add_argument("--change", type=pathlib.Path, required=True, help="change record directory")
+    ap.add_argument("--out", type=pathlib.Path, required=True, help="BENCH_<n>.json to write")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    direction = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    parent, change = load_records(args.parent), load_records(args.change)
+    keys = sorted(parent.keys() & change.keys())
+    if not keys:
+        print("no parent/change pair shares a workload, seed and trace flag", file=sys.stderr)
+        return 1
+
+    workloads = {}
+    for workload in sorted({k[0] for k in keys}):
+        entry = {}
+        for trace, section in ((0, "end_to_end"), (1, "per_layer")):
+            pairs = [(k[1], parent[k], change[k]) for k in keys if k[0] == workload and k[2] == trace]
+            if not pairs:
+                continue
+            names = [n for n in pairs[0][1]["metrics"] if all(n in c["metrics"] for _, _, c in pairs)]
+            entry[section] = {
+                n: summarize(n, pairs, direction.get(n, "lower"), pairs[0][1]["metrics"][n]["unit"])
+                for n in names
+            }
+        workloads[workload] = entry
+
+    first = parent[keys[0]]
+    bench = {
+        "machine": {"nproc": first["nproc"], "python": first["python"], "numpy": first["numpy"]},
+        "seconds": sorted({parent[k]["seconds"] for k in keys}),
+        "src_lines": {"parent": first["src_lines"], "change": change[keys[0]]["src_lines"]},
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    for workload, entry in workloads.items():
+        for name, m in entry.get("end_to_end", {}).items():
+            print(
+                f"{workload} {name}: parent {m['parent_median']:.4g} "
+                f"[{m['parent_quartiles'][0]:.4g}, {m['parent_quartiles'][1]:.4g}] -> change "
+                f"{m['change_median']:.4g} [{m['change_quartiles'][0]:.4g}, "
+                f"{m['change_quartiles'][1]:.4g}] {m['unit']}, wins {m['wins']}/{len(m['seeds'])}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -318,7 +318,8 @@ def _add_common(sub, default_window="-48:48", default_smax=5):
         type=int,
         default=0,
         dest="quotient_max",
-        help="finite-quotient level ceiling; 0 derives it from the precision demand",
+        help="finite-quotient level ceiling; the brute route refuses a weight whose "
+        "derived level (N + 1, or N + 2 at p = 2) exceeds it; 0 means no ceiling",
     )
     sub.add_argument("--format", choices=FORMATS, default="pretty")
     sub.add_argument(

@@ -15,19 +15,22 @@ Two independent computational routes live here.
   so free ranks and torsion exponents come out certified.
 
 * ``continuous_via_quotients`` (brute): cohomology of the finite quotients
-  (Z/p^r)^x with coefficients Z/p^N(w), stabilized along inflation in r,
-  then resolved in N through the coefficient sequence
+  (Z/p^r)^x with coefficients Z/p^N(w), taken as the colimit along
+  inflation in r, then resolved in N through the coefficient sequence
   0 -> Z_p(w) --p^N--> Z_p(w) -> Z/p^N(w) -> 0, whose long exact sequence
   pins |H^s(Z/p^N)| = |H^s(Z_p)/p^N| * |H^(s+1)(Z_p)[p^N]|.  Growth in N
   (order slopes) detects Z_p summands; the bounded remainder unfolds into
   the torsion of consecutive degrees starting from the torsion-free H^0.
+  Both limits are read at derived points, not searched for: the colimit
+  at level N + 1 (N + 2 at p = 2) with lag N, the unfolding at
+  n_top = max(4, v + 2) from the torsion bound max(v, 1).
 
 Raw finite-level cohomology does *not* equal the continuous answer (for
 instance H^2((Z/2^r)^x, Z/2) has rank 3 for every r >= 4 while the
 continuous rank is 2), which is why inflation images, not raw groups, are
-stabilized.  Classes are also born late: a homomorphism onto Z/2^N only
-exists from level r = N + 2 on, so levels must grow with the coefficient
-precision.  Finite quotients are realized through the standard splitting
+taken.  Classes are also born late: a homomorphism onto Z/2^N only exists
+from level r = N + 2 on, so levels grow with the coefficient precision.
+Finite quotients are realized through the standard splitting
 (Z/p^r)^x = (torsion) x (cyclic); the bar complex of the same quotient,
 ``bar_cohomology_finite``, is checked against this model in the test suite
 on every instance small enough to afford it.
@@ -485,7 +488,7 @@ def bar_cohomology_finite(
 
 
 # ---------------------------------------------------------------------------
-# brute route: finite quotients, inflation stabilization, N-unfolding
+# brute route: finite quotients, inflation colimits, N-unfolding
 
 
 def _geometric_sum(a: int, count: int, M: int) -> int:
@@ -507,7 +510,6 @@ def _geometric_sum(a: int, count: int, M: int) -> int:
 
 @dataclass
 class _LevelData:
-    r: int
     cocycles: list[list[list[int]]]  # per degree: generator vectors
     boundaries: list[list[list[int]]]
 
@@ -570,78 +572,55 @@ def _level_data(p: int, a: int, t: int, r: int, N: int, s_top: int) -> _LevelDat
         ]
         cocycles.append(gens)
         boundaries.append([list(col) for col in zip(*diffs[s - 1])] if s else [])
-    return _LevelData(r, cocycles, boundaries)
+    return _LevelData(cocycles, boundaries)
 
 
-def _image_exponents(levels: dict[int, _LevelData], p: int, N: int, s: int, r_from: int, r_to: int):
-    """Exponents of im(H^s(level r_from) -> H^s(level r_to)).  One inflation
-    step multiplies the cell in cyclic degree j by p^floor(j/2); the torsion
-    factor is untouched."""
+def _colimit_level(p: int, a: int, N: int) -> int:
+    """r*: the first level whose norm 1 + a + ... + a^(q-1), q the order of
+    its cyclic factor, is 0 mod p^N.  The level-r complex depends on r only
+    through that norm, so every level from r* on is the same complex.  A
+    norm of 0 forces a^q - 1 = (a - 1) norm = 0, so the action descends to
+    r*.  For a = 1 mod p (mod 4 at p = 2) lifting the exponent gives the
+    norm valuation v_p(q), so r* = N + 1 at odd p and N + 2 at p = 2; the
+    loop checks the condition instead of assuming it."""
     M = p**N
-    lag = r_to - r_from
+    r = 2 if p == 2 else 1
+    while _geometric_sum(a, _cyclic_order_at_level(p, r), M):
+        r += 1
+    return r
+
+
+def _image_exponents(level: _LevelData, p: int, N: int, s: int, lag: int):
+    """Exponents of the image of H^s(phi^lag) on one level complex, where
+    phi, one inflation step, multiplies the cell in cyclic degree j by
+    p^floor(j/2) and leaves the torsion factor untouched."""
+    M = p**N
     scalar = [pow(p, ((s - i) // 2) * lag, M) for i in range(s + 1)]
-    pushed = [
-        [(x * c) % M for x, c in zip(z, scalar)] for z in levels[r_from].cocycles[s]
-    ]
-    return lattice_quotient_exponents(
-        pushed, levels[r_to].boundaries[s], s + 1, p, N
-    )
+    pushed = [[(x * c) % M for x, c in zip(z, scalar)] for z in level.cocycles[s]]
+    return lattice_quotient_exponents(pushed, level.boundaries[s], s + 1, p, N)
 
 
 @lru_cache(maxsize=4096)
-def _stable_colimit_exponents(p, a, t, N, s_top, level_ceiling):
-    """For each degree s <= s_top, the stabilized inflation image of
-    H^s((Z/p^r)^x, Z/p^N(w)), where (a, t) = (gamma^w, omega^w) mod p^N is
-    the action class of w: stop once the image exponents agree for two
-    consecutive lags and three consecutive base levels.
+def _stable_colimit_exponents(p, a, t, N, s_top):
+    """For each degree s <= s_top, the exponents of the colimit of
+    H^s((Z/p^r)^x, Z/p^N(w)) along inflation, where (a, t) = (gamma^w,
+    omega^w) mod p^N is the action class of w.
 
-    The cache is exact.  Every finite-level complex is built from p, N, r,
-    s_top and the action class alone, and the function never sees w, so
-    two weights with the same action class cannot get different answers.
-    NoStabilization messages leave the weight to the caller.
+    The colimit is derived, not searched for.  From r* = ``_colimit_level``
+    on every level is one complex C, and inflation between any two of them
+    is the chain map phi = diag(p^floor(j/2)), j the cyclic degree.  For a
+    lag of at least N, phi^lag is one fixed projection P of C (identity in
+    cyclic degrees 0 and 1, zero above), and phi P = P.  The colimit of
+    C -> C -> ... along phi is therefore im H(P), which is one image
+    computation per degree with lag* = N.  Every lower level inflates into
+    r*, so its classes reach the colimit through r* and add nothing.
+
+    The cache is exact.  The complex at r* is built from p, N, s_top and
+    the action class alone, and the function never sees w, so two weights
+    with the same action class cannot get different answers.
     """
-    r0 = _min_level(p, a, N)
-    levels: dict[int, _LevelData] = {}
-
-    def level(r):
-        if r not in levels:
-            levels[r] = _level_data(p, a, t, r, N, s_top)
-        return levels[r]
-
-    out = []
-    for s in range(s_top + 1):
-        stable_run: list[tuple] = []
-        answer = None
-        base = r0
-        while answer is None:
-            # image from this base, pushed until two consecutive lags agree
-            lag_prev = None
-            lag_val = None
-            for lag in range(1, level_ceiling - base + 1):
-                if base + lag > level_ceiling:
-                    break
-                level(base), level(base + lag)
-                cur = _image_exponents(levels, p, N, s, base, base + lag)
-                if lag_prev is not None and cur == lag_prev:
-                    lag_val = cur
-                    break
-                lag_prev = cur
-            if lag_val is None:
-                raise NoStabilization(
-                    f"no lag stabilization for s={s}, N={N} "
-                    f"within level ceiling {level_ceiling}"
-                )
-            stable_run.append(lag_val)
-            if len(stable_run) >= 3 and stable_run[-1] == stable_run[-2] == stable_run[-3]:
-                answer = lag_val
-            base += 1
-            if base > level_ceiling:
-                raise NoStabilization(
-                    f"no base stabilization for s={s}, N={N} "
-                    f"within level ceiling {level_ceiling}"
-                )
-        out.append(answer)
-    return tuple(out), max(levels)
+    level = _level_data(p, a, t, _colimit_level(p, a, N), N, s_top)
+    return tuple(_image_exponents(level, p, N, s, N) for s in range(s_top + 1))
 
 
 def _bar_crosscheck(p: int, w: int, s_top: int, bar_budget: int) -> None:
@@ -684,13 +663,24 @@ def continuous_via_quotients(
 ) -> CohomologyResult:
     """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by finite-quotient descent.
 
-    Per coefficient precision N the finite-level answers A^s_N are
-    stabilized along inflation; across N the orders
-    log_p |A^s_N| = rho_s N + m_s(N) + m_(s+1)(N) unfold into the free
-    ranks rho_s (order slopes, the Z_p detection rule) and the torsion
-    partitions m_s, seeded by the torsion-freeness of H^0.  The chain is
-    accepted once slopes repeat over two N increments and every torsion
-    part saturates; otherwise the precision grows until the ceiling.
+    Per coefficient precision N = 1..n_top the finite-level answers A^s_N
+    are the inflation colimits of ``_stable_colimit_exponents``, read at
+    the derived level r* (N + 1, or N + 2 at p = 2) with lag N; across N
+    the orders log_p |A^s_N| = rho_s N + m_s(N) + m_(s+1)(N) unfold into
+    the free ranks rho_s (order slopes, the Z_p detection rule) and the
+    torsion partitions m_s, seeded by the torsion-freeness of H^0.
+
+    n_top is derived as well.  The structured complex of Z_p(w) has
+    differentials [[h_s, 0], [+-p^v, h_(s-1)]] with h in {0, 1, -2, m}
+    (m the torsion order), v = v_p(gamma^|w| - 1), and determinant 0, so
+    each has rank at most one and its one invariant factor divides p^v
+    (or the torsion order when w = 0).  Every torsion exponent is
+    therefore at most max(v, 1).  With n_top = max(4, v + 2) the top two
+    N increments lie past every exponent, where m_s(N) is flat and the
+    slopes are exact, so ``_unfold_orders`` cannot fail on correct data:
+    if it does, that is an internal error, not a reason to retry.  An
+    n_top above precision_ceiling, or a level r* above a nonzero
+    level_ceiling, is refused with NoStabilization.
 
     Finite levels run on the periodic product model of (Z/p^r)^x; before
     the sweep the model is cross-checked against the bar complex of the
@@ -699,59 +689,57 @@ def continuous_via_quotients(
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     s_top = s_max if _s_top is None else _s_top
-    _bar_crosscheck(p, w, s_top, bar_budget)
     n_top = max(4, _anchor_valuation(p, w) + 2)
-    last_failure = ""
-    while True:
-        if n_top > precision_ceiling:
-            raise NoStabilization(
-                f"precision ceiling {precision_ceiling} hit for w={w}{last_failure}"
-            )
-        ceiling = level_ceiling or (2 * n_top + 10)
-        orders: dict[int, list[int]] = {}
-        max_level = 0
-        try:
-            for N in range(1, n_top + 1):
-                a, t = _action_class(p, w, N)
-                exps, used = _stable_colimit_exponents(p, a, t, N, s_top, ceiling)
-                max_level = max(max_level, used)
-                orders[N] = [sum(e) for e in exps]
-        except NoStabilization as e:
-            last_failure = f"; last colimit failure: {e}"
-            n_top += 2
-            continue
-        unfolded = _unfold_orders(orders, s_top, n_top)
-        if unfolded is None:
-            n_top += 2
-            continue
-        rho, tau = unfolded
-        groups = {
-            s: ModuleExpr(p, padics=rho[s], cyclics=tuple(tau[s]))
-            for s in range(s_max + 1)
-        }
-        return _result(
-            p,
-            w,
-            groups,
-            "brute",
-            {
-                "precision": n_top,
-                "max_level": max_level,
-                "precision_ceiling": precision_ceiling,
-            },
+    if n_top > precision_ceiling:
+        raise NoStabilization(
+            f"precision ceiling {precision_ceiling} hit for w={w}: "
+            f"the torsion bound needs coefficient precision {n_top}"
         )
+    # r* grows with N (a norm that is 0 mod p^N is 0 mod p^(N-1)), so the
+    # top precision needs the highest level
+    max_level = _colimit_level(p, _action_class(p, w, n_top)[0], n_top)
+    if level_ceiling and max_level > level_ceiling:
+        raise NoStabilization(
+            f"quotient level ceiling {level_ceiling} is below level {max_level}, "
+            f"which w={w} needs at coefficient precision {n_top}"
+        )
+    _bar_crosscheck(p, w, s_top, bar_budget)
+    orders: dict[int, list[int]] = {}
+    for N in range(1, n_top + 1):
+        a, t = _action_class(p, w, N)
+        orders[N] = [sum(e) for e in _stable_colimit_exponents(p, a, t, N, s_top)]
+    unfolded = _unfold_orders(orders, s_top, n_top)
+    if unfolded is None:
+        raise AssertionError(
+            f"brute orders do not unfold for p={p}, w={w} at n_top={n_top}"
+        )
+    rho, tau = unfolded
+    groups = {
+        s: ModuleExpr(p, padics=rho[s], cyclics=tuple(tau[s]))
+        for s in range(s_max + 1)
+    }
+    return _result(
+        p,
+        w,
+        groups,
+        "brute",
+        {
+            "precision": n_top,
+            "max_level": max_level,
+            "lag": n_top,
+            "precision_ceiling": precision_ceiling,
+        },
+    )
 
 
 def _unfold_orders(orders: dict[int, list[int]], s_top: int, n_top: int):
     """Resolve a_s(N) = rho_s N + m_s(N) + m_(s+1)(N) with m_0 = 0.
 
-    Returns (rho, tau) or None when the data has not saturated: slopes
-    must repeat over the top two increments and each torsion count must be
-    flat at the top, non-negative, monotone, with non-increasing
+    Returns (rho, tau), or None when the data contradicts saturation:
+    slopes must repeat over the top two increments and each torsion count
+    must be flat at the top, non-negative, monotone, with non-increasing
     increments (a partition's counting function).
     """
-    if n_top < 4:
-        return None
     a = {s: {N: orders[N][s] for N in orders} for s in range(s_top + 1)}
     rho = []
     for s in range(s_top + 1):
@@ -795,7 +783,7 @@ def _partition_from_counts(m: dict[int, int], n_top: int):
 
 def quotient_level_cohomology(p: int, w: int, r: int, N: int, s_max: int) -> list[ModuleExpr]:
     """Raw H^s((Z/p^r)^x, Z/p^N(w)) for s <= s_max from the periodic
-    product model (no inflation stabilization); used to cross-check the
+    product model (no inflation colimit); used to cross-check the
     model against the bar complex of the same finite group."""
     a, t = _action_class(p, w, N)
     diffs = _level_complex_matrices(p, a, t, r, N, s_max)

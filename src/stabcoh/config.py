@@ -19,7 +19,7 @@ class RunConfig:
     s_max: int = 5
     precision_max: int = PRECISION_CEILING
     bar_budget: int = DEFAULT_BAR_BUDGET
-    quotient_max: int = 0  # 0 = derive from the precision demand
+    quotient_max: int = 0  # 0 = no cap on the derived quotient level
     fmt: str = "pretty"
     routes: tuple[str, ...] = ("structured",)
     t0_even_row: bool = True

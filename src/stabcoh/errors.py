@@ -23,7 +23,8 @@ class BudgetExceeded(StabcohError):
 
 
 class NoStabilization(StabcohError):
-    """The finite-quotient sweep hit its budget before answers stabilized."""
+    """The brute route needs a coefficient precision or a quotient level
+    beyond its ceiling."""
 
 
 class UnsupportedPrime(StabcohError):

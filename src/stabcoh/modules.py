@@ -110,8 +110,13 @@ def _join_primes(a: int | None, b: int | None) -> int | None:
     raise ValueError(f"mixed primes {a} and {b} in one expression")
 
 
+_ZERO = ModuleExpr(None)
+
+
 def zero_module() -> ModuleExpr:
-    return ModuleExpr(None)
+    """The zero module: one shared instance, which is safe because
+    ModuleExpr is frozen."""
+    return _ZERO
 
 
 def local_free(p: int, n: int = 1) -> ModuleExpr:

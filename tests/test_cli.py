@@ -131,6 +131,26 @@ def test_verbose_brute_certificate_names_precision_cap(capsys):
         assert f"'precision_ceiling': {want}" in err
 
 
+def test_quotient_max_below_derived_level_refused(capsys):
+    # t = 8 (w = 4) reads its top precision N = 6 at level N + 2 = 8: a cap
+    # of 8 or none gives the same table, 7 refuses at once and names 8
+    outs = []
+    for cap in ("0", "8", "12"):
+        code, out, _ = run_cli(
+            capsys, "cohomology", "--t", "8", "--smax", "1", "--route", "brute",
+            "--quotient-max", cap, "--format", "json",
+        )
+        assert code == 0, cap
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    code, out, err = run_cli(
+        capsys, "cohomology", "--t", "8", "--smax", "1", "--route", "brute",
+        "--quotient-max", "7",
+    )
+    assert code == 3 and out == ""
+    assert "route brute failed" in err and "level 8" in err
+
+
 def test_precision_max_below_start_refused_by_both_routes(capsys):
     # v_2(5^4 - 1) = 4 needs precision 5; --precision-max 4 is also below
     # the structured route's starting precision 8, which must not pass it

@@ -3,11 +3,15 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import bar_cohomology_by_enumeration
 from stabcoh.cohomology import (
     _action_class,
     _anchor_valuation,
+    _colimit_level,
+    _level_data,
+    _min_level,
     _stable_colimit_exponents,
     _torsion_scalars,
     _units_groups,
@@ -23,8 +27,8 @@ from stabcoh.cohomology import (
     units_group_data,
     weight_scalar,
 )
-from stabcoh.errors import BudgetExceeded, PrecisionExhausted
-from stabcoh.exact_linalg import BaseZMod, BaseZpTrunc, vp
+from stabcoh.errors import BudgetExceeded, NoStabilization, PrecisionExhausted
+from stabcoh.exact_linalg import BaseZMod, BaseZpTrunc, lattice_quotient_exponents, vp
 from stabcoh.modules import cyclic, padic, zero_module
 
 
@@ -262,7 +266,7 @@ def test_units_cohomology_odd_prime_closed_form(p):
         for s in range(s_max + 1):
             assert res.group(s) == _closed_form(p, w, s), (p, w, s)
         assert res.groups == structured[-w].groups, (p, w)
-    brute = {w: continuous_via_quotients(p, w, s_max) for w in small + deep[:14]}
+    brute = {w: continuous_via_quotients(p, w, s_max) for w in small + deep}
     for w, res in brute.items():
         assert res.groups == structured[w].groups, (p, w)
         assert res.groups == brute[-w].groups, (p, w)
@@ -320,6 +324,71 @@ def test_brute_colimit_memo_is_exact(p, weights):
         cold = continuous_via_quotients(p, w, 3)
         assert cold.groups == res.groups, (p, w)
         assert cold.certificate == res.certificate, (p, w)
+
+
+def _pushed_image(source, target, p, N, s, lag):
+    """Exponents of the image of H^s(source) in H^s(target) under lag
+    inflation steps, each multiplying cyclic degree j by p^floor(j/2)."""
+    M = p**N
+    scalar = [pow(p, ((s - i) // 2) * lag, M) for i in range(s + 1)]
+    pushed = [[(x * c) % M for x, c in zip(z, scalar)] for z in source.cocycles[s]]
+    return lattice_quotient_exponents(pushed, target.boundaries[s], s + 1, p, N)
+
+
+def _search_colimit_exponents(p, a, t, N, s_top, level_ceiling):
+    """Oracle: the colimit found by search, the stopping rule the brute
+    route used before its level and lag were derived.  From each base
+    level, push the image until two consecutive lags agree; accept once
+    three consecutive base levels agree."""
+    levels = {}
+
+    def level(r):
+        if r not in levels:
+            levels[r] = _level_data(p, a, t, r, N, s_top)
+        return levels[r]
+
+    out = []
+    for s in range(s_top + 1):
+        stable_run = []
+        base = _min_level(p, a, N)
+        while len(stable_run) < 3 or not stable_run[-1] == stable_run[-2] == stable_run[-3]:
+            lag_prev = lag_val = None
+            for lag in range(1, level_ceiling - base + 1):
+                cur = _pushed_image(level(base), level(base + lag), p, N, s, lag)
+                if cur == lag_prev:
+                    lag_val = cur
+                    break
+                lag_prev = cur
+            if lag_val is None or base >= level_ceiling:
+                raise NoStabilization(f"search failed for s={s}, N={N}")
+            stable_run.append(lag_val)
+            base += 1
+        out.append(stable_run[-1])
+    return tuple(out)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.integers(1, 7),
+    u=st.integers(-24, 24),
+    k=st.integers(0, 8),
+    s_top=st.sampled_from([3, 5]),
+)
+def test_derived_colimit_matches_search(p, N, u, k, s_top):
+    # w = u p^k reaches the deep action classes a = 1 mod p^N as well as
+    # the shallow ones; the derived level is N + 1 (N + 2 at p = 2), the
+    # search agrees with it, and one more level and one more lag change
+    # nothing
+    w = u * p**k
+    a, t = _action_class(p, w, N)
+    exps, r = _stable_colimit_exponents(p, a, t, N, s_top), _colimit_level(p, a, N)
+    assert r == N + (2 if p == 2 else 1), (p, w, N)
+    assert exps == _search_colimit_exponents(p, a, t, N, s_top, 2 * N + 24), (p, w, N)
+    source = _level_data(p, a, t, r + 1, N, s_top)
+    target = _level_data(p, a, t, r + 1 + N + 1, N, s_top)
+    later = tuple(_pushed_image(source, target, p, N, s, N + 1) for s in range(s_top + 1))
+    assert later == exps, (p, w, N)
 
 
 @pytest.mark.parametrize(
@@ -387,6 +456,10 @@ def test_brute_certificate_reports_levels():
     assert r.certificate["max_level"] >= 6
     assert r.certificate["precision"] >= 6
     assert r.certificate["precision_ceiling"] == 24
+    # v_2(5^4 - 1) = 4 gives n_top = 6, read at level 6 + 2 with lag 6
+    assert r.certificate == {"precision": 6, "max_level": 8, "lag": 6, "precision_ceiling": 24}
+    r = continuous_via_quotients(3, 2 * 3**5, 2)
+    assert r.certificate == {"precision": 8, "max_level": 9, "lag": 8, "precision_ceiling": 24}
     r = continuous_via_quotients(2, 4, 2, precision_ceiling=12)
     assert r.certificate["precision_ceiling"] == 12
 

@@ -1,5 +1,7 @@
 """Atom arithmetic, derived completion functors, and the text grammar."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,6 +72,16 @@ def test_higher_functors_vanish():
     with pytest.raises(ValueError):
         ls(prufer(2), 1)
     assert derived_completion(prufer(2), 1) == padic(2)
+
+
+def test_zero_module_is_one_frozen_instance():
+    z = zero_module()
+    assert z is zero_module()
+    assert z == ModuleExpr(None) and hash(z) == hash(ModuleExpr(None))
+    assert z == ModuleExpr(3) and z.p is None and z.is_zero
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        z.free = 1
+    assert zero_module() == ModuleExpr(None)
 
 
 def test_is_tame():
