@@ -13,7 +13,10 @@ tied, judged by the metric's ``better`` direction in BENCHMARK.json.
 Untraced pairs give the end-to-end metrics, traced pairs the per-layer
 ones.  ``gain`` applies the claim rule: the change wins at least nine
 tenths of the pairs and the medians differ by more than the parent's
-interquartile range.  Standard library only.
+interquartile range.  Each end-to-end metric also carries ``regression``:
+the change's median is worse than the parent's by more than the metric's
+``bound`` in BENCHMARK.json, read as a fraction of the parent's median.
+Standard library only.
 """
 
 import argparse
@@ -41,9 +44,10 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(name: str, pairs: list, better: str, unit: str) -> dict:
+def summarize(name: str, pairs: list, better: str, unit: str, bound=None) -> dict:
     """Per-pair values, medians, quartiles and the win count of one metric
-    over pairs of (seed, parent record, change record)."""
+    over pairs of (seed, parent record, change record), and, given the
+    metric's relative bound, whether the change's median regresses past it."""
     parent = [p["metrics"][name]["value"] for _, p, _ in pairs]
     change = [c["metrics"][name]["value"] for _, _, c in pairs]
     sign = 1 if better == "lower" else -1
@@ -51,7 +55,7 @@ def summarize(name: str, pairs: list, better: str, unit: str) -> dict:
     losses = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     pq1, pmed, pq3 = quartiles(parent)
     cq1, cmed, cq3 = quartiles(change)
-    return {
+    out = {
         "unit": unit,
         "better": better,
         "seeds": [seed for seed, _, _ in pairs],
@@ -66,6 +70,10 @@ def summarize(name: str, pairs: list, better: str, unit: str) -> dict:
         "ties": len(pairs) - wins - losses,
         "gain": wins >= 0.9 * len(pairs) and sign * (pmed - cmed) > pq3 - pq1,
     }
+    if bound is not None:
+        out["bound"] = bound
+        out["regression"] = sign * (cmed - pmed) > bound * abs(pmed)
+    return out
 
 
 def main(argv=None) -> int:
@@ -77,6 +85,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     direction = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent, change = load_records(args.parent), load_records(args.change)
     keys = sorted(parent.keys() & change.keys())
     if not keys:
@@ -92,7 +101,9 @@ def main(argv=None) -> int:
                 continue
             names = [n for n in pairs[0][1]["metrics"] if all(n in c["metrics"] for _, _, c in pairs)]
             entry[section] = {
-                n: summarize(n, pairs, direction.get(n, "lower"), pairs[0][1]["metrics"][n]["unit"])
+                n: summarize(
+                    n, pairs, direction.get(n, "lower"), pairs[0][1]["metrics"][n]["unit"], bounds.get(n)
+                )
                 for n in names
             }
         workloads[workload] = entry
@@ -112,6 +123,7 @@ def main(argv=None) -> int:
                 f"[{m['parent_quartiles'][0]:.4g}, {m['parent_quartiles'][1]:.4g}] -> change "
                 f"{m['change_median']:.4g} [{m['change_quartiles'][0]:.4g}, "
                 f"{m['change_quartiles'][1]:.4g}] {m['unit']}, wins {m['wins']}/{len(m['seeds'])}"
+                + (f", regression {str(m['regression']).lower()}" if "regression" in m else "")
             )
     return 0
 

@@ -37,8 +37,6 @@ from .cohomology import (
     CohomologyResult,
     bar_cohomology_finite,
     continuous_via_quotients,
-    cyclic_cohomology,
-    procyclic_cohomology,
     units_cohomology,
 )
 from .spectral import (
@@ -55,11 +53,9 @@ __all__ = [
     "bar_cohomology_finite",
     "compare_tables",
     "continuous_via_quotients",
-    "cyclic_cohomology",
     "derived_ss_table",
     "golden_table",
     "hovey_sadofsky_table",
-    "procyclic_cohomology",
     "units_cohomology",
     "BudgetExceeded",
     "ModuleExpr",

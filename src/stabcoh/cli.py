@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedPrime,
 )
-from .exact_linalg import DEFAULT_PRECISION
+from .exact_linalg import DEFAULT_PRECISION, is_prime
 from .modules import derived_completion, format_module_expr, parse_module_expr
 from .spectral import (
     BigradedTable,
@@ -63,6 +63,13 @@ def _nonnegative_int(value: str) -> int:
     n = int(value)
     if n < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {n}")
+    return n
+
+
+def _prime(value: str) -> int:
+    n = int(value)
+    if not is_prime(n):
+        raise argparse.ArgumentTypeError(f"expected a prime, got {n}")
     return n
 
 
@@ -113,8 +120,6 @@ def _route_cell_fn(route: str, cfg: RunConfig):
                 w,
                 cfg.s_max,
                 precision_ceiling=min(cfg.precision_max, 24),
-                level_ceiling=cfg.quotient_max,
-                bar_budget=cfg.bar_budget,
             )
     else:
         raise ValueError(route)
@@ -172,8 +177,6 @@ def _config_from(args, routes=None) -> RunConfig:
         t_hi=t_hi,
         s_max=args.smax,
         precision_max=args.precision_max,
-        bar_budget=args.bar_budget,
-        quotient_max=args.quotient_max,
         fmt=args.format,
         routes=tuple(routes if routes is not None else ["structured"]),
         t0_even_row=args.t0_even_row,
@@ -277,17 +280,15 @@ def cmd_verify(args) -> int:
         print(f"injected fault at (s={s}, t={t})", file=sys.stderr)
     names = ["ss", "structured", "brute", "golden"]
     first_diff = None
+    pair_diffs = {}
     print("pairwise agreement (cells differing):")
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            diffs = compare_tables(tables[a], tables[b])
+            diffs = pair_diffs[a, b] = compare_tables(tables[a], tables[b])
             print(f"  {a:10s} vs {b:10s}: {len(diffs)}")
             if diffs and first_diff is None:
                 first_diff = (a, b, diffs[0])
-    golden_diffs = {
-        name: compare_tables(tables[name], tables["golden"]) for name in names[:-1]
-    }
-    print("diff vs golden:", {k: len(v) for k, v in golden_diffs.items()})
+    print("diff vs golden:", {a: len(pair_diffs[a, "golden"]) for a in names[:-1]})
     if first_diff is None:
         print("all routes agree on the window")
         return EXIT_OK
@@ -303,7 +304,7 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(sub, default_window="-48:48", default_smax=5):
-    sub.add_argument("--p", type=int, default=2, help="prime (default 2)")
+    sub.add_argument("--p", type=_prime, default=2, help="prime (default 2)")
     sub.add_argument(
         "--t",
         type=_parse_window,
@@ -312,15 +313,6 @@ def _add_common(sub, default_window="-48:48", default_smax=5):
     )
     sub.add_argument("--smax", type=int, default=default_smax)
     sub.add_argument("--precision-max", type=int, default=256, dest="precision_max")
-    sub.add_argument("--bar-budget", type=int, default=10**6, dest="bar_budget")
-    sub.add_argument(
-        "--quotient-max",
-        type=int,
-        default=0,
-        dest="quotient_max",
-        help="finite-quotient level ceiling; the brute route refuses a weight whose "
-        "derived level (N + 1, or N + 2 at p = 2) exceeds it; 0 means no ceiling",
-    )
     sub.add_argument("--format", choices=FORMATS, default="pretty")
     sub.add_argument(
         "--t0-even-row",
@@ -343,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = sp.add_parser("l", help="apply a derived completion functor to a module expression")
     l.add_argument("--s", type=_nonnegative_int, required=True, help="derived functor index")
-    l.add_argument("--p", type=int, default=2)
+    l.add_argument("--p", type=_prime, default=2)
     l.add_argument("expr", help="module expression, e.g. 'Zp + Z/2^4 + Q/Z(2)'")
     l.set_defaults(fn=cmd_l)
 

@@ -60,20 +60,15 @@ from .exact_linalg import (
 from .modules import ModuleExpr, zero_module
 
 __all__ = [
-    "WeightModule",
     "FiniteGroupData",
     "CohomologyResult",
     "procyclic_generator",
     "torsion_order",
     "teichmuller",
     "primitive_root",
-    "weight_scalar",
-    "procyclic_cohomology",
-    "cyclic_cohomology",
     "units_cohomology",
     "bar_cohomology_finite",
     "continuous_via_quotients",
-    "cyclic_group_data",
     "units_group_data",
     "quotient_level_cohomology",
     "DEFAULT_BAR_BUDGET",
@@ -113,23 +108,6 @@ def teichmuller(p: int, N: int) -> int:
     return x
 
 
-def weight_scalar(p: int, w: int, N: int, g: int) -> int:
-    """g^w mod p^N; negative weights act through the modular inverse."""
-    return pow(g, w, p**N)
-
-
-@dataclass(frozen=True)
-class WeightModule:
-    """The rank-one module Z_p(w) or Z/p^N(w): a unit g acts by g^w."""
-
-    p: int
-    w: int
-    base: BaseZMod | BaseZpTrunc
-
-    def action(self, g: int) -> int:
-        return weight_scalar(self.p, self.w, self.base.N, g)
-
-
 @dataclass(frozen=True)
 class CohomologyResult:
     p: int
@@ -143,9 +121,6 @@ class CohomologyResult:
             if deg == s:
                 return expr
         return zero_module()
-
-    def degrees(self) -> list[int]:
-        return [deg for deg, _ in self.groups]
 
 
 def _result(p, w, exprs: dict[int, ModuleExpr], route, certificate) -> CohomologyResult:
@@ -171,91 +146,6 @@ def _anchor_valuation(p: int, w: int) -> int:
         if x:
             return vp(x, p)
         K *= 2
-
-
-def procyclic_cohomology(p: int, w: int, precision: int = DEFAULT_PRECISION) -> CohomologyResult:
-    """H^0 and H^1 of the procyclic factor of the units on Z_p(w), from the
-    two-term complex multiplication-by-(gamma^w - 1), whose cokernel is
-    Z/p^v with v = v_p(gamma^|w| - 1)."""
-    if w == 0:
-        from .modules import padic
-
-        groups = {0: padic(p), 1: padic(p)}
-        return _result(p, w, groups, "procyclic", {"precision": precision})
-    v = _anchor_valuation(p, w)
-    if precision <= v:
-        raise PrecisionExhausted(
-            f"v_p(gamma^w - 1) = {v} needs precision > {v}, got {precision}"
-        )
-    from .modules import cyclic
-
-    groups = {0: zero_module(), 1: cyclic(p, v)}
-    return _result(p, w, groups, "procyclic", {"precision": precision})
-
-
-# ---------------------------------------------------------------------------
-# finite cyclic groups via the 2-periodic resolution
-
-
-def cyclic_cohomology(m: int, a: int, base: BaseZMod | BaseZpTrunc, s_max: int) -> CohomologyResult:
-    """H^s of a cyclic group of order m acting on the rank-one base module
-    through the unit a (so a^m = 1 in the base).
-
-    H^0 is the fixed points; in odd degrees ker(norm)/im(a-1); in positive
-    even degrees fixed-points/im(norm), with norm = 1 + a + ... + a^(m-1).
-    """
-    p, N = base.p, base.N
-    M = p**N
-    if m < 1:
-        raise ValueError("group order must be positive")
-    if isinstance(base, BaseZMod):
-        if pow(a, m, M) != 1:
-            raise ValueError(f"action unit {a} does not have order dividing {m} mod {M}")
-        d1 = (a - 1) % M
-        norm = sum(pow(a, i, M) for i in range(m)) % M
-
-        def val(x):
-            return N if x == 0 else min(vp(x, p), N)
-
-        va, vn = val(d1), val(norm)
-
-        def subquotient(ker_v, im_v):
-            from .modules import cyclic as cyc
-
-            e = ker_v + im_v - N
-            return cyc(p, e) if e >= 1 else zero_module()
-
-        groups = {0: subquotient(va, N)}
-        for s in range(1, s_max + 1):
-            groups[s] = subquotient(vn, va) if s % 2 else subquotient(va, vn)
-        return _result(p, None, groups, "cyclic", {"precision": N})
-    # Z_p base: the action unit must be exact (typically +-1)
-    if a**m != 1:
-        raise ValueError("over Z_p the action unit must satisfy a^m = 1 exactly")
-    from .modules import cyclic as cyc, padic
-
-    d1 = a - 1
-    norm = sum(a**i for i in range(m))
-
-    def kernel_expr(x):
-        return None if x == 0 else zero_module()  # None marks a full kernel
-
-    def quotient_of_zp(by):
-        if by == 0:
-            return padic(p)
-        v = vp(by, p)
-        if v >= N:
-            raise PrecisionExhausted("torsion exponent at or beyond precision")
-        return cyc(p, v) if v >= 1 else zero_module()
-
-    groups = {0: padic(p) if d1 == 0 else zero_module()}
-    for s in range(1, s_max + 1):
-        ker_scalar, im_scalar = (norm, d1) if s % 2 else (d1, norm)
-        if ker_scalar != 0:
-            groups[s] = zero_module()
-        else:
-            groups[s] = quotient_of_zp(im_scalar)
-    return _result(p, None, groups, "cyclic", {"precision": N})
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +297,6 @@ class FiniteGroupData:
 
     def __len__(self) -> int:
         return len(self.table)
-
-
-def cyclic_group_data(m: int, a: int, p: int, N: int) -> FiniteGroupData:
-    """Cyclic group of order m, generator acting by the unit a."""
-    M = p**N
-    if pow(a, m, M) != 1:
-        raise ValueError("a^m must be 1 mod p^N")
-    table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    action = tuple(pow(a, i, M) for i in range(m))
-    return FiniteGroupData(p, N, table, action)
 
 
 def units_group_data(p: int, r: int, w: int, N: int) -> FiniteGroupData:
@@ -623,14 +503,15 @@ def _stable_colimit_exponents(p, a, t, N, s_top):
     return tuple(_image_exponents(level, p, N, s, N) for s in range(s_top + 1))
 
 
-def _bar_crosscheck(p: int, w: int, s_top: int, bar_budget: int) -> None:
+def _bar_crosscheck(p: int, w: int, s_top: int) -> None:
     """Confirm the periodic quotient model against the honest bar complex
-    of the smallest usable quotient, when the budget affords it.  Building
-    the group checks associativity on an |G|^3 tensor, so the check is
-    skipped before anything is built once |G|^3 exceeds the budget."""
+    of the smallest usable quotient, when DEFAULT_BAR_BUDGET affords it.
+    Building the group checks associativity on an |G|^3 tensor, so the
+    check is skipped before anything is built once |G|^3 exceeds the
+    budget."""
     N = 2
     r = _min_level(p, _action_class(p, w, N)[0], N)
-    if (p ** (r - 1) * (p - 1)) ** 3 > bar_budget:
+    if (p ** (r - 1) * (p - 1)) ** 3 > DEFAULT_BAR_BUDGET:
         return
     try:
         g = units_group_data(p, r, w, N)
@@ -638,11 +519,11 @@ def _bar_crosscheck(p: int, w: int, s_top: int, bar_budget: int) -> None:
         return
     n = len(g)
     s_chk = min(s_top, 2)
-    while s_chk >= 0 and n ** (2 * s_chk + 1) > bar_budget:
+    while s_chk >= 0 and n ** (2 * s_chk + 1) > DEFAULT_BAR_BUDGET:
         s_chk -= 1
     if s_chk < 0:
         return
-    bar = bar_cohomology_finite(g, s_chk, budget=bar_budget)
+    bar = bar_cohomology_finite(g, s_chk)
     small = quotient_level_cohomology(p, w, r, N, s_chk)
     for s in range(s_chk + 1):
         if bar.group(s) != small[s]:
@@ -657,9 +538,6 @@ def continuous_via_quotients(
     w: int,
     s_max: int,
     precision_ceiling: int = 24,
-    level_ceiling: int = 0,
-    bar_budget: int = DEFAULT_BAR_BUDGET,
-    _s_top: Optional[int] = None,
 ) -> CohomologyResult:
     """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by finite-quotient descent.
 
@@ -679,16 +557,15 @@ def continuous_via_quotients(
     N increments lie past every exponent, where m_s(N) is flat and the
     slopes are exact, so ``_unfold_orders`` cannot fail on correct data:
     if it does, that is an internal error, not a reason to retry.  An
-    n_top above precision_ceiling, or a level r* above a nonzero
-    level_ceiling, is refused with NoStabilization.
+    n_top above precision_ceiling is refused with NoStabilization; the
+    levels follow from n_top, so the ceiling bounds them too.
 
     Finite levels run on the periodic product model of (Z/p^r)^x; before
     the sweep the model is cross-checked against the bar complex of the
-    smallest usable quotient whenever that fits in bar_budget.
+    smallest usable quotient whenever that fits in DEFAULT_BAR_BUDGET.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
-    s_top = s_max if _s_top is None else _s_top
     n_top = max(4, _anchor_valuation(p, w) + 2)
     if n_top > precision_ceiling:
         raise NoStabilization(
@@ -698,17 +575,12 @@ def continuous_via_quotients(
     # r* grows with N (a norm that is 0 mod p^N is 0 mod p^(N-1)), so the
     # top precision needs the highest level
     max_level = _colimit_level(p, _action_class(p, w, n_top)[0], n_top)
-    if level_ceiling and max_level > level_ceiling:
-        raise NoStabilization(
-            f"quotient level ceiling {level_ceiling} is below level {max_level}, "
-            f"which w={w} needs at coefficient precision {n_top}"
-        )
-    _bar_crosscheck(p, w, s_top, bar_budget)
+    _bar_crosscheck(p, w, s_max)
     orders: dict[int, list[int]] = {}
     for N in range(1, n_top + 1):
         a, t = _action_class(p, w, N)
-        orders[N] = [sum(e) for e in _stable_colimit_exponents(p, a, t, N, s_top)]
-    unfolded = _unfold_orders(orders, s_top, n_top)
+        orders[N] = [sum(e) for e in _stable_colimit_exponents(p, a, t, N, s_max)]
+    unfolded = _unfold_orders(orders, s_max, n_top)
     if unfolded is None:
         raise AssertionError(
             f"brute orders do not unfold for p={p}, w={w} at n_top={n_top}"

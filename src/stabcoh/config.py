@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import DEFAULT_BAR_BUDGET
 from .exact_linalg import PRECISION_CEILING, is_prime
 
 ROUTES = ("structured", "brute", "ss", "golden")
@@ -18,8 +17,6 @@ class RunConfig:
     t_hi: int = 48
     s_max: int = 5
     precision_max: int = PRECISION_CEILING
-    bar_budget: int = DEFAULT_BAR_BUDGET
-    quotient_max: int = 0  # 0 = no cap on the derived quotient level
     fmt: str = "pretty"
     routes: tuple[str, ...] = ("structured",)
     t0_even_row: bool = True
@@ -32,10 +29,10 @@ class RunConfig:
             raise ValueError("empty t window")
         if self.s_max < 0:
             raise ValueError("s_max must be >= 0")
-        if self.precision_max <= 0 or self.bar_budget <= 0:
-            raise ValueError("budgets must be positive")
-        if self.quotient_max < 0:
-            raise ValueError("quotient level ceiling must be >= 0")
+        if self.precision_max <= 0:
+            raise ValueError("precision_max must be positive")
+        if not self.routes:
+            raise ValueError("no route given")
         for r in self.routes:
             if r not in ROUTES:
                 raise ValueError(f"unknown route {r!r}")

@@ -23,8 +23,7 @@ class BudgetExceeded(StabcohError):
 
 
 class NoStabilization(StabcohError):
-    """The brute route needs a coefficient precision or a quotient level
-    beyond its ceiling."""
+    """The brute route needs a coefficient precision beyond its ceiling."""
 
 
 class UnsupportedPrime(StabcohError):

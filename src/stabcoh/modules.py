@@ -281,6 +281,13 @@ def _prime_power_split(n: int) -> tuple[int, int] | None:
     return None
 
 
+def _atom_prime(q: int, pos: int) -> int:
+    """q, the prime an atom names at pos; a parse error when q is not prime."""
+    if _prime_power_split(q) != (q, 1):
+        raise ModuleExprParseError(f"{q} is not prime", pos)
+    return q
+
+
 def parse_module_expr(text: str, p: int | None = None) -> ModuleExpr:
     """Parse the module-expression grammar.
 
@@ -312,14 +319,11 @@ def parse_module_expr(text: str, p: int | None = None) -> ModuleExpr:
             pass
         elif mt.group("prufer"):
             prufers += 1
-            seen_primes.add(int(mt.group("pp")))
+            seen_primes.add(_atom_prime(int(mt.group("pp")), pos))
         elif mt.group("cyc"):
             base = int(mt.group("base"))
             if mt.group("exp") is not None:
-                q, k = base, int(mt.group("exp"))
-                split = _prime_power_split(q)
-                if split != (q, 1):
-                    raise ModuleExprParseError(f"{q} is not prime", pos)
+                q, k = _atom_prime(base, pos), int(mt.group("exp"))
             else:
                 split = _prime_power_split(base)
                 if split is None:
@@ -331,7 +335,7 @@ def parse_module_expr(text: str, p: int | None = None) -> ModuleExpr:
             seen_primes.add(q)
         elif mt.group("free"):
             free += 1
-            seen_primes.add(int(mt.group("pf")))
+            seen_primes.add(_atom_prime(int(mt.group("pf")), pos))
         else:
             padics += 1
         saw_atom = True

@@ -101,9 +101,6 @@ class BigradedTable:
         expr = self._by_key.get((s, t))
         return zero_module() if expr is None else expr
 
-    def as_dict(self) -> dict[tuple[int, int], ModuleExpr]:
-        return dict(self.cells)
-
     def same_window(self, other: "BigradedTable") -> bool:
         return (
             self.p == other.p

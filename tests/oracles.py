@@ -2,13 +2,18 @@
 
 Nothing in here calls the package's elimination code: Smith factors come
 from determinant divisors, cohomology of small complexes from exhaustive
-enumeration, and group structure from order statistics.
+enumeration, cohomology of cyclic groups from closed forms, and group
+structure from order statistics.
 """
 
 import math
 from itertools import combinations, product
 
 import numpy as np
+
+from stabcoh.cohomology import FiniteGroupData
+from stabcoh.exact_linalg import vp
+from stabcoh.modules import cyclic, zero_module
 
 
 def det_int(rows):
@@ -172,3 +177,43 @@ def cyclic_tensor_exponent(a: int, b: int) -> int:
         x //= 2
         e += 1
     return e
+
+
+def cyclic_group_data(m, a, p, N):
+    """Cyclic group of order m, generator acting on Z/p^N by the unit a."""
+    M = p**N
+    if pow(a, m, M) != 1:
+        raise ValueError("a^m must be 1 mod p^N")
+    table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+    action = tuple(pow(a, i, M) for i in range(m))
+    return FiniteGroupData(p, N, table, action)
+
+
+def cyclic_cohomology(m, a, p, N, s_max):
+    """[H^0, ..., H^s_max] of a cyclic group of order m acting on Z/p^N
+    through the unit a (so a^m = 1 mod p^N), from the 2-periodic
+    resolution in closed form.
+
+    H^0 is the fixed points; in odd degrees ker(norm)/im(a-1); in positive
+    even degrees fixed-points/im(norm), with norm = 1 + a + ... + a^(m-1).
+    Multiplication by x on Z/p^N has a kernel of order p^v(x) and an image
+    of order p^(N - v(x)), v capped at N, so ker(x)/im(y) is cyclic of
+    exponent v(x) + v(y) - N."""
+    M = p**N
+    if pow(a, m, M) != 1:
+        raise ValueError(f"action unit {a} does not have order dividing {m} mod {M}")
+
+    def val(x):
+        return N if x % M == 0 else min(vp(x % M, p), N)
+
+    va = val(a - 1)
+    vn = val(sum(pow(a, i, M) for i in range(m)))
+
+    def subquotient(ker_v, im_v):
+        e = ker_v + im_v - N
+        return cyclic(p, e) if e >= 1 else zero_module()
+
+    groups = [subquotient(va, N)]
+    for s in range(1, s_max + 1):
+        groups.append(subquotient(vn, va) if s % 2 else subquotient(va, vn))
+    return groups

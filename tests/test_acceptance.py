@@ -11,13 +11,11 @@ from itertools import product
 
 import numpy as np
 
-from oracles import enumerate_cohomology_type
+from oracles import cyclic_cohomology, cyclic_group_data, enumerate_cohomology_type
 from stabcoh.cli import main
 from stabcoh.cohomology import (
     bar_cohomology_finite,
     continuous_via_quotients,
-    cyclic_cohomology,
-    cyclic_group_data,
     units_cohomology,
 )
 from stabcoh.exact_linalg import (
@@ -175,9 +173,9 @@ def test_acceptance_5_oracle_equivalence(capsys):
                         continue
                     g = cyclic_group_data(m, a, p, N)
                     bar = bar_cohomology_finite(g, 3, budget=10**7)
-                    cyc = cyclic_cohomology(m, a, BaseZMod(p, N), 3)
+                    cyc = cyclic_cohomology(m, a, p, N, 3)
                     for s in range(4):
-                        assert bar.group(s) == cyc.group(s), (p, m, N, a, s)
+                        assert bar.group(s) == cyc[s], (p, m, N, a, s)
                     checked_bar += 1
     checked_enum = 0
     rng = np.random.default_rng(0xACCE55)

@@ -9,7 +9,7 @@ import pytest
 
 from stabcoh import cli
 from stabcoh.cli import main
-from stabcoh.spectral import table_from_json
+from stabcoh.spectral import compare_tables, table_from_json
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +104,13 @@ def test_verify_fault_injection(capsys):
         ("verify", "--inject-fault", "1"),
         ("verify", "--inject-fault", "a,b"),
         ("l", "--s", "-1", "Zp"),
+        ("l", "--s", "0", "--p", "4", "Q/Z(4)"),
+        ("l", "--s", "0", "--p", "4", "Zp"),
+        ("l", "--s", "0", "--p", "1", "Zp"),
+        ("cohomology", "--p", "4", "--t", "0", "--smax", "1"),
+        ("verify", "--p", "1"),
+        ("ss-run", "--p", "0"),
+        ("table", "--golden", "--p", "6"),
     ],
 )
 def test_malformed_arguments_exit_2_before_any_route(capsys, monkeypatch, argv):
@@ -120,6 +127,42 @@ def test_malformed_arguments_exit_2_before_any_route(capsys, monkeypatch, argv):
     assert "error: argument" in out.err
 
 
+@pytest.mark.parametrize("flag", ["--quotient-max", "--bar-budget"])
+def test_removed_options_exit_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--t", "8", "--smax", "1", "--route", "brute", flag, "8"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"unrecognized arguments: {flag}" in out.err
+
+
+def test_non_prime_atom_exit_2_at_its_position(capsys):
+    code, out, err = run_cli(capsys, "l", "--s", "0", "Zp + Q/Z(6)")
+    assert code == 2 and out == ""
+    assert "6 is not prime (at position 5)" in err
+
+
+def test_empty_route_list_refused(capsys):
+    code, out, err = run_cli(capsys, "cohomology", "--route", ",", "--format", "json")
+    assert code == 2 and out == ""
+    assert "bad configuration" in err
+
+
+def test_verify_compares_each_pair_once(capsys, monkeypatch):
+    # six pairs of four tables; the diff-vs-golden counts reuse three of them
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.route, b.route))
+        return compare_tables(a, b)
+
+    monkeypatch.setattr(cli, "compare_tables", counting)
+    code, out, _ = run_cli(capsys, "verify", "--t", "0:8", "--smax", "2", "--inject-fault", "1,8")
+    assert code == 1
+    assert len(calls) == len(set(calls)) == 6
+    assert "diff vs golden: {'ss': 1, 'structured': 1, 'brute': 1}" in out
+
+
 def test_verbose_brute_certificate_names_precision_cap(capsys):
     # the brute route caps its precision at min(--precision-max, 24)
     for cap, want in (("256", 24), ("16", 16)):
@@ -129,26 +172,6 @@ def test_verbose_brute_certificate_names_precision_cap(capsys):
         )
         assert code == 0
         assert f"'precision_ceiling': {want}" in err
-
-
-def test_quotient_max_below_derived_level_refused(capsys):
-    # t = 8 (w = 4) reads its top precision N = 6 at level N + 2 = 8: a cap
-    # of 8 or none gives the same table, 7 refuses at once and names 8
-    outs = []
-    for cap in ("0", "8", "12"):
-        code, out, _ = run_cli(
-            capsys, "cohomology", "--t", "8", "--smax", "1", "--route", "brute",
-            "--quotient-max", cap, "--format", "json",
-        )
-        assert code == 0, cap
-        outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
-    code, out, err = run_cli(
-        capsys, "cohomology", "--t", "8", "--smax", "1", "--route", "brute",
-        "--quotient-max", "7",
-    )
-    assert code == 3 and out == ""
-    assert "route brute failed" in err and "level 8" in err
 
 
 def test_precision_max_below_start_refused_by_both_routes(capsys):

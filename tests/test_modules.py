@@ -267,6 +267,17 @@ def test_parse_errors_carry_positions():
         parse_module_expr("Zp +")
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [("Z(6)", 0), ("Q/Z(4)", 0), ("Zp + Q/Z(4)", 5), ("Z(2) + Z(1)", 7), ("Z/6^2", 0)],
+)
+def test_parse_refuses_non_prime_atoms(text, position):
+    with pytest.raises(ModuleExprParseError) as e:
+        parse_module_expr(text)
+    assert e.value.position == position
+    assert "is not prime" in str(e.value)
+
+
 @given(exprs())
 def test_round_trip(m):
     assert parse_module_expr(format_module_expr(m), p=2) == m
