@@ -2,7 +2,8 @@
 """Condense parent/change perfbench records into one BENCH_<n>.json.
 
     python3 scripts/bench_record.py --parent PARENT/perfbench/out \\
-        --change CHANGE/perfbench/out --out BENCH_<n>.json
+        --change CHANGE/perfbench/out --out BENCH_<n>.json \\
+        [--tier1-parent PARENT.json --tier1-change CHANGE.json]
 
 Each directory holds the records ``perfbench/run.py`` writes
 (``<workload>-seed<seed>-trace<0|1>.json``).  A parent record and a change
@@ -16,7 +17,8 @@ tenths of the pairs and the medians differ by more than the parent's
 interquartile range.  Each end-to-end metric also carries ``regression``:
 the change's median is worse than the parent's by more than the metric's
 ``bound`` in BENCHMARK.json, read as a fraction of the parent's median.
-Standard library only.
+The optional ``--tier1-*`` files, written by ``scripts/tier1_time.py``,
+are copied under ``"tier1"``.  Standard library only.
 """
 
 import argparse
@@ -81,7 +83,11 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=pathlib.Path, required=True, help="parent record directory")
     ap.add_argument("--change", type=pathlib.Path, required=True, help="change record directory")
     ap.add_argument("--out", type=pathlib.Path, required=True, help="BENCH_<n>.json to write")
+    ap.add_argument("--tier1-parent", type=pathlib.Path, help="tier1_time.py output for the parent")
+    ap.add_argument("--tier1-change", type=pathlib.Path, help="tier1_time.py output for the change")
     args = ap.parse_args(argv)
+    if (args.tier1_parent is None) != (args.tier1_change is None):
+        ap.error("--tier1-parent and --tier1-change go together")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     direction = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -115,6 +121,11 @@ def main(argv=None) -> int:
         "src_lines": {"parent": first["src_lines"], "change": change[keys[0]]["src_lines"]},
         "workloads": workloads,
     }
+    if args.tier1_parent is not None:
+        bench["tier1"] = {
+            "parent": json.loads(args.tier1_parent.read_text()),
+            "change": json.loads(args.tier1_change.read_text()),
+        }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     for workload, entry in workloads.items():
         for name, m in entry.get("end_to_end", {}).items():
@@ -125,6 +136,12 @@ def main(argv=None) -> int:
                 f"{m['change_quartiles'][1]:.4g}] {m['unit']}, wins {m['wins']}/{len(m['seeds'])}"
                 + (f", regression {str(m['regression']).lower()}" if "regression" in m else "")
             )
+    if "tier1" in bench:
+        t = bench["tier1"]
+        print(
+            f"tier1 median wall: parent {t['parent']['median_s']:.2f} s -> change "
+            f"{t['change']['median_s']:.2f} s, passed {t['parent']['passed']} -> {t['change']['passed']}"
+        )
     return 0
 
 

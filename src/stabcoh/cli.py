@@ -24,8 +24,8 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedPrime,
 )
-from .exact_linalg import DEFAULT_PRECISION, is_prime
-from .modules import derived_completion, format_module_expr, parse_module_expr
+from .exact_linalg import DEFAULT_PRECISION
+from .modules import derived_completion, format_module_expr, is_prime, parse_module_expr
 from .spectral import (
     BigradedTable,
     compare_tables,
@@ -68,7 +68,11 @@ def _nonnegative_int(value: str) -> int:
 
 def _prime(value: str) -> int:
     n = int(value)
-    if not is_prime(n):
+    try:
+        prime = is_prime(n)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    if not prime:
         raise argparse.ArgumentTypeError(f"expected a prime, got {n}")
     return n
 

@@ -318,10 +318,14 @@ def units_group_data(p: int, r: int, w: int, N: int) -> FiniteGroupData:
 
 
 def _bar_differential(g: FiniteGroupData, k: int) -> np.ndarray:
-    """Matrix of d : C^k -> C^(k+1) for inhomogeneous cochains G^k -> M,
+    """Matrix of d : C^k -> C^(k+1) on normalized inhomogeneous cochains,
+    the functions G^k -> M that vanish whenever an argument is the identity,
     (df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum_j (-1)^j f(.., g_j g_(j+1), ..)
-    + (-1)^(k+1) f(g_1..g_k)."""
-    n = len(g)
+    + (-1)^(k+1) f(g_1..g_k).  Rows and columns run over the tuples with no
+    identity entry, (|G|-1)^(k+1) and (|G|-1)^k of them; a term whose merged
+    product g_j g_(j+1) is the identity evaluates f there, at 0, and is
+    dropped."""
+    n = len(g) - 1  # non-identity elements, indices 1..n; digit i names i + 1
     M = g.p**g.N
     rows, cols = n ** (k + 1), n**k
     tbl = np.array(g.table, dtype=np.int64)
@@ -330,9 +334,9 @@ def _bar_differential(g: FiniteGroupData, k: int) -> np.ndarray:
     R = np.arange(rows, dtype=np.int64)
     digits = [(R // n ** (k - i)) % n for i in range(k + 1)]
     weights = [n ** (k - 1 - i) for i in range(k)]
-    np.add.at(d, (R, R % cols), act[digits[0]])
+    np.add.at(d, (R, R % cols), act[digits[0] + 1])
     for j in range(1, k + 1):
-        merged = tbl[digits[j - 1], digits[j]]
+        merged = tbl[digits[j - 1] + 1, digits[j] + 1] - 1
         col = np.zeros(rows, dtype=np.int64)
         pos = 0
         for i in range(k + 1):
@@ -342,7 +346,8 @@ def _bar_differential(g: FiniteGroupData, k: int) -> np.ndarray:
             elif i != j:
                 col += digits[i] * weights[pos]
                 pos += 1
-        np.add.at(d, (R, col), (-1) ** j)
+        keep = merged >= 0
+        np.add.at(d, (R[keep], col[keep]), (-1) ** j)
     np.add.at(d, (R, R // n), (-1) ** (k + 1))
     return d % M
 
@@ -350,10 +355,18 @@ def _bar_differential(g: FiniteGroupData, k: int) -> np.ndarray:
 def bar_cohomology_finite(
     g: FiniteGroupData, s_max: int, budget: int = DEFAULT_BAR_BUDGET
 ) -> CohomologyResult:
-    """Cohomology of the full function-space cochain complex of a finite
-    group, degrees 0..s_max.  The budget caps the dense differential
-    matrix sizes |G|^(2k+1)."""
-    n = len(g)
+    """H^s(G, Z/p^N) of a finite group, degrees 0..s_max, from the
+    normalized cochain complex, (|G|-1)^k cochains in degree k.
+
+    The normalized cochains are a subcomplex of the full inhomogeneous
+    cochain complex (|G|^k cochains), and the inclusion is a
+    quasi-isomorphism: they are Hom_G of the normalized bar resolution,
+    the quotient of the bar resolution by its degenerate chains, and both
+    are free resolutions of Z over ZG (Brown, *Cohomology of Groups*,
+    ch. III).  So both complexes give the same groups; the full one is a
+    test oracle.  The budget caps the entries of the dense differentials
+    actually built, (|G|-1)^(2k+1) for d^k."""
+    n = len(g) - 1
     for k in range(s_max + 1):
         if n ** (2 * k + 1) > budget:
             raise BudgetExceeded(
@@ -364,7 +377,7 @@ def bar_cohomology_finite(
     diffs = tuple(_bar_differential(g, k) for k in range(s_max + 1))
     cx = CochainComplex(BaseZMod(g.p, g.N), 0, ranks, diffs)
     groups = {s: complex_cohomology(cx, s) for s in range(s_max + 1)}
-    return _result(g.p, None, groups, "bar", {"precision": g.N, "order": n})
+    return _result(g.p, None, groups, "bar", {"precision": g.N, "order": len(g)})
 
 
 # ---------------------------------------------------------------------------
@@ -503,26 +516,48 @@ def _stable_colimit_exponents(p, a, t, N, s_top):
     return tuple(_image_exponents(level, p, N, s, N) for s in range(s_top + 1))
 
 
-def _bar_crosscheck(p: int, w: int, s_top: int) -> None:
+def _bar_crosscheck(p: int, w: int, s_top: int):
     """Confirm the periodic quotient model against the honest bar complex
-    of the smallest usable quotient, when DEFAULT_BAR_BUDGET affords it.
-    Building the group checks associativity on an |G|^3 tensor, so the
-    check is skipped before anything is built once |G|^3 exceeds the
-    budget."""
+    of the smallest usable quotient, once per class of w mod e, e the
+    exponent of (Z/p^2)^x: 2 at p = 2, p(p-1) at odd p.  Returns what
+    ``_bar_crosscheck_class`` returns."""
+    e = 2 if p == 2 else p * (p - 1)
+    return _bar_crosscheck_class(p, w % e, s_top)
+
+
+@lru_cache(maxsize=4096)
+def _bar_crosscheck_class(p: int, w: int, s_top: int):
+    """The bar cross-check at coefficient precision N = 2: the bar
+    cohomology of (Z/p^r)^x on Z/p^2(w), r the smallest level the action
+    factors through, must equal the periodic model's raw groups in degrees
+    s <= s_chk = min(s_top, 2), lowered until DEFAULT_BAR_BUDGET affords
+    the differentials.  Building the group checks associativity on an
+    |G|^3 tensor, so the check is skipped before anything is built once
+    |G|^3 exceeds the budget.  Returns (r, s_chk, bar groups), or None
+    when skipped; a disagreement raises AssertionError.
+
+    The cache is exact.  Everything the check reads of w is a power of a
+    unit mod p^2: the action class (gamma^w, omega^w) mod p^2 that fixes r
+    and feeds ``quotient_level_cohomology``, and the descent test and the
+    action u -> u^w mod p^2 in ``units_group_data``.  Each depends only on
+    w mod e, the exponent of (Z/p^2)^x (negative w too: a negative power
+    mod p^2 is the inverse power), so the check of w mod e is the check of
+    w.  A failing check raises, and lru_cache stores no exception, so a
+    disagreement surfaces on every call."""
     N = 2
     r = _min_level(p, _action_class(p, w, N)[0], N)
     if (p ** (r - 1) * (p - 1)) ** 3 > DEFAULT_BAR_BUDGET:
-        return
+        return None
     try:
         g = units_group_data(p, r, w, N)
     except ValueError:
-        return
-    n = len(g)
+        return None
+    n = len(g) - 1
     s_chk = min(s_top, 2)
     while s_chk >= 0 and n ** (2 * s_chk + 1) > DEFAULT_BAR_BUDGET:
         s_chk -= 1
     if s_chk < 0:
-        return
+        return None
     bar = bar_cohomology_finite(g, s_chk)
     small = quotient_level_cohomology(p, w, r, N, s_chk)
     for s in range(s_chk + 1):
@@ -531,6 +566,7 @@ def _bar_crosscheck(p: int, w: int, s_top: int) -> None:
                 f"quotient model disagrees with the bar complex at level {r}, "
                 f"degree {s}"
             )
+    return r, s_chk, bar.groups
 
 
 def continuous_via_quotients(
@@ -562,7 +598,8 @@ def continuous_via_quotients(
 
     Finite levels run on the periodic product model of (Z/p^r)^x; before
     the sweep the model is cross-checked against the bar complex of the
-    smallest usable quotient whenever that fits in DEFAULT_BAR_BUDGET.
+    smallest usable quotient whenever that fits in DEFAULT_BAR_BUDGET,
+    once per class of w mod the exponent of (Z/p^2)^x.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact_linalg import PRECISION_CEILING, is_prime
+from .exact_linalg import PRECISION_CEILING
+from .modules import is_prime
 
 ROUTES = ("structured", "brute", "ss", "golden")
 FORMATS = ("json", "csv", "pretty")

@@ -38,7 +38,6 @@ __all__ = [
     "complex_cohomology",
     "lattice_quotient_exponents",
     "vp",
-    "is_prime",
 ]
 
 DEFAULT_PRECISION = 8
@@ -54,17 +53,6 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

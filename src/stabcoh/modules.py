@@ -30,6 +30,7 @@ from .errors import ModuleExprParseError, NotProjective, OutsideAtomClass
 
 __all__ = [
     "ModuleExpr",
+    "is_prime",
     "zero_module",
     "local_free",
     "padic",
@@ -265,27 +266,78 @@ _TOKEN = re.compile(
 )
 
 
+# Miller-Rabin on the first 13 primes is deterministic below this bound:
+# the least strong pseudoprime to all 13 bases is 3317044064679887385961981
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, exactly: deterministic Miller-Rabin on the
+    first 13 prime bases.  A multiple of a base is decided at any size;
+    any other n of at least 3.317 * 10^24 raises ValueError, since the
+    test no longer certifies it."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large to certify prime")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power_split(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p^k, or None if n is not a prime power."""
+    """Return (p, k) with n = p^k, or None if n is not a prime power.
+    With k the largest exponent for which n is a perfect k-th power, n is
+    a prime power exactly when its k-th root is prime."""
     if n < 2:
         return None
-    for q in range(2, n + 1):
-        if q * q > n:
-            return (n, 1)
-        if n % q == 0:
-            k = 0
-            while n % q == 0:
-                n //= q
-                k += 1
-            return (q, k) if n == 1 else None
+    for k in range(n.bit_length(), 0, -1):
+        q = _integer_root(n, k)
+        if q >= 2 and q**k == n:
+            return (q, k) if is_prime(q) else None
     return None
 
 
 def _atom_prime(q: int, pos: int) -> int:
     """q, the prime an atom names at pos; a parse error when q is not prime."""
-    if _prime_power_split(q) != (q, 1):
+    if not _certified(is_prime, q, pos):
         raise ModuleExprParseError(f"{q} is not prime", pos)
     return q
+
+
+def _certified(test, n: int, pos: int):
+    """test(n), with a primality refusal reported as a parse error at pos."""
+    try:
+        return test(n)
+    except ValueError as e:
+        raise ModuleExprParseError(str(e), pos) from None
 
 
 def parse_module_expr(text: str, p: int | None = None) -> ModuleExpr:
@@ -325,7 +377,7 @@ def parse_module_expr(text: str, p: int | None = None) -> ModuleExpr:
             if mt.group("exp") is not None:
                 q, k = _atom_prime(base, pos), int(mt.group("exp"))
             else:
-                split = _prime_power_split(base)
+                split = _certified(_prime_power_split, base, pos)
                 if split is None:
                     raise ModuleExprParseError(f"{base} is not a prime power", pos)
                 q, k = split

@@ -3,7 +3,8 @@
 Nothing in here calls the package's elimination code: Smith factors come
 from determinant divisors, cohomology of small complexes from exhaustive
 enumeration, cohomology of cyclic groups from closed forms, and group
-structure from order statistics.
+structure from order statistics.  The full bar complex is built one tuple
+at a time and returned as matrices; eliminating them is the caller's job.
 """
 
 import math
@@ -93,27 +94,35 @@ def enumerate_cohomology_type(dout, din, n, p, N):
 
     dout: rows of an (n_out x n) int matrix or None; din: (n x n_in) or
     None.  Returns the partition (descending exponents) of the quotient.
+    Every vector of (Z/p^N)^n is named by its base-p^N integer code, and
+    the image is a boolean mark array over those codes.
     """
     M = p**N
-    vecs = np.array(list(product(range(M), repeat=n)), dtype=np.int64)
+
+    def place(length):  # a vector's code is vector @ place(length)
+        return M ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+    def every_vector(length):  # row i has code i
+        return (np.arange(M**length, dtype=np.int64)[:, None] // place(length)) % M
+
+    vecs = every_vector(n)
     if dout is not None and len(dout):
         a = np.array(dout, dtype=np.int64)
         ker = vecs[((vecs @ a.T) % M == 0).all(axis=1)]
     else:
         ker = vecs
+    in_img = np.zeros(M**n, dtype=bool)
     if din is not None and np.size(din):
         b = np.array(din, dtype=np.int64)
-        dom = np.array(list(product(range(M), repeat=b.shape[1])), dtype=np.int64)
-        img = np.unique((dom @ b.T) % M, axis=0)
+        in_img[((every_vector(b.shape[1]) @ b.T) % M) @ place(n)] = True
     else:
-        img = np.zeros((1, n), dtype=np.int64)
-    img_set = {tuple(v) for v in img.tolist()}
+        in_img[0] = True
+    img_size = int(in_img.sum())
     counts = []
     for k in range(N + 1):
-        scaled = (ker * (p**k)) % M
-        cnt = sum(1 for v in scaled.tolist() if tuple(v) in img_set)
-        assert cnt % len(img_set) == 0
-        counts.append(cnt // len(img_set))
+        cnt = int(in_img[((ker * p**k) % M) @ place(n)].sum())
+        assert cnt % img_size == 0
+        counts.append(cnt // img_size)
     return abelian_type_from_divisor_counts(counts, p)
 
 
@@ -217,3 +226,21 @@ def cyclic_cohomology(m, a, p, N, s_max):
     for s in range(1, s_max + 1):
         groups.append(subquotient(vn, va) if s % 2 else subquotient(va, vn))
     return groups
+
+
+def full_bar_differential(g, k):
+    """d : C^k -> C^(k+1) of the full inhomogeneous cochain complex of a
+    FiniteGroupData, all n^k functions G^k -> Z/p^N, one tuple at a time:
+    (df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum_j (-1)^j f(.., g_j g_(j+1), ..)
+    + (-1)^(k+1) f(g_1..g_k).  Rows and columns are tuples in
+    lexicographic order."""
+    n = len(g)
+    index = {tau: i for i, tau in enumerate(product(range(n), repeat=k))}
+    d = np.zeros((n ** (k + 1), n**k), dtype=np.int64)
+    for row, tau in enumerate(product(range(n), repeat=k + 1)):
+        d[row, index[tau[1:]]] += g.action[tau[0]]
+        for j in range(1, k + 1):
+            merged = tau[: j - 1] + (g.table[tau[j - 1]][tau[j]],) + tau[j + 1 :]
+            d[row, index[merged]] += (-1) ** j
+        d[row, index[tau[:-1]]] += (-1) ** (k + 1)
+    return d % g.p**g.N

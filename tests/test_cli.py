@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +141,29 @@ def test_non_prime_atom_exit_2_at_its_position(capsys):
     code, out, err = run_cli(capsys, "l", "--s", "0", "Zp + Q/Z(6)")
     assert code == 2 and out == ""
     assert "6 is not prime (at position 5)" in err
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("l", "--s", "0", "--p", "1000000000000000003", "Zp"), "Zp"),
+        (("cohomology", "--p", "1000000000000000003", "--t", "0", "--smax", "1"), "(s=1, t=0)  Zp"),
+    ],
+)
+def test_huge_prime_answers_at_once(capsys, argv, want):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and want in out
+
+
+def test_uncertifiable_prime_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--p", "3317044064679887385961981", "--t", "0"])
+    assert exc.value.code == 2
+    assert "too large to certify prime" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "l", "--s", "0", "Z/3317044064679887385961981")
+    assert code == 2 and out == "" and "too large to certify prime" in err
 
 
 def test_empty_route_list_refused(capsys):

@@ -5,10 +5,19 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bar_cohomology_by_enumeration, cyclic_cohomology, cyclic_group_data
+from oracles import (
+    bar_cohomology_by_enumeration,
+    cyclic_cohomology,
+    cyclic_group_data,
+    full_bar_differential,
+)
+from stabcoh import cohomology
 from stabcoh.cohomology import (
     _action_class,
     _anchor_valuation,
+    _bar_crosscheck,
+    _bar_crosscheck_class,
+    _bar_differential,
     _colimit_level,
     _level_data,
     _min_level,
@@ -24,7 +33,13 @@ from stabcoh.cohomology import (
     units_group_data,
 )
 from stabcoh.errors import BudgetExceeded, NoStabilization, PrecisionExhausted
-from stabcoh.exact_linalg import lattice_quotient_exponents, vp
+from stabcoh.exact_linalg import (
+    BaseZMod,
+    CochainComplex,
+    complex_cohomology,
+    lattice_quotient_exponents,
+    vp,
+)
 from stabcoh.modules import cyclic, padic, zero_module
 
 
@@ -145,6 +160,84 @@ def test_small_model_equals_bar_on_quotients():
                     small = quotient_level_cohomology(p, w, r, N, smax)
                     for s in range(smax + 1):
                         assert bar.group(s) == small[s], (p, r, w, N, s)
+
+
+def _full_bar_groups(g, s_max):
+    """H^s from the full cochain complex, n^k cochains in degree k."""
+    n = len(g)
+    ranks = tuple(n**k for k in range(s_max + 2))
+    diffs = tuple(full_bar_differential(g, k) for k in range(s_max + 1))
+    cx = CochainComplex(BaseZMod(g.p, g.N), 0, ranks, diffs)
+    return [complex_cohomology(cx, s) for s in range(s_max + 1)]
+
+
+def test_normalized_bar_equals_full_bar():
+    # every group of acceptance 5's cyclic sweep with |G| <= 4 (s <= 3),
+    # then the unit groups (Z/8)^x, (Z/16)^x and (Z/9)^x at the
+    # cross-check's N = 2 and in its degrees s <= 2
+    groups = []
+    for p in (2, 3):
+        for m in range(1, 5):
+            for N in range(1, 5):
+                M = p**N
+                for a in range(1, M):
+                    if a % p and pow(a, m, M) == 1:
+                        groups.append((cyclic_group_data(m, a, p, N), 3))
+    for p, r in [(2, 3), (2, 4), (3, 2)]:
+        for w in range(-3, 7):
+            groups.append((units_group_data(p, r, w, 2), 2))
+    for g, s_max in groups:
+        n = len(g) - 1
+        for k in range(s_max + 1):
+            assert _bar_differential(g, k).shape == (n ** (k + 1), n**k)
+        bar = bar_cohomology_finite(g, s_max, budget=10**7)
+        full = _full_bar_groups(g, s_max)
+        for s in range(s_max + 1):
+            assert bar.group(s) == full[s], (g.p, g.N, len(g), g.action, s)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_group_data_is_periodic_in_the_weight(p):
+    # at N = 2 the action u -> u^w mod p^2 and the descent test read w
+    # only mod e, the exponent of (Z/p^2)^x
+    e = 2 if p == 2 else p * (p - 1)
+    for r in range(2 if p == 2 else 1, 3):
+        for w in range(-e, e):
+            try:
+                g = units_group_data(p, r, w, 2)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    units_group_data(p, r, w + e, 2)
+                continue
+            assert units_group_data(p, r, w + e, 2) == g, (p, r, w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_bar_crosscheck_memo_is_exact(p):
+    # each weight's cached answer must be the check of that weight: the
+    # bar groups equal the periodic model's raw groups at the real w
+    e = 2 if p == 2 else p * (p - 1)
+    _bar_crosscheck_class.cache_clear()
+    for w in range(-e, e):
+        checked = _bar_crosscheck(p, w, 2)
+        assert checked is not None, (p, w)
+        r, s_chk, groups = checked
+        assert r == _min_level(p, _action_class(p, w, 2)[0], 2)
+        assert groups == tuple(enumerate(quotient_level_cohomology(p, w, r, 2, s_chk))), (p, w)
+    info = _bar_crosscheck_class.cache_info()
+    assert info.currsize == e and info.hits == e
+
+
+def test_bar_crosscheck_failure_is_never_cached(monkeypatch):
+    def broken(p, w, r, N, s_max):
+        return [cyclic(p, 5)] * (s_max + 1)
+
+    _bar_crosscheck_class.cache_clear()
+    monkeypatch.setattr(cohomology, "quotient_level_cohomology", broken)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="disagrees with the bar complex"):
+            continuous_via_quotients(2, 3, 2)
+    assert _bar_crosscheck_class.cache_info().currsize == 0
 
 
 # --- structured route --------------------------------------------------------

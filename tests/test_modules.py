@@ -14,6 +14,7 @@ from stabcoh.modules import (
     derived_completion,
     format_module_expr,
     hom,
+    is_prime,
     is_tame,
     l0,
     l1,
@@ -286,3 +287,34 @@ def test_round_trip(m):
 def test_canonical_order():
     m = prufer(2) + cyclic(2, 1) + padic(2) + cyclic(2, 3) + local_free(2)
     assert format_module_expr(m) == "Z(2) + Zp + Z/2^3 + Z/2 + Q/Z(2)"
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [n for n in range(-3, 5000) if trial(n)]
+
+
+def test_is_prime_large_and_pseudoprime_inputs():
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**18 + 3)
+    assert not is_prime(561)  # a Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    # strong pseudoprime to the first 12 prime bases; base 41 exposes it
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(2**200)  # a multiple of a base is decided at any size
+    with pytest.raises(ValueError, match="too large to certify prime"):
+        is_prime(3317044064679887385961981)
+
+
+def test_parse_huge_and_carmichael_atoms():
+    q = 10**18 + 3
+    assert parse_module_expr(f"Z/{q}") == cyclic(q, 1)
+    assert parse_module_expr(f"Z/{q**2} + Z({q})") == cyclic(q, 2) + local_free(q)
+    assert parse_module_expr(f"Z({2**61 - 1})") == local_free(2**61 - 1)
+    for text in ("Z/561", "Z(561)", "Z/561^2"):
+        with pytest.raises(ModuleExprParseError):
+            parse_module_expr(text)
+    with pytest.raises(ModuleExprParseError, match="too large to certify prime"):
+        parse_module_expr("Z/3317044064679887385961981")
