@@ -31,9 +31,11 @@ continuous rank is 2), which is why inflation images, not raw groups, are
 taken.  Classes are also born late: a homomorphism onto Z/2^N only exists
 from level r = N + 2 on, so levels grow with the coefficient precision.
 Finite quotients are realized through the standard splitting
-(Z/p^r)^x = (torsion) x (cyclic); the bar complex of the same quotient,
-``bar_cohomology_finite``, is checked against this model in the test suite
-on every instance small enough to afford it.
+(Z/p^r)^x = (torsion) x (cyclic).  Every brute call checks this model
+against the bar complex of the same quotient, ``bar_cohomology_finite``,
+once per weight class and whenever the budget affords it, and reads the
+model through the same ``_level_data`` and lattice-quotient reader the
+sweep runs.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ from .exact_linalg import (
     BaseZMod,
     BaseZpTrunc,
     CochainComplex,
-    IntMatrix,
     complex_cohomology,
     lattice_quotient_exponents,
     snf_mod,
     vp,
 )
-from .modules import ModuleExpr, zero_module
+from .errors import UnsupportedPrime
+from .modules import ModuleExpr, is_prime, zero_module
 
 __all__ = [
     "FiniteGroupData",
@@ -86,13 +88,28 @@ def torsion_order(p: int) -> int:
     return 2 if p == 2 else p - 1
 
 
+@lru_cache(maxsize=64)
 def primitive_root(p: int) -> int:
-    """Smallest primitive root mod an odd prime."""
-    for g in range(2, p):
-        seen = {pow(g, k, p) for k in range(1, p)}
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"{p} has no primitive root; is it prime?")
+    """Smallest primitive root mod an odd prime: the first g with
+    g^((p-1)/q) != 1 mod p for every prime q | p - 1.  p - 1 is factored
+    by trial division up to 10^6 and a cofactor left over must pass
+    ``is_prime``; otherwise UnsupportedPrime."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    n, q, factors = p - 1, 2, []
+    while q <= 10**6 and q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        if not is_prime(n):
+            raise UnsupportedPrime(
+                f"cannot factor p - 1 = {p - 1}: cofactor {n} has no prime factor up to 10^6"
+            )
+        factors.append(n)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 def teichmuller(p: int, N: int) -> int:
@@ -199,13 +216,11 @@ def _units_total_complex(
         return h_even if i % 2 == 0 else h_odd
 
     ranks = tuple(1 if s == 0 else 2 for s in range(s_top + 1))
-    diffs = []
-    for s in range(s_top):
-        if s == 0:
-            diffs.append(IntMatrix.from_rows([[h_at(0)], [c]]))
-        else:
-            diffs.append(IntMatrix.from_rows([[h_at(s), 0], [(-1) ** s * c, h_at(s - 1)]]))
-    return CochainComplex(BaseZpTrunc(p, N), 0, ranks, tuple(diffs))
+    diffs = tuple(
+        ((h_at(0),), (c,)) if s == 0 else ((h_at(s), 0), ((-1) ** s * c, h_at(s - 1)))
+        for s in range(s_top)
+    )
+    return CochainComplex(BaseZpTrunc(p, N), ranks, diffs)
 
 
 @lru_cache(maxsize=4096)
@@ -375,7 +390,7 @@ def bar_cohomology_finite(
             )
     ranks = tuple(n**k for k in range(s_max + 2))
     diffs = tuple(_bar_differential(g, k) for k in range(s_max + 1))
-    cx = CochainComplex(BaseZMod(g.p, g.N), 0, ranks, diffs)
+    cx = CochainComplex(BaseZMod(g.p, g.N), ranks, diffs)
     groups = {s: complex_cohomology(cx, s) for s in range(s_max + 1)}
     return _result(g.p, None, groups, "bar", {"precision": g.N, "order": len(g)})
 
@@ -534,7 +549,14 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     the differentials.  Building the group checks associativity on an
     |G|^3 tensor, so the check is skipped before anything is built once
     |G|^3 exceeds the budget.  Returns (r, s_chk, bar groups), or None
-    when skipped; a disagreement raises AssertionError.
+    when skipped; a disagreement raises AssertionError.  The model side is
+    ``quotient_level_cohomology``, the sweep's own reader at lag 0.
+
+    ``units_group_data`` cannot refuse level r.  It asks that 1 + p^r act
+    trivially, (1 + p^r)^w = 1 mod p^2, while r was chosen so that
+    gamma^(w q_r) = 1 mod p^2, q_r the order of the cyclic factor at level
+    r.  Both 1 + p^r and gamma^(q_r) generate 1 + p^r Z_p (r >= 2 at
+    p = 2), so the two conditions are the same.
 
     The cache is exact.  Everything the check reads of w is a power of a
     unit mod p^2: the action class (gamma^w, omega^w) mod p^2 that fixes r
@@ -548,10 +570,7 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     r = _min_level(p, _action_class(p, w, N)[0], N)
     if (p ** (r - 1) * (p - 1)) ** 3 > DEFAULT_BAR_BUDGET:
         return None
-    try:
-        g = units_group_data(p, r, w, N)
-    except ValueError:
-        return None
+    g = units_group_data(p, r, w, N)
     n = len(g) - 1
     s_chk = min(s_top, 2)
     while s_chk >= 0 and n ** (2 * s_chk + 1) > DEFAULT_BAR_BUDGET:
@@ -692,10 +711,9 @@ def _partition_from_counts(m: dict[int, int], n_top: int):
 
 def quotient_level_cohomology(p: int, w: int, r: int, N: int, s_max: int) -> list[ModuleExpr]:
     """Raw H^s((Z/p^r)^x, Z/p^N(w)) for s <= s_max from the periodic
-    product model (no inflation colimit); used to cross-check the
-    model against the bar complex of the same finite group."""
-    a, t = _action_class(p, w, N)
-    diffs = _level_complex_matrices(p, a, t, r, N, s_max)
-    ranks = tuple(s + 1 for s in range(s_max + 2))
-    cx = CochainComplex(BaseZMod(p, N), 0, ranks, tuple(IntMatrix.from_rows(d) for d in diffs))
-    return [complex_cohomology(cx, s) for s in range(s_max + 1)]
+    product model, read by the sweep's own reader: ``_level_data`` and
+    ``_image_exponents`` at lag 0, where the push is the identity and the
+    image is the whole group.  The bar cross-check compares these groups
+    with the bar complex of the same finite group."""
+    level = _level_data(p, *_action_class(p, w, N), r, N, s_max)
+    return [ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0)) for s in range(s_max + 1)]

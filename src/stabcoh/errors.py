@@ -27,7 +27,7 @@ class NoStabilization(StabcohError):
 
 
 class UnsupportedPrime(StabcohError):
-    """The requested table is only available at p = 2."""
+    """The requested table or route is not available at this prime."""
 
 
 class WindowMismatch(StabcohError):

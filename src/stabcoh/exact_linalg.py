@@ -1,18 +1,23 @@
 """Exact kernels, cokernels and cohomology via Smith normal form.
 
-Two base rings are supported:
+Two base rings are supported, each with one matrix container:
 
 * ``BaseZMod(p,N)`` -- the finite ring Z/p^N; every question is decidable
-  in-ring.  Small matrices eliminate on Python ints, large ones (bar
-  complexes) on int64 numpy arrays while the modulus fits.  The Smith
-  forms pivot on a globally minimal valuation at every step, so the
-  valuation chain is non-decreasing.
+  in-ring.  Complexes over it (the bar complexes) hold int64 numpy arrays,
+  which need max(m, n) * p^(2N) < 2^62.  The Smith forms pivot on a
+  globally minimal valuation at every step, so the valuation chain is
+  non-decreasing.
 * ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
-  Differentials are exact integer matrices and eliminate over Z, whose
-  Smith form has the p-adic valuations of the one over Z_p.  Any rank or
-  torsion decision that rests on an invariant factor of valuation N or
-  more aborts with PrecisionExhausted.  Callers double N and retry, up to
-  a ceiling; an answer certified at N is the same at every larger N.
+  Differentials are exact integer matrices held as rows of Python ints
+  and eliminate over Z, whose Smith form has the p-adic valuations of the
+  one over Z_p.  Any rank or torsion decision that rests on an invariant
+  factor of valuation N or more aborts with PrecisionExhausted.  Callers
+  double N and retry, up to a ceiling; an answer certified at N is the
+  same at every larger N.
+
+``snf_mod`` picks its kernel from the container it is given: rows of
+Python ints eliminate on Python ints at any size and modulus, arrays on
+int64.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ __all__ = [
     "PRECISION_CEILING",
     "BaseZMod",
     "BaseZpTrunc",
-    "IntMatrix",
     "snf_int",
     "snf_mod",
     "snf_trunc",
@@ -72,63 +76,6 @@ class BaseZpTrunc:
 
 
 Base = Union[BaseZMod, BaseZpTrunc]
-
-
-# ---------------------------------------------------------------------------
-# matrices
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, arbitrary-precision entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        rows = [list(map(int, r)) for r in rows]
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        if any(len(r) != n for r in rows):
-            raise ValueError("ragged rows")
-        return IntMatrix(m, n, tuple(x for r in rows for x in r))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def zeros(m: int, n: int) -> "IntMatrix":
-        return IntMatrix(m, n, (0,) * (m * n))
-
-    def to_lists(self) -> list[list[int]]:
-        e = self.entries
-        n = self.cols
-        return [list(e[i * n : (i + 1) * n]) for i in range(self.rows)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, b = self.to_lists(), other.to_lists()
-        flat = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                flat.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +210,20 @@ def snf_int(rows, transforms: bool = True):
 # ---------------------------------------------------------------------------
 # Smith normal form over Z/p^L (minimal-valuation pivoting)
 
-# Matrices with at least this many entries run on int64 numpy arrays when the
-# modulus allows; below it numpy's per-call overhead outweighs the
-# vectorization, and Python ints win (the brute route's matrices are at most
-# about 7 x 19, the bar complexes' start in the hundreds of entries).
-NUMPY_MIN_ENTRIES = 256
-
-
 def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False):
     """Diagonalize over Z/p^L.  Returns (vals, U, Ui, V, Vi).
 
     vals has length min(m, n); an entry equal to L means zero in the ring.
     The valuation chain is non-decreasing because pivots are globally
     minimal.  Transforms are unimodular mod p^L and come back in the
-    container the matrix came in: numpy arrays for an array, lists of rows
-    for lists.  Large matrices run on int64 numpy arrays; small ones, and
-    any whose modulus would overflow int64 products, on Python ints.  Both
-    paths apply the same pivot rule and the same row and column operations.
+    container the matrix came in.  Lists of rows eliminate on Python ints,
+    at any size and modulus; numpy arrays on int64, which raises
+    ValueError when the modulus could overflow.  Both kernels apply the
+    same pivot rule and the same row and column operations.
     """
-    M = p**L
-    is_array = isinstance(A, np.ndarray)
-    m, n = A.shape if is_array else (len(A), len(A[0]) if A else 0)
-    if m * n >= NUMPY_MIN_ENTRIES and max(m, n) * M * M < 2**62:
-        vals, *T = _snf_mod_np(np.asarray(A, dtype=np.int64), p, L, want_cols, want_rows)
-        if not is_array:
-            T = [None if X is None else X.tolist() for X in T]
-    else:
-        vals, *T = _snf_mod_py(A.tolist() if is_array else A, p, L, want_cols, want_rows)
-        if is_array:
-            dtype = np.int64 if M < 2**63 else object
-            T = [None if X is None else np.array(X, dtype=dtype) for X in T]
-    return (vals, *T)
+    if isinstance(A, np.ndarray):
+        return _snf_mod_np(A, p, L, want_cols, want_rows)
+    return _snf_mod_py(A, p, L, want_cols, want_rows)
 
 
 def _snf_mod_py(A, p: int, L: int, want_cols: bool, want_rows: bool):
@@ -384,16 +314,17 @@ def _find_min_val_pivot(sub: np.ndarray, p: int, L: int):
         if mask.any():
             idx = np.unravel_index(int(mask.argmax()), sub.shape)
             return idx, v
-    return None, L
 
 
 def _snf_mod_np(A: np.ndarray, p: int, L: int, want_cols: bool, want_rows: bool):
-    """snf_mod on int64 arrays; needs max(m, n) * p^(2L) < 2^62.
-    Elimination touches only the live lower-right block, so tall bar
-    matrices stay affordable."""
+    """snf_mod on int64 arrays; needs max(m, n) * p^(2L) < 2^62, else
+    ValueError.  Elimination touches only the live lower-right block, so
+    tall bar matrices stay affordable."""
     M = p**L
-    A = A % M
     m, n = A.shape
+    if max(m, n) * M * M >= 2**62:
+        raise ValueError("modulus too large for int64 elimination")
+    A = np.asarray(A, dtype=np.int64) % M
     U = np.eye(m, dtype=np.int64) if want_rows else None
     Ui = np.eye(m, dtype=np.int64) if want_rows else None
     V = np.eye(n, dtype=np.int64) if want_cols else None
@@ -470,15 +401,16 @@ def snf_trunc(rows, p: int, N: int, transforms: bool = True):
 
 @dataclass(frozen=True)
 class CochainComplex:
-    """A finite complex of free modules; d(i) maps degree lo+i to lo+i+1.
+    """A finite complex of free modules in degrees 0..len(ranks)-1;
+    differentials[i] maps degree i to i + 1.
 
-    Differentials are IntMatrix (either base) or int numpy arrays
-    (BaseZMod at bar-complex sizes).  Adjacent composites are checked to
-    vanish in the base ring on construction.
+    One container per base: over BaseZMod the differentials are int64
+    numpy arrays, over BaseZpTrunc tuples or lists of integer rows.
+    Adjacent composites are checked to vanish in the base ring on
+    construction.
     """
 
     base: Base
-    degree_lo: int
     ranks: tuple[int, ...]
     differentials: tuple
 
@@ -486,12 +418,13 @@ class CochainComplex:
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
             raise ValueError("need exactly len(ranks)-1 differentials")
         for i, d in enumerate(self.differentials):
-            r, c = _shape(d)
-            if (r, c) != (self.ranks[i + 1], self.ranks[i]):
-                raise ValueError(
-                    f"differential {i} has shape {(r, c)}, expected "
-                    f"{(self.ranks[i + 1], self.ranks[i])}"
-                )
+            m, n = self.ranks[i + 1], self.ranks[i]
+            if isinstance(self.base, BaseZMod):
+                ok = d.shape == (m, n)
+            else:
+                ok = len(d) == m and all(len(row) == n for row in d)
+            if not ok:
+                raise ValueError(f"differential {i} does not have shape {(m, n)}")
         for i in range(len(self.differentials) - 1):
             if not _composite_vanishes(
                 self.differentials[i + 1], self.differentials[i], self.base
@@ -500,43 +433,25 @@ class CochainComplex:
 
     @property
     def degree_hi(self) -> int:
-        return self.degree_lo + len(self.ranks) - 1
+        return len(self.ranks) - 1
 
     def differential(self, degree: int):
         """d : C^degree -> C^(degree+1), or None off the end."""
-        i = degree - self.degree_lo
-        if 0 <= i < len(self.differentials):
-            return self.differentials[i]
+        if 0 <= degree < len(self.differentials):
+            return self.differentials[degree]
         return None
 
     def rank(self, degree: int) -> int:
-        i = degree - self.degree_lo
-        if 0 <= i < len(self.ranks):
-            return self.ranks[i]
-        return 0
-
-
-def _shape(d):
-    if isinstance(d, IntMatrix):
-        return d.rows, d.cols
-    return d.shape
-
-
-def _to_array(d) -> np.ndarray:
-    if isinstance(d, IntMatrix):
-        return np.array(d.to_lists(), dtype=np.int64) if d.rows and d.cols else np.zeros((d.rows, d.cols), dtype=np.int64)
-    return np.asarray(d, dtype=np.int64)
+        return self.ranks[degree] if 0 <= degree < len(self.ranks) else 0
 
 
 def _composite_vanishes(dout, din, base: Base) -> bool:
     if isinstance(base, BaseZMod):
         M = base.p**base.N
-        a = _to_array(dout) % M
-        b = _to_array(din) % M
-        if a.shape[1] * M * M >= 2**62:
+        if dout.shape[1] * M * M >= 2**62:
             raise ValueError("modulus too large for int64 product check")
-        return not ((a @ b) % M).any() if a.size and b.size else True
-    return (dout @ din).is_zero()
+        return not ((dout % M) @ (din % M) % M).any()
+    return not any(sum(x * y for x, y in zip(row, col)) for row in dout for col in zip(*din))
 
 
 def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
@@ -545,8 +460,8 @@ def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
     Over BaseZpTrunc free atoms are Z_p and uncertifiable decisions raise
     PrecisionExhausted; over BaseZMod every summand is cyclic.
     """
-    if not (c.degree_lo <= degree <= c.degree_hi):
-        raise ValueError(f"degree {degree} outside [{c.degree_lo}, {c.degree_hi}]")
+    if not (0 <= degree <= c.degree_hi):
+        raise ValueError(f"degree {degree} outside [0, {c.degree_hi}]")
     n = c.rank(degree)
     dout = c.differential(degree)
     din = c.differential(degree - 1)
@@ -563,26 +478,22 @@ def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
     PrecisionExhausted even though the arithmetic itself is exact."""
     if n == 0:
         return zero_module()
-    if dout is None or dout.rows == 0:
+    if not dout:
         rank = 0
         vi = _identity_ll(n)
     else:
-        diag, _, _, _, vi = snf_trunc(dout.to_lists(), p, N)
+        diag, _, _, _, vi = snf_trunc(dout, p, N)
         rank = sum(1 for d in diag if d != 0)
     kdim = n - rank
     if kdim == 0:
         return zero_module()
     rel = []
-    if din is not None and din.cols:
-        y = [
-            [sum(vi[i][k] * din[(k, j)] for k in range(n)) for j in range(din.cols)]
-            for i in range(n)
-        ]
-        for i in range(rank):
-            if any(y[i][j] != 0 for j in range(din.cols)):
-                raise ValueError("boundaries do not lie in the kernel")
-        rel = [y[i] for i in range(rank, n)]
-    if not rel or not rel[0]:
+    if din and din[0]:
+        y = [[sum(x * z for x, z in zip(row, col)) for col in zip(*din)] for row in vi]
+        if any(any(row) for row in y[:rank]):
+            raise ValueError("boundaries do not lie in the kernel")
+        rel = y[rank:]
+    if not rel:
         free = kdim
         cyc: tuple[int, ...] = ()
     else:
@@ -597,26 +508,23 @@ def _cohomology_mod(dout, din, n: int, p: int, N: int) -> ModuleExpr:
     if n == 0:
         return zero_module()
     M = p**N
-    if dout is None or _shape(dout)[0] == 0:
+    if dout is None or dout.shape[0] == 0:
         avals = [N] * n
         vi = np.eye(n, dtype=np.int64)
     else:
-        arr = _to_array(dout)
-        vals, _, _, _, vi = snf_mod(arr, p, N, want_cols=True)
+        vals, _, _, _, vi = snf_mod(dout, p, N, want_cols=True)
         avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
     # kernel generator i is p^(N - a_i) * (V e_i), of order p^(a_i)
     cols = []
-    if din is not None:
-        b = _to_array(din) % M
-        if b.size:
-            y = (vi @ b) % M
-            c = np.zeros_like(y)
-            for i in range(n):
-                gap = p ** (N - avals[i])
-                if (y[i] % gap).any():
-                    raise ValueError("boundaries do not lie in the kernel")
-                c[i] = y[i] // gap
-            cols.append(c)
+    if din is not None and din.size:
+        y = (vi @ (din % M)) % M
+        c = np.zeros_like(y)
+        for i in range(n):
+            gap = p ** (N - avals[i])
+            if (y[i] % gap).any():
+                raise ValueError("boundaries do not lie in the kernel")
+            c[i] = y[i] // gap
+        cols.append(c)
     diagrel = np.diag([p**a for a in avals]).astype(np.int64)
     rel = np.hstack([diagrel] + cols) if cols else diagrel
     vals2, *_ = snf_mod(rel, p, N + 1)

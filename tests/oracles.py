@@ -244,3 +244,12 @@ def full_bar_differential(g, k):
             d[row, index[merged]] += (-1) ** j
         d[row, index[tau[:-1]]] += (-1) ** (k + 1)
     return d % g.p**g.N
+
+
+def primitive_root_by_orbit(p):
+    """Smallest primitive root mod an odd prime, by its definition: the
+    first g whose powers g, g^2, .., g^(p-1) are p - 1 distinct residues."""
+    for g in range(2, p):
+        if len({pow(g, k, p) for k in range(1, p)}) == p - 1:
+            return g
+    raise ValueError(f"{p} has no primitive root")

@@ -21,7 +21,6 @@ from stabcoh.cohomology import (
 from stabcoh.exact_linalg import (
     BaseZMod,
     CochainComplex,
-    IntMatrix,
     complex_cohomology,
     snf_mod,
     vp,
@@ -193,7 +192,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
                     coeff = rng.integers(0, M, size=n)
                     din[:, j] = sum(c * g for c, g in zip(coeff, gens)) % M
                 cx = CochainComplex(
-                    BaseZMod(p, N), 0, (kcols, n, dout.shape[0]), (din, dout % M)
+                    BaseZMod(p, N), (kcols, n, dout.shape[0]), (din, dout % M)
                 )
                 got = complex_cohomology(cx, 1)
                 want = enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)

@@ -157,6 +157,32 @@ def test_huge_prime_answers_at_once(capsys, argv, want):
     assert code == 0 and want in out
 
 
+def test_huge_prime_brute_agrees_with_structured(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "cohomology", "--p", "1000000000000000003", "--t=-4:4", "--smax", "2",
+        "--route", "brute,structured", "--format", "json",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    brute, structured = json.loads(out)
+    assert brute["route"] == "brute" and structured["route"] == "structured"
+    assert brute["cells"] and brute["cells"] == structured["cells"]
+
+
+def test_brute_refuses_prime_with_unfactorable_order(capsys):
+    # p - 1 = 2^3 * 3 * 1000003 * 1000033: two prime factors past trial
+    # division, so the brute route cannot certify a primitive root
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "cohomology", "--p", "24000864002377", "--t", "0", "--smax", "1",
+        "--route", "brute",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("route brute: cannot factor p - 1")
+
+
 def test_uncertifiable_prime_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--p", "3317044064679887385961981", "--t", "0"])

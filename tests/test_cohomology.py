@@ -10,6 +10,7 @@ from oracles import (
     cyclic_cohomology,
     cyclic_group_data,
     full_bar_differential,
+    primitive_root_by_orbit,
 )
 from stabcoh import cohomology
 from stabcoh.cohomology import (
@@ -26,6 +27,7 @@ from stabcoh.cohomology import (
     _units_groups,
     bar_cohomology_finite,
     continuous_via_quotients,
+    primitive_root,
     procyclic_generator,
     quotient_level_cohomology,
     teichmuller,
@@ -40,7 +42,7 @@ from stabcoh.exact_linalg import (
     lattice_quotient_exponents,
     vp,
 )
-from stabcoh.modules import cyclic, padic, zero_module
+from stabcoh.modules import cyclic, is_prime, padic, zero_module
 
 
 # --- number-theoretic anchor -------------------------------------------------
@@ -60,6 +62,12 @@ def test_valuation_anchor_odd_primes():
     for p in (3, 5, 7):
         for w in range(1, 100):
             assert vp((1 + p) ** w - 1, p) == vp(w, p) + 1
+
+
+def test_primitive_root_matches_orbit_definition():
+    for p in range(3, 2000):
+        if is_prime(p):
+            assert primitive_root(p) == primitive_root_by_orbit(p), p
 
 
 # --- finite cyclic groups ----------------------------------------------------
@@ -167,7 +175,7 @@ def _full_bar_groups(g, s_max):
     n = len(g)
     ranks = tuple(n**k for k in range(s_max + 2))
     diffs = tuple(full_bar_differential(g, k) for k in range(s_max + 1))
-    cx = CochainComplex(BaseZMod(g.p, g.N), 0, ranks, diffs)
+    cx = CochainComplex(BaseZMod(g.p, g.N), ranks, diffs)
     return [complex_cohomology(cx, s) for s in range(s_max + 1)]
 
 
@@ -226,6 +234,37 @@ def test_bar_crosscheck_memo_is_exact(p):
         assert groups == tuple(enumerate(quotient_level_cohomology(p, w, r, 2, s_chk))), (p, w)
     info = _bar_crosscheck_class.cache_info()
     assert info.currsize == e and info.hits == e
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_bar_crosscheck_level_always_descends(p):
+    # the cross-check builds (Z/p^r)^x at r = _min_level without a guard:
+    # the descent test of units_group_data must pass for every weight class
+    e = 2 if p == 2 else p * (p - 1)
+    for w in range(e):
+        r = _min_level(p, pow(procyclic_generator(p), w, p**2), 2)
+        assert len(units_group_data(p, r, w, 2)) == p ** (r - 1) * (p - 1)
+
+
+def test_bar_crosscheck_reads_the_sweeps_reader(monkeypatch):
+    # a fault in the lattice-quotient reader the sweep runs must trip the
+    # bar cross-check; at p = 3, w = 0 its checked H^0 is Z/9, so dropping
+    # an exponent changes a checked group
+    original = cohomology.lattice_quotient_exponents
+
+    def clear_memos():
+        for memo in (_units_groups, _stable_colimit_exponents, _bar_crosscheck_class):
+            memo.cache_clear()
+
+    monkeypatch.setattr(
+        cohomology, "lattice_quotient_exponents", lambda *args: original(*args)[1:]
+    )
+    clear_memos()
+    try:
+        with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
+            continuous_via_quotients(3, 0, 2)
+    finally:
+        clear_memos()
 
 
 def test_bar_crosscheck_failure_is_never_cached(monkeypatch):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import enumerate_cohomology_type, smith_diagonal_by_minor_gcds
+from stabcoh import exact_linalg
 from stabcoh.errors import PrecisionExhausted
 from stabcoh.exact_linalg import (
     BaseZMod,
     BaseZpTrunc,
     CochainComplex,
-    IntMatrix,
     complex_cohomology,
     _snf_mod_np,
     _snf_mod_py,
@@ -59,11 +59,11 @@ def test_snf_gcd_elimination_oracle_diag_2_3():
 
 
 def test_snf_identity_and_zero():
-    I3 = IntMatrix.identity(3).to_lists()
+    I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     diag, *T = snf_int(I3)
     assert diag == [1, 1, 1]
     _check_int_transforms(I3, diag, *T)
-    Z = IntMatrix.zeros(2, 3).to_lists()
+    Z = [[0, 0, 0], [0, 0, 0]]
     diag, *T = snf_int(Z)
     assert diag == [0, 0]
     _check_int_transforms(Z, diag, *T)
@@ -157,16 +157,29 @@ def test_snf_mod_past_int64_matches_integer_p_parts(rows):
     _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
 
 
-def test_snf_mod_container_follows_input():
+def test_snf_mod_container_follows_input(monkeypatch):
+    # lists run the Python-int kernel and arrays the int64 one, whatever
+    # their size; transforms come back in the container that went in
+    calls = []
+    for name in ("_snf_mod_py", "_snf_mod_np"):
+        def spy(*args, _kernel=getattr(exact_linalg, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(exact_linalg, name, spy)
     rows = [[2, 4, 6], [1, 3, 5]]
     vals, U, Ui, V, Vi = snf_mod(rows, 2, 3, want_cols=True, want_rows=True)
     assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
     avals, *arrays = snf_mod(np.array(rows), 2, 3, want_cols=True, want_rows=True)
     assert avals == vals
     assert all(isinstance(T, np.ndarray) for T in arrays)
-    big = [[3**50, 1], [2, 3**41]]
-    _, _, _, V, _ = snf_mod(np.array(big, dtype=object), 3, 45, want_cols=True)
-    assert V.dtype == object
+    big = [[(i * j) % 7 for j in range(20)] for i in range(20)]
+    snf_mod(big, 7, 2)
+    snf_mod(np.array(big), 7, 2)
+    assert calls == ["_snf_mod_py", "_snf_mod_np", "_snf_mod_py", "_snf_mod_np"]
+    # an array whose modulus could overflow int64 products is refused
+    with pytest.raises(ValueError, match="too large"):
+        snf_mod(np.array([[1, 2], [3, 4]]), 3, 20)
 
 
 def test_snf_truncated_base_and_precision_exhaustion():
@@ -189,15 +202,13 @@ def test_snf_truncated_stability_under_refinement():
 def test_complex_left_kernel_of_doubling_on_z8():
     # 0 -> Z/8 --x2--> Z/8 -> 0, leftmost degree
     assert enumerate_cohomology_type([[2]], None, 1, 2, 3) == (1,)
-    c = CochainComplex(BaseZMod(2, 3), 0, (1, 1), (IntMatrix.from_rows([[2]]),))
+    c = CochainComplex(BaseZMod(2, 3), (1, 1), (np.array([[2]]),))
     assert complex_cohomology(c, 0) == cyclic(2, 1)
     assert complex_cohomology(c, 1) == cyclic(2, 1)
 
 
 def test_complex_zero_differentials_returns_module():
-    c = CochainComplex(
-        BaseZMod(2, 2), 0, (2, 2), (IntMatrix.zeros(2, 2),)
-    )
+    c = CochainComplex(BaseZMod(2, 2), (2, 2), (np.zeros((2, 2), dtype=np.int64),))
     assert complex_cohomology(c, 0) == cyclic(2, 2, 2)
 
 
@@ -205,32 +216,31 @@ def test_two_term_padic_complex_times_sixteen():
     # 0 -> Z_2 --x16--> Z_2 -> 0: cokernel is Z/16, certified exactly;
     # cross-checked by enumeration one level above the torsion exponent
     assert enumerate_cohomology_type(None, [[16]], 1, 2, 6) == (4,)
-    c = CochainComplex(BaseZpTrunc(2, 8), 0, (1, 1), (IntMatrix.from_rows([[16]]),))
+    c = CochainComplex(BaseZpTrunc(2, 8), (1, 1), ([[16]],))
     assert complex_cohomology(c, 0) == zero_module()
     assert complex_cohomology(c, 1) == cyclic(2, 4)
 
 
 def test_truncated_free_rank_certification():
     # d = 0 exactly: free kernel of rank 2 over Z_2
-    c = CochainComplex(BaseZpTrunc(2, 8), 0, (2, 2), (IntMatrix.zeros(2, 2),))
+    c = CochainComplex(BaseZpTrunc(2, 8), (2, 2), ([[0, 0], [0, 0]],))
     assert complex_cohomology(c, 0) == padic(2, 2)
 
 
 def test_truncated_complex_with_undetermined_entry_raises():
     # at precision 4, x16 cannot be told apart from 0: its kernel is undecided
-    coarse = CochainComplex(BaseZpTrunc(2, 4), 0, (1, 1), (IntMatrix.from_rows([[16]]),))
+    coarse = CochainComplex(BaseZpTrunc(2, 4), (1, 1), ([[16]],))
     with pytest.raises(PrecisionExhausted):
         complex_cohomology(coarse, 0)
-    fine = CochainComplex(BaseZpTrunc(2, 4), 0, (1, 1), (IntMatrix.from_rows([[8]]),))
+    fine = CochainComplex(BaseZpTrunc(2, 4), (1, 1), ([[8]],))
     assert complex_cohomology(fine, 1) == cyclic(2, 3)
 
 
 def test_d_squared_is_checked_on_construction():
     good = CochainComplex(
         BaseZMod(2, 3),
-        0,
         (1, 1, 1),
-        (IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[4]])),
+        (np.array([[2]]), np.array([[4]])),
     )
     # ker(x4 on Z/8) and im(x2) both equal 2Z/8
     assert enumerate_cohomology_type([[4]], [[2]], 1, 2, 3) == ()
@@ -238,9 +248,8 @@ def test_d_squared_is_checked_on_construction():
     with pytest.raises(ValueError):
         CochainComplex(
             BaseZMod(2, 3),
-            0,
             (1, 1, 1),
-            (IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])),
+            (np.array([[2]]), np.array([[3]])),
         )
 
 
@@ -271,7 +280,7 @@ def test_mod_cohomology_matches_enumeration(p, N):
             continue
         for _ in range(reps):
             dout, din = _random_mod_complex(rng, p, N, n)
-            c = CochainComplex(BaseZMod(p, N), 0, (din.shape[1], n, dout.shape[0]), (din, dout))
+            c = CochainComplex(BaseZMod(p, N), (din.shape[1], n, dout.shape[0]), (din, dout))
             got = complex_cohomology(c, 1)
             want = enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)
             assert tuple(got.cyclics) == want, (dout, din)
@@ -280,11 +289,11 @@ def test_mod_cohomology_matches_enumeration(p, N):
 def test_mod_cohomology_refinement_stability():
     # a complex defined over Z lifts to every precision; certified answers
     # on the Z_p base must not move as N grows
-    dout = IntMatrix.from_rows([[2, 4], [1, 2]])  # kernel spanned by (2, -1)
-    din = IntMatrix.from_rows([[4, 8], [-2, -4]])
+    dout = [[2, 4], [1, 2]]  # kernel spanned by (2, -1)
+    din = [[4, 8], [-2, -4]]
     prev = None
     for N in (6, 8, 12):
-        c = CochainComplex(BaseZpTrunc(2, N), 0, (2, 2, 2), (din, dout))
+        c = CochainComplex(BaseZpTrunc(2, N), (2, 2, 2), (din, dout))
         got = complex_cohomology(c, 1)
         if prev is not None:
             assert got == prev
