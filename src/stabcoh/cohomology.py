@@ -618,7 +618,8 @@ def continuous_via_quotients(
     Finite levels run on the periodic product model of (Z/p^r)^x; before
     the sweep the model is cross-checked against the bar complex of the
     smallest usable quotient whenever that fits in DEFAULT_BAR_BUDGET,
-    once per class of w mod the exponent of (Z/p^2)^x.
+    once per class of w mod the exponent of (Z/p^2)^x; the certificate's
+    bar_check is the [level, top degree] checked, or None when skipped.
     """
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
@@ -631,7 +632,7 @@ def continuous_via_quotients(
     # r* grows with N (a norm that is 0 mod p^N is 0 mod p^(N-1)), so the
     # top precision needs the highest level
     max_level = _colimit_level(p, _action_class(p, w, n_top)[0], n_top)
-    _bar_crosscheck(p, w, s_max)
+    bar = _bar_crosscheck(p, w, s_max)
     orders: dict[int, list[int]] = {}
     for N in range(1, n_top + 1):
         a, t = _action_class(p, w, N)
@@ -656,6 +657,7 @@ def continuous_via_quotients(
             "max_level": max_level,
             "lag": n_top,
             "precision_ceiling": precision_ceiling,
+            "bar_check": None if bar is None else list(bar[:2]),
         },
     )
 

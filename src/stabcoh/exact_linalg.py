@@ -6,7 +6,9 @@ Two base rings are supported, each with one matrix container:
   in-ring.  Complexes over it (the bar complexes) hold int64 numpy arrays,
   which need max(m, n) * p^(2N) < 2^62.  The Smith forms pivot on a
   globally minimal valuation at every step, so the valuation chain is
-  non-decreasing.
+  non-decreasing.  A differential with n columns and more than 2n rows is
+  eliminated on its first 2n rows, whose span is checked to hold every
+  row, so the answer is that of the full matrix (``_cohomology_mod``).
 * ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
   Differentials are exact integer matrices held as rows of Python ints
   and eliminate over Z, whose Smith form has the p-adic valuations of the
@@ -505,6 +507,19 @@ def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
 
 
 def _cohomology_mod(dout, din, n: int, p: int, N: int) -> ModuleExpr:
+    """ker(dout)/im(din) over Z/p^N; dout is eliminated with column
+    transforms only, and im(din) is read in the coordinates V^-1 gives.
+
+    A tall dout (more than 2n rows, n columns, as in the bar complexes) is
+    eliminated on its first 2n rows P.  From P V = U^-1 D, the span of P
+    is spanned by p^(a_i) times row i of V^-1, so a row r lies in it iff
+    (r V)_i = 0 mod p^(a_i) for every i; every row of dout is checked.
+    The span of P lies inside the row span of dout and the check proves
+    the reverse, so the two spans are equal, and with them ker(dout), the
+    invariant factors and the validity of V.  Rows that fail are added to
+    P and eliminated once more: the rows that passed lie in the span of P,
+    so that matrix has the row span of dout and needs no second check.
+    """
     if n == 0:
         return zero_module()
     M = p**N
@@ -512,8 +527,16 @@ def _cohomology_mod(dout, din, n: int, p: int, N: int) -> ModuleExpr:
         avals = [N] * n
         vi = np.eye(n, dtype=np.int64)
     else:
-        vals, _, _, _, vi = snf_mod(dout, p, N, want_cols=True)
-        avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
+        rows = dout[: 2 * n]
+        vals, _, _, v, vi = snf_mod(rows, p, N, want_cols=True)
+        if len(rows) < len(dout):
+            # n products below M^2 per entry; the probe's snf_mod refused 2n * M^2 >= 2^62
+            gaps = p ** np.array(vals, dtype=np.int64)
+            bad = (((dout % M) @ v) % M % gaps).any(axis=1)
+            if bad.any():
+                rows = np.vstack([rows, dout[bad]])
+                vals, _, _, _, vi = snf_mod(rows, p, N, want_cols=True)
+        avals = [min(a, N) for a in vals] + [N] * (n - len(vals))
     # kernel generator i is p^(N - a_i) * (V e_i), of order p^(a_i)
     cols = []
     if din is not None and din.size:

@@ -4,7 +4,9 @@ Nothing in here calls the package's elimination code: Smith factors come
 from determinant divisors, cohomology of small complexes from exhaustive
 enumeration, cohomology of cyclic groups from closed forms, and group
 structure from order statistics.  The full bar complex is built one tuple
-at a time and returned as matrices; eliminating them is the caller's job.
+at a time and returned as matrices; eliminating them is the caller's job,
+or that of ``cohomology_by_full_elimination``, a separate copy of the
+Z/p^N complex cohomology that eliminates every row of the differential.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from stabcoh.cohomology import FiniteGroupData
 from stabcoh.exact_linalg import vp
-from stabcoh.modules import cyclic, zero_module
+from stabcoh.modules import ModuleExpr, cyclic, zero_module
 
 
 def det_int(rows):
@@ -253,3 +255,57 @@ def primitive_root_by_orbit(p):
         if len({pow(g, k, p) for k in range(1, p)}) == p - 1:
             return g
     raise ValueError(f"{p} has no primitive root")
+
+
+def _smith_mod_full(A, p, L):
+    """Smith valuations of an int64 matrix over Z/p^L, every row
+    eliminated, and V^-1 for its column transform V.  Step t pivots on an
+    entry of minimal valuation, clears its column with row operations and
+    its row with column operations, which V^-1 records; A keeps only the
+    columns not yet pivoted and the rows still nonzero there."""
+    M = p**L
+    A = np.array(A, dtype=np.int64) % M
+    n = A.shape[1]
+    Vi = np.eye(n, dtype=np.int64)
+    vals = []
+    for t in range(n):
+        A = A[A.any(axis=1)]
+        if not len(A):
+            break
+        for a in range(L):
+            mask = A % p ** (a + 1) != 0
+            if mask.any():
+                break
+        i, j = np.unravel_index(mask.argmax(), mask.shape)
+        A[:, [0, j]] = A[:, [j, 0]]
+        Vi[[t, t + j]] = Vi[[t + j, t]]
+        pa = p**a
+        piv = A[i] * pow(int(A[i, 0]) // pa, -1, M) % M
+        A = (A[:, 1:] - np.outer(A[:, 0] // pa, piv[1:])) % M
+        Vi[t] = (Vi[t] + (piv[1:] // pa) @ Vi[t + 1 :]) % M
+        vals.append(a)
+    return vals + [L] * (n - len(vals)), Vi
+
+
+def cohomology_by_full_elimination(dout, din, n, p, N):
+    """ker(dout)/im(din) over Z/p^N for int64 differentials (None or empty
+    off the ends of the complex), eliminating every row of dout.  In the
+    coordinates z = V^-1 x the kernel is {z : p^(N - a_i) | z_i}, so the
+    image of din, divided coordinatewise, lies in sum Z/p^(a_i), and the
+    quotient's exponents are the Smith valuations of
+    [diag(p^(a_i)) | image] over Z/p^(N+1) between 1 and N."""
+    if n == 0:
+        return zero_module()
+    M = p**N
+    if dout is None or not len(dout):
+        a, Vi = [N] * n, np.eye(n, dtype=np.int64)
+    else:
+        a, Vi = _smith_mod_full(dout, p, N)
+    rel = np.diag([p**x for x in a]).astype(np.int64)
+    if din is not None and din.size:
+        z = Vi @ (din % M) % M
+        gaps = np.array([p ** (N - x) for x in a], dtype=np.int64)[:, None]
+        assert not (z % gaps).any(), "boundaries do not lie in the kernel"
+        rel = np.hstack([rel, z // gaps])
+    vals, _ = _smith_mod_full(rel, p, N + 1)
+    return ModuleExpr(p, cyclics=tuple(v for v in vals if 1 <= v <= N))

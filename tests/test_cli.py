@@ -297,6 +297,25 @@ def test_console_entry_point_subprocess():
     assert proc.stdout.strip() == "Zp"
 
 
+def test_python_dash_m_stabcoh():
+    # python -m stabcoh runs the CLI and passes its exit code on
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    ok = subprocess.run(
+        [sys.executable, "-m", "stabcoh", "verify", "--t=-4:4", "--smax", "1"],
+        capture_output=True,
+        env=env,
+    )
+    assert ok.returncode == 0
+    bad = subprocess.run(
+        [sys.executable, "-m", "stabcoh", "l", "--s", "0", "--p", "4", "Zp"],
+        capture_output=True,
+        env=env,
+    )
+    assert bad.returncode == 2
+
+
 def test_brute_past_int64_ceiling_p101(capsys):
     # p^(N+1) passes the int64 ceiling at p = 101, and |(Z/101^2)^x| = 10100
     # is far too big for the bar cross-check; both must be handled quietly

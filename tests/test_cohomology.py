@@ -2,18 +2,21 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
     bar_cohomology_by_enumeration,
+    cohomology_by_full_elimination,
     cyclic_cohomology,
     cyclic_group_data,
     full_bar_differential,
     primitive_root_by_orbit,
 )
-from stabcoh import cohomology
+from stabcoh import cohomology, exact_linalg
 from stabcoh.cohomology import (
+    DEFAULT_BAR_BUDGET,
     _action_class,
     _anchor_valuation,
     _bar_crosscheck,
@@ -202,6 +205,53 @@ def test_normalized_bar_equals_full_bar():
         full = _full_bar_groups(g, s_max)
         for s in range(s_max + 1):
             assert bar.group(s) == full[s], (g.p, g.N, len(g), g.action, s)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_crosscheck_bar_differentials_match_full_row_elimination(p):
+    # every bar differential the cross-check builds at p, one weight per
+    # class mod e: complex_cohomology, which eliminates a tall one on a
+    # checked probe of its rows, equals the oracle's elimination of every
+    # row and, within the budget, the full bar complex's groups
+    e = p * (p - 1)
+    tall = 0
+    for w in range(e):
+        r, s_chk, _ = _bar_crosscheck_class(p, w, 2)
+        g = units_group_data(p, r, w, 2)
+        n = len(g) - 1
+        diffs = [_bar_differential(g, k) for k in range(s_chk + 1)]
+        cx = CochainComplex(BaseZMod(p, 2), tuple(n**k for k in range(s_chk + 2)), tuple(diffs))
+        tall += sum(d.shape[0] > 2 * d.shape[1] for d in diffs)
+        full = None
+        if len(g) ** (2 * s_chk + 1) <= DEFAULT_BAR_BUDGET:
+            full = _full_bar_groups(g, s_chk)
+        for s in range(s_chk + 1):
+            got = complex_cohomology(cx, s)
+            din = diffs[s - 1] if s else None
+            assert got == cohomology_by_full_elimination(diffs[s], din, n**s, p, 2), (w, s)
+            assert full is None or got == full[s], (w, s)
+    assert tall
+
+
+def test_bar_hot_path_eliminates_probes_only(monkeypatch):
+    # count guard: d^1 of (Z/49)^x is 1,681 x 41; a Smith form that sees
+    # more than its 82 x 41 probe means full-height elimination is back
+    sizes = []
+    real = exact_linalg.snf_mod
+
+    def spy(A, *args, **kwargs):
+        sizes.append(np.shape(A))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(exact_linalg, "snf_mod", spy)
+    bar_cohomology_finite(units_group_data(7, 2, 1, 2), 1)
+    assert sizes and max(m * n for m, n in sizes) <= 82 * 41
+
+
+def test_brute_certificate_records_the_bar_check():
+    # (level, degree) checked, or None where |G|^3 = 110^3 skips the check
+    assert continuous_via_quotients(7, 1, 4).certificate["bar_check"] == [2, 1]
+    assert continuous_via_quotients(11, 1, 2).certificate["bar_check"] is None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -547,9 +597,14 @@ def test_brute_certificate_reports_levels():
     assert r.certificate["precision"] >= 6
     assert r.certificate["precision_ceiling"] == 24
     # v_2(5^4 - 1) = 4 gives n_top = 6, read at level 6 + 2 with lag 6
-    assert r.certificate == {"precision": 6, "max_level": 8, "lag": 6, "precision_ceiling": 24}
+    # and its bar cross-check ran at level 2 in degrees s <= 2
+    assert r.certificate == {
+        "precision": 6, "max_level": 8, "lag": 6, "precision_ceiling": 24, "bar_check": [2, 2]
+    }
     r = continuous_via_quotients(3, 2 * 3**5, 2)
-    assert r.certificate == {"precision": 8, "max_level": 9, "lag": 8, "precision_ceiling": 24}
+    assert r.certificate == {
+        "precision": 8, "max_level": 9, "lag": 8, "precision_ceiling": 24, "bar_check": [1, 2]
+    }
     r = continuous_via_quotients(2, 4, 2, precision_ceiling=12)
     assert r.certificate["precision_ceiling"] == 12
 

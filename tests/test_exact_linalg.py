@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import enumerate_cohomology_type, smith_diagonal_by_minor_gcds
+from oracles import (
+    cohomology_by_full_elimination,
+    enumerate_cohomology_type,
+    smith_diagonal_by_minor_gcds,
+)
 from stabcoh import exact_linalg
 from stabcoh.errors import PrecisionExhausted
 from stabcoh.exact_linalg import (
@@ -284,6 +288,83 @@ def test_mod_cohomology_matches_enumeration(p, N):
             got = complex_cohomology(c, 1)
             want = enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)
             assert tuple(got.cyclics) == want, (dout, din)
+
+
+def _snf_mod_spy(monkeypatch):
+    """Record the shape and modulus exponent of every snf_mod call."""
+    calls = []
+    real = exact_linalg.snf_mod
+
+    def spy(A, p, L, *args, **kwargs):
+        calls.append((np.shape(A), L))
+        return real(A, p, L, *args, **kwargs)
+
+    monkeypatch.setattr(exact_linalg, "snf_mod", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2)])
+def test_tall_mod_cohomology_matches_full_elimination_and_enumeration(p, N):
+    # tall differentials of low rank, their nonzero rows anywhere, so the
+    # first 2n rows sometimes span them and sometimes do not
+    rng = np.random.default_rng(20261018 + 10 * p + N)
+    M = p**N
+    for n in range(1, 4):
+        for _ in range(15):
+            m = int(rng.integers(2 * n + 1, 5 * n + 2))
+            basis = rng.integers(0, M, size=(int(rng.integers(1, n + 1)), n))
+            coeffs = rng.integers(0, M, size=(m, len(basis)))
+            coeffs[rng.random(m) < 0.7] = 0
+            dout = coeffs @ basis % M
+            # din: random combinations of the kernel generators of dout
+            vals, _, _, V, _ = snf_mod(dout, p, N, want_cols=True)
+            gens = V * p ** (N - np.array(vals)) % M
+            din = gens @ rng.integers(0, M, size=(n, int(rng.integers(1, 4)))) % M
+            c = CochainComplex(BaseZMod(p, N), (din.shape[1], n, m), (din, dout))
+            got = complex_cohomology(c, 1)
+            assert got == cohomology_by_full_elimination(dout, din, n, p, N), (dout, din)
+            assert tuple(got.cyclics) == enumerate_cohomology_type(
+                dout.tolist(), din.tolist(), n, p, N
+            ), (dout, din)
+
+
+def test_tall_differential_whose_first_rows_do_not_span(monkeypatch):
+    # zero rows first and the spanning rows last: the probe of the first
+    # 2n rows is zero, the span check rejects the last three rows, and one
+    # more elimination of probe plus rejected rows gives the answer
+    p, N, n = 2, 3, 3
+    dout = np.vstack([np.zeros((7, n), dtype=np.int64), np.diag([1, 2, 4])])
+    c = CochainComplex(BaseZMod(p, N), (n, len(dout)), (dout,))
+    calls = _snf_mod_spy(monkeypatch)
+    got = complex_cohomology(c, 0)
+    assert got == cyclic(2, 2) + cyclic(2, 1)
+    assert got == cohomology_by_full_elimination(dout, None, n, p, N)
+    assert [shape for shape, L in calls if L == N] == [(2 * n, n), (2 * n + 3, n)]
+
+
+def test_tall_differential_rows_reversed_matches_full_elimination(monkeypatch):
+    # the p = 7 bar differential d^1 with its rows reversed: its first 82
+    # rows still span it, and the groups are those of the full-row
+    # elimination
+    from stabcoh.cohomology import _bar_differential, units_group_data
+
+    g = units_group_data(7, 2, 1, 2)
+    d0, d1 = _bar_differential(g, 0), _bar_differential(g, 1)[::-1].copy()
+    c = CochainComplex(BaseZMod(7, 2), (1, 41, 1681), (d0, d1))
+    calls = _snf_mod_spy(monkeypatch)
+    assert complex_cohomology(c, 1) == cohomology_by_full_elimination(d1, d0, 41, 7, 2)
+    assert [shape for shape, L in calls if L == 2] == [(82, 41)]
+
+
+def test_tall_differential_refuses_int64_overflow():
+    # the span check sums n products below p^(2N); at n * p^(2N) >= 2^62
+    # the probe's elimination refuses before any product is formed
+    dout = np.zeros((5, 2), dtype=np.int64)
+    dout[4, 0] = 1
+    assert 2 * (3**20) ** 2 >= 2**62
+    c = CochainComplex(BaseZMod(3, 20), (2, 5), (dout,))
+    with pytest.raises(ValueError, match="too large"):
+        complex_cohomology(c, 0)
 
 
 def test_mod_cohomology_refinement_stability():
