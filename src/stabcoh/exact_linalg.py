@@ -1,10 +1,11 @@
 """Exact kernels, cokernels and cohomology via Smith normal form.
 
-Two base rings are supported, each with one matrix container:
+Two base rings are supported, each with one matrix container; all
+arithmetic is on Python ints, so no modulus or size can overflow.
 
 * ``BaseZMod(p,N)`` -- the finite ring Z/p^N; every question is decidable
-  in-ring.  Complexes over it (the bar complexes) hold int64 numpy arrays,
-  which need max(m, n) * p^(2N) < 2^62.  The Smith forms pivot on a
+  in-ring.  Complexes over it (the bar complexes) hold sparse rows, one
+  dict {column: value mod p^N} per row.  The Smith forms pivot on a
   globally minimal valuation at every step, so the valuation chain is
   non-decreasing.  A differential with n columns and more than 2n rows is
   eliminated on its first 2n rows, whose span is checked to hold every
@@ -17,17 +18,14 @@ Two base rings are supported, each with one matrix container:
   double N and retry, up to a ceiling; an answer certified at N is the
   same at every larger N.
 
-``snf_mod`` picks its kernel from the container it is given: rows of
-Python ints eliminate on Python ints at any size and modulus, arrays on
-int64.
+``snf_mod`` eliminates dense lists of rows; ``_cohomology_mod`` densifies
+only the rows it eliminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .errors import PrecisionExhausted
 from .modules import ModuleExpr, zero_module
@@ -213,23 +211,16 @@ def snf_int(rows, transforms: bool = True):
 # Smith normal form over Z/p^L (minimal-valuation pivoting)
 
 def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False):
-    """Diagonalize over Z/p^L.  Returns (vals, U, Ui, V, Vi).
+    """Diagonalize a list of rows over Z/p^L.  Returns (vals, U, Ui, V, Vi).
 
     vals has length min(m, n); an entry equal to L means zero in the ring.
     The valuation chain is non-decreasing because pivots are globally
-    minimal.  Transforms are unimodular mod p^L and come back in the
-    container the matrix came in.  Lists of rows eliminate on Python ints,
-    at any size and modulus; numpy arrays on int64, which raises
-    ValueError when the modulus could overflow.  Both kernels apply the
-    same pivot rule and the same row and column operations.
+    minimal: step t takes the first entry, in row-major order, of minimal
+    valuation in the live block (rows and columns t and up).  Transforms
+    are unimodular mod p^L, lists of rows; U and Ui are built only when
+    want_rows, V and Vi only when want_cols.  Python ints throughout, at
+    any size and modulus; A is not modified.
     """
-    if isinstance(A, np.ndarray):
-        return _snf_mod_np(A, p, L, want_cols, want_rows)
-    return _snf_mod_py(A, p, L, want_cols, want_rows)
-
-
-def _snf_mod_py(A, p: int, L: int, want_cols: bool, want_rows: bool):
-    """snf_mod on lists of Python ints; A is not modified."""
     M = p**L
     A = [[x % M for x in row] for row in A]
     m = len(A)
@@ -272,110 +263,48 @@ def _snf_mod_py(A, p: int, L: int, want_cols: bool, want_rows: bool):
                 for r in V:
                     r[t], r[j0] = r[j0], r[t]
                 Vi[t], Vi[j0] = Vi[j0], Vi[t]
+        # rows t and below are 0 left of column t, and a zero of the pivot
+        # row changes nothing, so row operations run on the pivot row's
+        # nonzero live entries only: nz, whose first is (t, p^a)
         pa = p**a
         u = A[t][t] // pa
         uinv = pow(u, -1, M)
-        At = A[t] = [(x * uinv) % M for x in A[t]]
+        At = A[t]
+        At[t:] = [(x * uinv) % M for x in At[t:]]
+        nz = [(j, y) for j, y in enumerate(At[t:], t) if y]
         if want_rows:
             U[t] = [(x * uinv) % M for x in U[t]]
             for r in Ui:
                 r[t] = (r[t] * u) % M
         for i in range(t + 1, m):
-            f = A[i][t] // pa
+            Ai = A[i]
+            f = Ai[t] // pa
             if f:
-                A[i] = [(x - f * y) % M for x, y in zip(A[i], At)]
+                for j, y in nz:
+                    Ai[j] = (Ai[j] - f * y) % M
                 if want_rows:
                     U[i] = [(x - f * y) % M for x, y in zip(U[i], U[t])]
                     for r in Ui:
                         r[t] = (r[t] + r[i] * f) % M
         # column t is now clear away from row t, so clearing row t touches
-        # nothing below it
-        for j in range(t + 1, n):
-            g = At[j] // pa
-            if g:
-                At[j] = 0
-                if want_cols:
-                    for r in V:
-                        r[j] = (r[j] - r[t] * g) % M
-                    Vi[t] = [(x + g * y) % M for x, y in zip(Vi[t], Vi[j])]
+        # nothing below it: column j -= g_j column t, for each nonzero g_j
+        gs = [(j, y // pa) for j, y in nz[1:]]
+        for j, _ in gs:
+            At[j] = 0
+        if want_cols and gs:
+            for r in V:
+                rt = r[t]
+                if rt:
+                    for j, g in gs:
+                        r[j] = (r[j] - rt * g) % M
+            acc = Vi[t]
+            for j, g in gs:
+                for c, y in enumerate(Vi[j]):
+                    if y:
+                        acc[c] += g * y
+            Vi[t] = [x % M for x in acc]
         vals.append(a)
     vals.extend([L] * (min(m, n) - len(vals)))
-    return vals, U, Ui, V, Vi
-
-
-def _find_min_val_pivot(sub: np.ndarray, p: int, L: int):
-    """Position and valuation of an entry of globally minimal valuation,
-    or (None, L) when the block vanishes.  Staged so the common case (a
-    unit entry somewhere) costs a single vectorized pass."""
-    if not sub.size or not sub.any():
-        return None, L
-    q = 1
-    for v in range(L):
-        q *= p
-        mask = (sub % q) != 0
-        if mask.any():
-            idx = np.unravel_index(int(mask.argmax()), sub.shape)
-            return idx, v
-
-
-def _snf_mod_np(A: np.ndarray, p: int, L: int, want_cols: bool, want_rows: bool):
-    """snf_mod on int64 arrays; needs max(m, n) * p^(2L) < 2^62, else
-    ValueError.  Elimination touches only the live lower-right block, so
-    tall bar matrices stay affordable."""
-    M = p**L
-    m, n = A.shape
-    if max(m, n) * M * M >= 2**62:
-        raise ValueError("modulus too large for int64 elimination")
-    A = np.asarray(A, dtype=np.int64) % M
-    U = np.eye(m, dtype=np.int64) if want_rows else None
-    Ui = np.eye(m, dtype=np.int64) if want_rows else None
-    V = np.eye(n, dtype=np.int64) if want_cols else None
-    Vi = np.eye(n, dtype=np.int64) if want_cols else None
-    vals: list[int] = []
-    rmax = min(m, n)
-    t = 0
-    while t < rmax:
-        idx, a = _find_min_val_pivot(A[t:, t:], p, L)
-        if idx is None:
-            break
-        i0, j0 = idx[0] + t, idx[1] + t
-        if i0 != t:
-            A[[t, i0], t:] = A[[i0, t], t:]
-            if want_rows:
-                U[[t, i0], :] = U[[i0, t], :]
-                Ui[:, [t, i0]] = Ui[:, [i0, t]]
-        if j0 != t:
-            A[t:, [t, j0]] = A[t:, [j0, t]]
-            if want_cols:
-                V[:, [t, j0]] = V[:, [j0, t]]
-                Vi[[t, j0], :] = Vi[[j0, t], :]
-        pa = p**a
-        u = int(A[t, t]) // pa
-        uinv = pow(u, -1, M)
-        A[t, t:] = (A[t, t:] * uinv) % M
-        if want_rows:
-            U[t, :] = (U[t, :] * uinv) % M
-            Ui[:, t] = (Ui[:, t] * u) % M
-        col = A[t + 1 :, t]
-        f = (col // pa) % M
-        if f.any():
-            A[t + 1 :, t:] -= np.outer(f, A[t, t:])
-            A[t + 1 :, t:] %= M
-            if want_rows:
-                U[t + 1 :, :] -= np.outer(f, U[t, :])
-                U[t + 1 :, :] %= M
-                Ui[:, t] = (Ui[:, t] + Ui[:, t + 1 :] @ f) % M
-        g = (A[t, t + 1 :] // pa) % M
-        if g.any():
-            # column t is already clear away from row t
-            A[t, t + 1 :] = (A[t, t + 1 :] - g * pa) % M
-            if want_cols:
-                V[:, t + 1 :] -= np.outer(V[:, t], g)
-                V[:, t + 1 :] %= M
-                Vi[t, :] = (Vi[t, :] + g @ Vi[t + 1 :, :]) % M
-        vals.append(a)
-        t += 1
-    vals.extend([L] * (rmax - len(vals)))
     return vals, U, Ui, V, Vi
 
 
@@ -406,10 +335,10 @@ class CochainComplex:
     """A finite complex of free modules in degrees 0..len(ranks)-1;
     differentials[i] maps degree i to i + 1.
 
-    One container per base: over BaseZMod the differentials are int64
-    numpy arrays, over BaseZpTrunc tuples or lists of integer rows.
-    Adjacent composites are checked to vanish in the base ring on
-    construction.
+    One container per base: over BaseZMod the differentials are sparse
+    rows, dicts {column: value}, over BaseZpTrunc tuples or lists of
+    integer rows.  Adjacent composites are checked to vanish in the base
+    ring on construction.
     """
 
     base: Base
@@ -422,7 +351,7 @@ class CochainComplex:
         for i, d in enumerate(self.differentials):
             m, n = self.ranks[i + 1], self.ranks[i]
             if isinstance(self.base, BaseZMod):
-                ok = d.shape == (m, n)
+                ok = len(d) == m and all(0 <= j < n for row in d for j in row)
             else:
                 ok = len(d) == m and all(len(row) == n for row in d)
             if not ok:
@@ -450,9 +379,15 @@ class CochainComplex:
 def _composite_vanishes(dout, din, base: Base) -> bool:
     if isinstance(base, BaseZMod):
         M = base.p**base.N
-        if dout.shape[1] * M * M >= 2**62:
-            raise ValueError("modulus too large for int64 product check")
-        return not ((dout % M) @ (din % M) % M).any()
+        for row in dout:
+            acc: dict[int, int] = {}
+            for j, x in row.items():
+                for col, y in din[j].items():
+                    acc[col] = acc.get(col, 0) + x * y
+            for v in acc.values():
+                if v % M:
+                    return False
+        return True
     return not any(sum(x * y for x, y in zip(row, col)) for row in dout for col in zip(*din))
 
 
@@ -469,7 +404,7 @@ def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
     din = c.differential(degree - 1)
     base = c.base
     if isinstance(base, BaseZMod):
-        return _cohomology_mod(dout, din, n, base.p, base.N)
+        return _cohomology_mod(dout, din, n, c.rank(degree - 1), base.p, base.N)
     return _cohomology_int(dout, din, n, base.p, base.N)
 
 
@@ -506,50 +441,59 @@ def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
     return ModuleExpr(p, padics=free, cyclics=cyc)
 
 
-def _cohomology_mod(dout, din, n: int, p: int, N: int) -> ModuleExpr:
-    """ker(dout)/im(din) over Z/p^N; dout is eliminated with column
-    transforms only, and im(din) is read in the coordinates V^-1 gives.
+def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
+    """ker(dout)/im(din) over Z/p^N for sparse rows, din with k columns
+    (None off the ends); dout is eliminated with column transforms only,
+    and im(din) is read in the coordinates V^-1 gives.
 
     A tall dout (more than 2n rows, n columns, as in the bar complexes) is
-    eliminated on its first 2n rows P.  From P V = U^-1 D, the span of P
-    is spanned by p^(a_i) times row i of V^-1, so a row r lies in it iff
-    (r V)_i = 0 mod p^(a_i) for every i; every row of dout is checked.
-    The span of P lies inside the row span of dout and the check proves
-    the reverse, so the two spans are equal, and with them ker(dout), the
-    invariant factors and the validity of V.  Rows that fail are added to
-    P and eliminated once more: the rows that passed lie in the span of P,
-    so that matrix has the row span of dout and needs no second check.
+    eliminated on its first 2n rows P, made dense.  From P V = U^-1 D, the
+    span of P is spanned by p^(a_i) times row i of V^-1, so a row r lies in
+    it iff (r V)_i = 0 mod p^(a_i) for every i; every row of dout past P
+    is checked, on the sparse row and only at the i with a_i > 0, where the
+    condition is not empty.  The span of P lies inside the row span of dout
+    and the check proves the reverse, so the two spans are equal, and with
+    them ker(dout), the invariant factors and the validity of V.  Rows
+    that fail are added to P and eliminated once more: the rows that passed
+    lie in the span of P, so that matrix has the row span of dout and needs
+    no second check.
     """
     if n == 0:
         return zero_module()
     M = p**N
-    if dout is None or dout.shape[0] == 0:
+
+    def dense(rows):
+        return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+    if not dout:
         avals = [N] * n
-        vi = np.eye(n, dtype=np.int64)
+        vi = _identity_ll(n)
     else:
-        rows = dout[: 2 * n]
+        rows = dense(dout[: 2 * n])
         vals, _, _, v, vi = snf_mod(rows, p, N, want_cols=True)
-        if len(rows) < len(dout):
-            # n products below M^2 per entry; the probe's snf_mod refused 2n * M^2 >= 2^62
-            gaps = p ** np.array(vals, dtype=np.int64)
-            bad = (((dout % M) @ v) % M % gaps).any(axis=1)
-            if bad.any():
-                rows = np.vstack([rows, dout[bad]])
-                vals, _, _, _, vi = snf_mod(rows, p, N, want_cols=True)
+        if len(dout) > 2 * n:
+            checks = [(p**a, [r[i] for r in v]) for i, a in enumerate(vals) if a]
+            bad = [
+                row for row in dout[2 * n :]
+                if any(sum([x * col[j] for j, x in row.items()]) % gap for gap, col in checks)
+            ]
+            if bad:
+                vals, _, _, _, vi = snf_mod(rows + dense(bad), p, N, want_cols=True)
         avals = [min(a, N) for a in vals] + [N] * (n - len(vals))
-    # kernel generator i is p^(N - a_i) * (V e_i), of order p^(a_i)
-    cols = []
-    if din is not None and din.size:
-        y = (vi @ (din % M)) % M
-        c = np.zeros_like(y)
-        for i in range(n):
-            gap = p ** (N - avals[i])
-            if (y[i] % gap).any():
-                raise ValueError("boundaries do not lie in the kernel")
-            c[i] = y[i] // gap
-        cols.append(c)
-    diagrel = np.diag([p**a for a in avals]).astype(np.int64)
-    rel = np.hstack([diagrel] + cols) if cols else diagrel
+    # kernel generator i is p^(N - a_i) * (V e_i), of order p^(a_i); the
+    # relations are diag(p^(a_i)) beside the image of din in those generators
+    rel = []
+    for i in range(n):
+        gap = p ** (N - avals[i])
+        y = [0] * k
+        if k:
+            for j, x in enumerate(vi[i]):
+                if x:
+                    for col, z in din[j].items():
+                        y[col] += x * z
+        if any(e % M % gap for e in y):
+            raise ValueError("boundaries do not lie in the kernel")
+        rel.append([p ** avals[i] if j == i else 0 for j in range(n)] + [e % M // gap for e in y])
     vals2, *_ = snf_mod(rel, p, N + 1)
     if any(v > N for v in vals2):
         raise AssertionError("finite quotient exceeded its exponent bound")

@@ -3,10 +3,13 @@
 Nothing in here calls the package's elimination code: Smith factors come
 from determinant divisors, cohomology of small complexes from exhaustive
 enumeration, cohomology of cyclic groups from closed forms, and group
-structure from order statistics.  The full bar complex is built one tuple
-at a time and returned as matrices; eliminating them is the caller's job,
-or that of ``cohomology_by_full_elimination``, a separate copy of the
-Z/p^N complex cohomology that eliminates every row of the differential.
+structure from order statistics, associativity from every triple.  The
+full bar complex is built one tuple at a time and returned as matrices;
+eliminating them is the caller's job, or that of
+``cohomology_by_full_elimination``, a separate copy of the Z/p^N complex
+cohomology that eliminates every row of the differential.  ``sparse_rows``
+and ``dense_array`` convert between those matrices and the package's
+container for Z/p^N differentials, rows of dicts {column: value}.
 """
 
 import math
@@ -17,6 +20,32 @@ import numpy as np
 from stabcoh.cohomology import FiniteGroupData
 from stabcoh.exact_linalg import vp
 from stabcoh.modules import ModuleExpr, cyclic, zero_module
+
+
+def sparse_rows(dense):
+    """Rows {column: value} of a dense matrix, zero entries left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in np.asarray(dense).tolist()]
+
+
+def dense_array(rows, ncols):
+    """The int64 matrix of sparse rows with ncols columns."""
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            assert 0 <= j < ncols, (i, j)
+            a[i, j] = x
+    return a
+
+
+def is_associative(table):
+    """(g_i g_j) g_k = g_i (g_j g_k) for every triple of indices."""
+    n = len(table)
+    return all(
+        table[table[i][j]][k] == table[i][table[j][k]]
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
 
 
 def det_int(rows):

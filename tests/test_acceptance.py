@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from oracles import cyclic_cohomology, cyclic_group_data, enumerate_cohomology_type
+from oracles import cyclic_cohomology, cyclic_group_data, enumerate_cohomology_type, sparse_rows
 from stabcoh.cli import main
 from stabcoh.cohomology import (
     bar_cohomology_finite,
@@ -183,7 +183,8 @@ def test_acceptance_5_oracle_equivalence(capsys):
         for n in range(1, 4):
             for _ in range(10):
                 dout = rng.integers(0, M, size=(int(rng.integers(1, 3)), n))
-                vals, _, _, V, _ = snf_mod(dout.copy(), p, N, want_cols=True)
+                vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want_cols=True)
+                V = np.array(V, dtype=np.int64)
                 avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
                 gens = [(V[:, i] * p ** (N - avals[i])) % M for i in range(n)]
                 kcols = int(rng.integers(1, 3))
@@ -192,7 +193,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
                     coeff = rng.integers(0, M, size=n)
                     din[:, j] = sum(c * g for c, g in zip(coeff, gens)) % M
                 cx = CochainComplex(
-                    BaseZMod(p, N), (kcols, n, dout.shape[0]), (din, dout % M)
+                    BaseZMod(p, N), (kcols, n, dout.shape[0]), (sparse_rows(din), sparse_rows(dout % M))
                 )
                 got = complex_cohomology(cx, 1)
                 want = enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)

@@ -316,6 +316,36 @@ def test_python_dash_m_stabcoh():
     assert bad.returncode == 2
 
 
+def test_numpy_never_imported():
+    # the package runs on the standard library: neither importing the CLI
+    # nor a whole python -m stabcoh verify loads numpy (-X importtime names
+    # every module imported, on stderr)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import stabcoh.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert probe.returncode == 0 and probe.stdout.strip() == "False"
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "stabcoh", "verify"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert run.returncode == 0
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "stabcoh.cohomology" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
 def test_brute_past_int64_ceiling_p101(capsys):
     # p^(N+1) passes the int64 ceiling at p = 101, and |(Z/101^2)^x| = 10100
     # is far too big for the bar cross-check; both must be handled quietly

@@ -1,6 +1,8 @@
 """Weight-module cohomology: routes, oracles, and cross-validation."""
 
 import dataclasses
+import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,12 +13,16 @@ from oracles import (
     cohomology_by_full_elimination,
     cyclic_cohomology,
     cyclic_group_data,
+    dense_array,
     full_bar_differential,
+    is_associative,
     primitive_root_by_orbit,
+    sparse_rows,
 )
 from stabcoh import cohomology, exact_linalg
 from stabcoh.cohomology import (
     DEFAULT_BAR_BUDGET,
+    FiniteGroupData,
     _action_class,
     _anchor_valuation,
     _bar_crosscheck,
@@ -156,6 +162,71 @@ def test_bar_group_axioms_checked():
         FiniteGroupData(2, 4, ((0, 1), (1, 0)), (1, 3))
 
 
+# the smallest non-associative loop: a Latin square with an identity
+LOOP_5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def test_group_data_refuses_the_order_5_loop():
+    # rows and columns are permutations and index 0 an identity, so every
+    # check before associativity passes
+    assert all(sorted(col) == list(range(5)) for col in zip(*LOOP_5))
+    assert not is_associative(LOOP_5)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroupData(2, 1, LOOP_5, (1,) * 5)
+
+
+def _symmetric_group_table(k):
+    perms = list(permutations(range(k)))  # the identity comes first
+    index = {q: i for i, q in enumerate(perms)}
+    return tuple(tuple(index[tuple(a[b[x]] for x in range(k))] for b in perms) for a in perms)
+
+
+def _direct_product_table(a, b):
+    # (i, j) has index i * len(b) + j, so (0, 0) is 0
+    m = len(b)
+    return tuple(
+        tuple(a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m))
+        for i in range(len(a))
+        for j in range(m)
+    )
+
+
+def test_light_associativity_test_matches_every_triple():
+    # group tables, and products of a group with the order-5 loop, whose
+    # group factor passes (x g) z = x (g z) while the table is not
+    # associative; each relabelled by a permutation that fixes the
+    # identity, and half of them with two entries of one row swapped.  Rows
+    # stay permutations and index 0 an identity, so the verdict is
+    # associativity alone, and it must be the verdict of every triple
+    rng = random.Random(20261018)
+    groups = [units_group_data(p, r, 0, 1).table for p, r in [(2, 3), (2, 4), (3, 2), (5, 2), (7, 1)]]
+    groups += [cyclic_group_data(m, 1, 2, 1).table for m in (2, 3, 6, 8)]
+    groups += [_symmetric_group_table(3), _symmetric_group_table(4)]
+    loops = [_direct_product_table(h, LOOP_5) for h in groups[5:8] + groups[9:10]]
+    loops += [_direct_product_table(LOOP_5, h) for h in groups[5:8]]
+    verdicts = []
+    for _ in range(400):
+        tbl = rng.choice(groups + loops)
+        n = len(tbl)
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        inv = [perm.index(i) for i in range(n)]
+        t = [[perm[tbl[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+        if n > 2 and rng.random() < 0.5:
+            i = rng.randrange(1, n)
+            j, k = rng.sample(range(1, n), 2)
+            t[i][j], t[i][k] = t[i][k], t[i][j]
+        t = tuple(map(tuple, t))
+        try:
+            FiniteGroupData(2, 1, t, (1,) * n)
+            accepted = True
+        except ValueError as e:
+            assert "not associative" in str(e)
+            accepted = False
+        assert accepted == is_associative(t), t
+        verdicts.append(accepted)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_small_model_equals_bar_on_quotients():
     for p, rmax in [(2, 4), (3, 2)]:
         for r in range(2 if p == 2 else 1, rmax + 1):
@@ -177,7 +248,7 @@ def _full_bar_groups(g, s_max):
     """H^s from the full cochain complex, n^k cochains in degree k."""
     n = len(g)
     ranks = tuple(n**k for k in range(s_max + 2))
-    diffs = tuple(full_bar_differential(g, k) for k in range(s_max + 1))
+    diffs = tuple(sparse_rows(full_bar_differential(g, k)) for k in range(s_max + 1))
     cx = CochainComplex(BaseZMod(g.p, g.N), ranks, diffs)
     return [complex_cohomology(cx, s) for s in range(s_max + 1)]
 
@@ -200,7 +271,9 @@ def test_normalized_bar_equals_full_bar():
     for g, s_max in groups:
         n = len(g) - 1
         for k in range(s_max + 1):
-            assert _bar_differential(g, k).shape == (n ** (k + 1), n**k)
+            d = _bar_differential(g, k)
+            assert dense_array(d, n**k).shape == (n ** (k + 1), n**k)
+            assert all(len(row) <= k + 2 for row in d)
         bar = bar_cohomology_finite(g, s_max, budget=10**7)
         full = _full_bar_groups(g, s_max)
         for s in range(s_max + 1):
@@ -221,14 +294,15 @@ def test_crosscheck_bar_differentials_match_full_row_elimination(p):
         n = len(g) - 1
         diffs = [_bar_differential(g, k) for k in range(s_chk + 1)]
         cx = CochainComplex(BaseZMod(p, 2), tuple(n**k for k in range(s_chk + 2)), tuple(diffs))
-        tall += sum(d.shape[0] > 2 * d.shape[1] for d in diffs)
+        tall += sum(len(d) > 2 * n**k for k, d in enumerate(diffs))
         full = None
         if len(g) ** (2 * s_chk + 1) <= DEFAULT_BAR_BUDGET:
             full = _full_bar_groups(g, s_chk)
         for s in range(s_chk + 1):
             got = complex_cohomology(cx, s)
-            din = diffs[s - 1] if s else None
-            assert got == cohomology_by_full_elimination(diffs[s], din, n**s, p, 2), (w, s)
+            dout = dense_array(diffs[s], n**s)
+            din = dense_array(diffs[s - 1], n ** (s - 1)) if s else None
+            assert got == cohomology_by_full_elimination(dout, din, n**s, p, 2), (w, s)
             assert full is None or got == full[s], (w, s)
     assert tall
 

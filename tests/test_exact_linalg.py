@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     cohomology_by_full_elimination,
+    cyclic_cohomology,
+    cyclic_group_data,
+    dense_array,
     enumerate_cohomology_type,
     smith_diagonal_by_minor_gcds,
+    sparse_rows,
 )
 from stabcoh import exact_linalg
 from stabcoh.errors import PrecisionExhausted
@@ -16,8 +20,6 @@ from stabcoh.exact_linalg import (
     BaseZpTrunc,
     CochainComplex,
     complex_cohomology,
-    _snf_mod_np,
-    _snf_mod_py,
     lattice_quotient_exponents,
     snf_int,
     snf_mod,
@@ -91,7 +93,8 @@ def test_snf_transform_identity_and_divisibility(rows):
 @settings(max_examples=100)
 def test_snf_mod_agrees_with_integer_p_parts(rows, p, N):
     A = np.array(rows, dtype=np.int64)
-    vals, U, Ui, V, Vi = snf_mod(A, p, N, want_cols=True, want_rows=True)
+    vals, *T = snf_mod(rows, p, N, want_cols=True, want_rows=True)
+    U, Ui, V, Vi = (np.array(X, dtype=np.int64) for X in T)
     M = p**N
     D = (U @ A @ V) % M
     off = D.copy()
@@ -130,16 +133,6 @@ def _check_mod_transforms(A, vals, U, Ui, V, Vi, p, L):
     assert mul(V, Vi) == eye(n)
 
 
-@given(small_matrices, st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=5))
-@settings(max_examples=150)
-def test_snf_mod_python_and_numpy_paths_agree(rows, p, L):
-    py = _snf_mod_py(rows, p, L, True, True)
-    npy = _snf_mod_np(np.array(rows, dtype=np.int64), p, L, True, True)
-    assert py[0] == npy[0]
-    _check_mod_transforms(rows, *py, p, L)
-    _check_mod_transforms(rows, npy[0], *(T.tolist() for T in npy[1:]), p, L)
-
-
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
         lambda m: st.integers(min_value=1, max_value=4).flatmap(
@@ -153,7 +146,7 @@ def test_snf_mod_python_and_numpy_paths_agree(rows, p, L):
 )
 @settings(max_examples=60)
 def test_snf_mod_past_int64_matches_integer_p_parts(rows):
-    # 3^40 > 2^63: the numpy kernel cannot hold these residues
+    # 3^40 > 2^63: these residues do not fit a machine word
     p, L = 3, 40
     vals, U, Ui, V, Vi = snf_mod(rows, p, L, want_cols=True, want_rows=True)
     diag, *_ = snf_int(rows, transforms=False)
@@ -161,29 +154,43 @@ def test_snf_mod_past_int64_matches_integer_p_parts(rows):
     _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
 
 
-def test_snf_mod_container_follows_input(monkeypatch):
-    # lists run the Python-int kernel and arrays the int64 one, whatever
-    # their size; transforms come back in the container that went in
-    calls = []
-    for name in ("_snf_mod_py", "_snf_mod_np"):
-        def spy(*args, _kernel=getattr(exact_linalg, name), _name=name):
-            calls.append(_name)
-            return _kernel(*args)
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda m: st.integers(min_value=1, max_value=7).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.just(0), st.just(0), st.integers(min_value=-400, max_value=400)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    ),
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=150)
+def test_snf_mod_sparse_rows_match_integer_p_parts(rows, p, L):
+    # mostly-zero rows, as the bar complexes give: elimination skips the
+    # zeros of the pivot row, and the transforms must still be exact
+    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want_cols=True, want_rows=True)
+    diag, *_ = snf_int(rows, transforms=False)
+    assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
+    _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
 
-        monkeypatch.setattr(exact_linalg, name, spy)
+
+def test_snf_mod_container_follows_input():
+    # lists of rows in, lists of rows out, whatever their size
     rows = [[2, 4, 6], [1, 3, 5]]
     vals, U, Ui, V, Vi = snf_mod(rows, 2, 3, want_cols=True, want_rows=True)
     assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
-    avals, *arrays = snf_mod(np.array(rows), 2, 3, want_cols=True, want_rows=True)
-    assert avals == vals
-    assert all(isinstance(T, np.ndarray) for T in arrays)
+    _check_mod_transforms(rows, vals, U, Ui, V, Vi, 2, 3)
     big = [[(i * j) % 7 for j in range(20)] for i in range(20)]
-    snf_mod(big, 7, 2)
-    snf_mod(np.array(big), 7, 2)
-    assert calls == ["_snf_mod_py", "_snf_mod_np", "_snf_mod_py", "_snf_mod_np"]
-    # an array whose modulus could overflow int64 products is refused
-    with pytest.raises(ValueError, match="too large"):
-        snf_mod(np.array([[1, 2], [3, 4]]), 3, 20)
+    vals, U, Ui, V, Vi = snf_mod(big, 7, 2, want_cols=True, want_rows=True)
+    assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
+    _check_mod_transforms(big, vals, U, Ui, V, Vi, 7, 2)
 
 
 def test_snf_truncated_base_and_precision_exhaustion():
@@ -206,13 +213,13 @@ def test_snf_truncated_stability_under_refinement():
 def test_complex_left_kernel_of_doubling_on_z8():
     # 0 -> Z/8 --x2--> Z/8 -> 0, leftmost degree
     assert enumerate_cohomology_type([[2]], None, 1, 2, 3) == (1,)
-    c = CochainComplex(BaseZMod(2, 3), (1, 1), (np.array([[2]]),))
+    c = CochainComplex(BaseZMod(2, 3), (1, 1), ([{0: 2}],))
     assert complex_cohomology(c, 0) == cyclic(2, 1)
     assert complex_cohomology(c, 1) == cyclic(2, 1)
 
 
 def test_complex_zero_differentials_returns_module():
-    c = CochainComplex(BaseZMod(2, 2), (2, 2), (np.zeros((2, 2), dtype=np.int64),))
+    c = CochainComplex(BaseZMod(2, 2), (2, 2), ([{}, {}],))
     assert complex_cohomology(c, 0) == cyclic(2, 2, 2)
 
 
@@ -244,7 +251,7 @@ def test_d_squared_is_checked_on_construction():
     good = CochainComplex(
         BaseZMod(2, 3),
         (1, 1, 1),
-        (np.array([[2]]), np.array([[4]])),
+        ([{0: 2}], [{0: 4}]),
     )
     # ker(x4 on Z/8) and im(x2) both equal 2Z/8
     assert enumerate_cohomology_type([[4]], [[2]], 1, 2, 3) == ()
@@ -253,7 +260,7 @@ def test_d_squared_is_checked_on_construction():
         CochainComplex(
             BaseZMod(2, 3),
             (1, 1, 1),
-            (np.array([[2]]), np.array([[3]])),
+            ([{0: 2}], [{0: 3}]),
         )
 
 
@@ -262,7 +269,8 @@ def _random_mod_complex(rng, p, N, n):
     random map out and a random selection of its kernel as the map in."""
     M = p**N
     dout = rng.integers(0, M, size=(rng.integers(1, 4), n))
-    vals, _, _, V, _ = snf_mod(dout.copy(), p, N, want_cols=True)
+    vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want_cols=True)
+    V = np.array(V, dtype=np.int64)
     gens = []
     avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
     for i in range(n):
@@ -284,7 +292,9 @@ def test_mod_cohomology_matches_enumeration(p, N):
             continue
         for _ in range(reps):
             dout, din = _random_mod_complex(rng, p, N, n)
-            c = CochainComplex(BaseZMod(p, N), (din.shape[1], n, dout.shape[0]), (din, dout))
+            c = CochainComplex(
+                BaseZMod(p, N), (din.shape[1], n, dout.shape[0]), (sparse_rows(din), sparse_rows(dout))
+            )
             got = complex_cohomology(c, 1)
             want = enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)
             assert tuple(got.cyclics) == want, (dout, din)
@@ -317,10 +327,12 @@ def test_tall_mod_cohomology_matches_full_elimination_and_enumeration(p, N):
             coeffs[rng.random(m) < 0.7] = 0
             dout = coeffs @ basis % M
             # din: random combinations of the kernel generators of dout
-            vals, _, _, V, _ = snf_mod(dout, p, N, want_cols=True)
-            gens = V * p ** (N - np.array(vals)) % M
+            vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want_cols=True)
+            gens = np.array(V, dtype=np.int64) * p ** (N - np.array(vals)) % M
             din = gens @ rng.integers(0, M, size=(n, int(rng.integers(1, 4)))) % M
-            c = CochainComplex(BaseZMod(p, N), (din.shape[1], n, m), (din, dout))
+            c = CochainComplex(
+                BaseZMod(p, N), (din.shape[1], n, m), (sparse_rows(din), sparse_rows(dout))
+            )
             got = complex_cohomology(c, 1)
             assert got == cohomology_by_full_elimination(dout, din, n, p, N), (dout, din)
             assert tuple(got.cyclics) == enumerate_cohomology_type(
@@ -334,7 +346,7 @@ def test_tall_differential_whose_first_rows_do_not_span(monkeypatch):
     # more elimination of probe plus rejected rows gives the answer
     p, N, n = 2, 3, 3
     dout = np.vstack([np.zeros((7, n), dtype=np.int64), np.diag([1, 2, 4])])
-    c = CochainComplex(BaseZMod(p, N), (n, len(dout)), (dout,))
+    c = CochainComplex(BaseZMod(p, N), (n, len(dout)), (sparse_rows(dout),))
     calls = _snf_mod_spy(monkeypatch)
     got = complex_cohomology(c, 0)
     assert got == cyclic(2, 2) + cyclic(2, 1)
@@ -349,22 +361,28 @@ def test_tall_differential_rows_reversed_matches_full_elimination(monkeypatch):
     from stabcoh.cohomology import _bar_differential, units_group_data
 
     g = units_group_data(7, 2, 1, 2)
-    d0, d1 = _bar_differential(g, 0), _bar_differential(g, 1)[::-1].copy()
+    d0, d1 = _bar_differential(g, 0), _bar_differential(g, 1)[::-1]
     c = CochainComplex(BaseZMod(7, 2), (1, 41, 1681), (d0, d1))
     calls = _snf_mod_spy(monkeypatch)
-    assert complex_cohomology(c, 1) == cohomology_by_full_elimination(d1, d0, 41, 7, 2)
+    assert complex_cohomology(c, 1) == cohomology_by_full_elimination(
+        dense_array(d1, 41), dense_array(d0, 1), 41, 7, 2
+    )
     assert [shape for shape, L in calls if L == 2] == [(82, 41)]
 
 
-def test_tall_differential_refuses_int64_overflow():
-    # the span check sums n products below p^(2N); at n * p^(2N) >= 2^62
-    # the probe's elimination refuses before any product is formed
-    dout = np.zeros((5, 2), dtype=np.int64)
-    dout[4, 0] = 1
-    assert 2 * (3**20) ** 2 >= 2**62
-    c = CochainComplex(BaseZMod(3, 20), (2, 5), (dout,))
-    with pytest.raises(ValueError, match="too large"):
-        complex_cohomology(c, 0)
+def test_tall_bar_differential_past_int64_matches_closed_form():
+    # Z/2^33: n * p^(2N) >= 2^62, past any int64 elimination, and d^3 of
+    # a cyclic group of order 4 has 81 > 2 * 27 rows, so its probe and span
+    # check run on residues that do not fit a machine word
+    from stabcoh.cohomology import bar_cohomology_finite
+
+    p, N, m = 2, 33, 4
+    assert 3 * (p**N) ** 2 >= 2**62
+    for a in (1, 2**N - 1, 1 + 2**31, 2**31 - 1):
+        g = cyclic_group_data(m, a, p, N)
+        bar = bar_cohomology_finite(g, 3)
+        want = cyclic_cohomology(m, a, p, N, 3)
+        assert [bar.group(s) for s in range(4)] == want, a
 
 
 def test_mod_cohomology_refinement_stability():
