@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ModuleExprParseError, NotProjective, OutsideAtomClass
 
@@ -91,6 +92,10 @@ class ModuleExpr:
         return sum(self.cyclics)
 
     def __add__(self, other: "ModuleExpr") -> "ModuleExpr":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return ModuleExpr(
             _join_primes(self.p, other.p),
             self.free + other.free,
@@ -120,21 +125,31 @@ def zero_module() -> ModuleExpr:
     return _ZERO
 
 
+# The atom constructors share one frozen instance per argument tuple.  Typed,
+# so that an int prime and an equal prime of another integer type (a numpy
+# scalar, say) never share an instance.
+_shared = lru_cache(maxsize=1024, typed=True)
+
+
+@_shared
 def local_free(p: int, n: int = 1) -> ModuleExpr:
     """n copies of Z_(p)."""
     return ModuleExpr(p, free=n)
 
 
+@_shared
 def padic(p: int, n: int = 1) -> ModuleExpr:
     """n copies of Z_p."""
     return ModuleExpr(p, padics=n)
 
 
+@_shared
 def cyclic(p: int, k: int, n: int = 1) -> ModuleExpr:
     """n copies of Z/p^k."""
     return ModuleExpr(p, cyclics=(k,) * n)
 
 
+@_shared
 def prufer(p: int, n: int = 1) -> ModuleExpr:
     """n copies of Q/Z_(p)."""
     return ModuleExpr(p, prufers=n)
@@ -148,14 +163,17 @@ def l0(m: ModuleExpr) -> ModuleExpr:
     """Zeroth derived functor of p-completion, atom-wise.
 
     Z_(p) completes to Z_p, complete and bounded-torsion atoms are fixed,
-    and the divisible atom Q/Z_(p) dies.
+    and the divisible atom Q/Z_(p) dies.  An m with neither Z_(p) nor
+    Q/Z_(p) atoms is its own completion and is returned as it is.
     """
+    if not (m.free or m.prufers):
+        return m
     return ModuleExpr(m.p, 0, m.free + m.padics, m.cyclics, 0)
 
 
 def l1(m: ModuleExpr) -> ModuleExpr:
     """First derived functor: one Z_p for every Q/Z_(p) atom, nothing else."""
-    return ModuleExpr(m.p, padics=m.prufers)
+    return padic(m.p, m.prufers) if m.prufers else _ZERO
 
 
 def ls(m: ModuleExpr, s: int) -> ModuleExpr:

@@ -11,8 +11,9 @@ instead of guessing extensions.
 
 The target table (continuous cohomology of the height-1 stabilizer group)
 is transcribed as ``golden_table``; ``compare_tables`` closes the loop.
-Cell lookups on tables and pages are dict lookups, so assembling and
-comparing a window costs time linear in its number of cells.
+Cell lookups on tables and pages are dict lookups; assembly visits only
+the page's nonzero cells and comparison only the two tables' cells, so
+both cost time linear in those cells.
 
 Row-overlap convention: both tables have a "t even, s >= 2" line next to
 dedicated t = 0 entries, and t = 0 is itself even.  Whether t = 0 belongs
@@ -31,7 +32,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import UnsupportedPrime, WindowMismatch
 from .modules import (
@@ -51,11 +51,9 @@ from .exact_linalg import vp
 __all__ = [
     "BigradedTable",
     "SSPage",
-    "AbutmentCell",
     "hovey_sadofsky_table",
     "apply_l_functors",
     "assemble_abutment",
-    "abutment_cell",
     "derived_ss_table",
     "golden_table",
     "compare_tables",
@@ -71,10 +69,10 @@ DEFAULT_T0_EVEN_ROW = True
 @dataclass(frozen=True)
 class BigradedTable:
     """Map (s, t) -> module expression on a declared window; zero cells are
-    absent and every stored expression is canonical.
+    absent, every key occurs once and every stored expression is canonical.
 
     ``cells`` is the table's value: equality and hashing read it alone.
-    ``get`` looks a cell up in a dict built from it on first use, so a
+    ``get`` looks a cell up in a dict built from it on construction, so a
     lookup costs O(1) instead of a scan of the table."""
 
     p: int
@@ -85,17 +83,7 @@ class BigradedTable:
     collisions: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        for (s, t), expr in self.cells:
-            if not (self.s_window[0] <= s <= self.s_window[1]):
-                raise ValueError(f"cell s={s} outside window {self.s_window}")
-            if not (self.t_window[0] <= t <= self.t_window[1]):
-                raise ValueError(f"cell t={t} outside window {self.t_window}")
-            if expr.is_zero:
-                raise ValueError("zero cells must be omitted")
-
-    @cached_property
-    def _by_key(self) -> dict[tuple[int, int], ModuleExpr]:
-        return dict(self.cells)
+        _index_cells(self)
 
     def get(self, s: int, t: int) -> ModuleExpr:
         expr = self._by_key.get((s, t))
@@ -107,6 +95,26 @@ class BigradedTable:
             and self.t_window == other.t_window
             and self.s_window == other.s_window
         )
+
+
+def _index_cells(table) -> None:
+    """Store ``table._by_key``, the dict of ``table.cells``, after refusing
+    a zero cell, a cell outside the window and a key that occurs twice.
+    A key ends in (s, t)."""
+    index = {}
+    for key, expr in table.cells:
+        s, t = key[-2:]
+        if not (table.s_window[0] <= s <= table.s_window[1]):
+            raise ValueError(f"cell s={s} outside window {table.s_window}")
+        if not (table.t_window[0] <= t <= table.t_window[1]):
+            raise ValueError(f"cell t={t} outside window {table.t_window}")
+        if expr.is_zero:
+            raise ValueError("zero cells must be omitted")
+        if key in index:
+            raise ValueError(f"duplicate cell {key}")
+        index[key] = expr
+    # not a field: equality and hashing never read it
+    object.__setattr__(table, "_by_key", index)
 
 
 def _build_table(p, t_window, s_window, route, cell_fn) -> BigradedTable:
@@ -201,8 +209,9 @@ def golden_table(
 
 @dataclass(frozen=True)
 class SSPage:
-    """E_2 = E_infinity page: (i, s, t) -> module, i in {0, 1} only;
-    ``get`` reads a dict index of ``cells`` as ``BigradedTable.get`` does."""
+    """E_2 = E_infinity page: (i, s, t) -> module, i in {0, 1} only; its
+    cells obey the rules of ``BigradedTable`` cells, and ``get`` reads the
+    same kind of dict index."""
 
     p: int
     t_window: tuple[int, int]
@@ -213,28 +222,11 @@ class SSPage:
         for (i, _, _), _expr in self.cells:
             if i not in (0, 1):
                 raise ValueError("derived index must be 0 or 1")
-
-    @cached_property
-    def _by_key(self) -> dict[tuple[int, int, int], ModuleExpr]:
-        return dict(self.cells)
+        _index_cells(self)
 
     def get(self, i: int, s: int, t: int) -> ModuleExpr:
         expr = self._by_key.get((i, s, t))
         return zero_module() if expr is None else expr
-
-
-@dataclass(frozen=True)
-class AbutmentCell:
-    degree: tuple[int, int]  # (n, t)
-    contributions: tuple[tuple[tuple[int, int], ModuleExpr], ...]  # ((i, s), expr)
-    assembled: ModuleExpr
-    collision: bool
-
-    def __post_init__(self):
-        n, _ = self.degree
-        for (i, s), _expr in self.contributions:
-            if (i, s) not in ((0, n), (1, n + 1)):
-                raise ValueError(f"contribution ({i},{s}) cannot reach degree {n}")
 
 
 def apply_l_functors(table: BigradedTable) -> SSPage:
@@ -254,7 +246,7 @@ def _collapse_is_structural(page: SSPage) -> None:
     """d_r : (i, s) -> (i + r, s + r - 1) for r >= 2; with entries only in
     columns 0 and 1 no differential can connect two nonzero cells.  The
     assertion is real but can never fire once the page invariant holds."""
-    occupied = {key[0] for key in dict(page.cells)}
+    occupied = {i for i, _, _ in page._by_key}
     span = (max(occupied) - min(occupied) + 1) if occupied else 0
     for i in occupied:
         for r in range(2, span + 3):
@@ -268,40 +260,29 @@ def assemble_abutment(page: SSPage, s_max: int | None = None) -> BigradedTable:
     """Collapse the two-column page: the abutment at (n, t) is the direct
     sum of the (0, n, t) and (1, n+1, t) entries, with a collision flag
     whenever both are nonzero (extension ambiguity in the associated
-    graded)."""
+    graded).  Each nonzero cell (i, s, t) lands in degree n = s - i, so
+    the page's cells are visited once and the rest of the window never."""
     _collapse_is_structural(page)
     if s_max is None:
         s_max = page.s_window[1]
-    cells = []
+    sums = {}
     collisions = set()
-    for t in range(page.t_window[0], page.t_window[1] + 1):
-        for n in range(0, s_max + 1):
-            cell = abutment_cell(page, n, t)
-            if not cell.assembled.is_zero:
-                cells.append(((n, t), cell.assembled))
-                if cell.collision:
-                    collisions.add((n, t))
-    cells.sort(key=lambda it: it[0])
+    for (i, s, t), expr in page.cells:
+        n = s - i
+        if not 0 <= n <= s_max:
+            continue
+        if (n, t) in sums:
+            collisions.add((n, t))
+            expr = sums[n, t] + expr
+        sums[n, t] = expr
     return BigradedTable(
         page.p,
         page.t_window,
         (0, s_max),
         "ss",
-        tuple(cells),
+        tuple(sorted(sums.items())),
         frozenset(collisions),
     )
-
-
-def abutment_cell(page: SSPage, n: int, t: int) -> AbutmentCell:
-    parts = []
-    for i, s in ((0, n), (1, n + 1)):
-        expr = page.get(i, s, t)
-        if not expr.is_zero:
-            parts.append(((i, s), expr))
-    total = zero_module()
-    for _, expr in parts:
-        total = total + expr
-    return AbutmentCell((n, t), tuple(parts), total, len(parts) > 1)
 
 
 def derived_ss_table(
@@ -331,7 +312,7 @@ def compare_tables(a: BigradedTable, b: BigradedTable) -> list[tuple[int, int, M
     keys = sorted(a._by_key.keys() | b._by_key.keys())
     for s, t in keys:
         ea, eb = a.get(s, t), b.get(s, t)
-        if ea != eb:
+        if ea is not eb and ea != eb:
             diffs.append((s, t, ea, eb))
     return diffs
 

@@ -9,10 +9,13 @@ eliminating them is the caller's job, or that of
 ``cohomology_by_full_elimination``, a separate copy of the Z/p^N complex
 cohomology that eliminates every row of the differential.  ``sparse_rows``
 and ``dense_array`` convert between those matrices and the package's
-container for Z/p^N differentials, rows of dicts {column: value}.
+container for Z/p^N differentials, rows of dicts {column: value}.  The
+abutment of a collapsing page is read one degree (n, t) at a time by
+``abutment_cell``, visiting the whole window.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -20,6 +23,7 @@ import numpy as np
 from stabcoh.cohomology import FiniteGroupData
 from stabcoh.exact_linalg import vp
 from stabcoh.modules import ModuleExpr, cyclic, zero_module
+from stabcoh.spectral import BigradedTable
 
 
 def sparse_rows(dense):
@@ -338,3 +342,50 @@ def cohomology_by_full_elimination(dout, din, n, p, N):
         rel = np.hstack([rel, z // gaps])
     vals, _ = _smith_mod_full(rel, p, N + 1)
     return ModuleExpr(p, cyclics=tuple(v for v in vals if 1 <= v <= N))
+
+
+@dataclass(frozen=True)
+class AbutmentCell:
+    degree: tuple[int, int]  # (n, t)
+    contributions: tuple[tuple[tuple[int, int], ModuleExpr], ...]  # ((i, s), expr)
+    assembled: ModuleExpr
+    collision: bool
+
+    def __post_init__(self):
+        n, _ = self.degree
+        for (i, s), _expr in self.contributions:
+            if (i, s) not in ((0, n), (1, n + 1)):
+                raise ValueError(f"contribution ({i},{s}) cannot reach degree {n}")
+
+
+def abutment_cell(page, n, t):
+    """The abutment of a two-column page at (n, t): the nonzero entries
+    among (0, n, t) and (1, n + 1, t), their sum, and whether both occur."""
+    parts = []
+    for i, s in ((0, n), (1, n + 1)):
+        expr = page.get(i, s, t)
+        if not expr.is_zero:
+            parts.append(((i, s), expr))
+    total = zero_module()
+    for _, expr in parts:
+        total = total + expr
+    return AbutmentCell((n, t), tuple(parts), total, len(parts) > 1)
+
+
+def abutment_by_cells(page, s_max=None):
+    """The assembled table of a page, one abutment_cell per degree (n, t)
+    of the window, 0 <= n <= s_max (the page's top row by default)."""
+    if s_max is None:
+        s_max = page.s_window[1]
+    cells, collisions = [], set()
+    for t in range(page.t_window[0], page.t_window[1] + 1):
+        for n in range(s_max + 1):
+            cell = abutment_cell(page, n, t)
+            if not cell.assembled.is_zero:
+                cells.append(((n, t), cell.assembled))
+                if cell.collision:
+                    collisions.add((n, t))
+    cells.sort(key=lambda it: it[0])
+    return BigradedTable(
+        page.p, page.t_window, (0, s_max), "ss", tuple(cells), frozenset(collisions)
+    )

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -223,6 +224,47 @@ def test_l_complete_output_is_tame(m):
 def test_additivity(m, n):
     assert l0(m + n) == l0(m) + l0(n)
     assert l1(m + n) == l1(m) + l1(n)
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+def _same_value(a, b):
+    return a == b and hash(a) == hash(b)
+
+
+@given(PRIMES.flatmap(exprs))
+def test_shared_values_equal_field_by_field_builds(m):
+    # l0, l1 and a sum with zero may hand back an existing instance
+    assert _same_value(l0(m), ModuleExpr(m.p, 0, m.free + m.padics, m.cyclics, 0))
+    assert _same_value(l1(m), ModuleExpr(m.p, padics=m.prufers))
+    rebuilt = ModuleExpr(m.p, m.free, m.padics, m.cyclics, m.prufers)
+    assert _same_value(m + zero_module(), rebuilt)
+    assert _same_value(zero_module() + m, rebuilt)
+
+
+@given(PRIMES, st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=3))
+def test_shared_atoms_equal_field_by_field_builds(p, k, n):
+    assert _same_value(cyclic(p, k, n), ModuleExpr(p, cyclics=(k,) * n))
+    assert _same_value(padic(p, n), ModuleExpr(p, padics=n))
+    assert cyclic(p, k, n) is cyclic(p, k, n)
+
+
+def test_shared_instances_stay_frozen():
+    m = padic(2) + cyclic(2, 3)
+    for shared in (cyclic(2, 3), padic(2), l0(m), m + zero_module(), l1(m)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.padics = 5
+    assert cyclic(2, 3) == ModuleExpr(2, cyclics=(3,)) and padic(2) == ModuleExpr(2, padics=1)
+
+
+def test_shared_atoms_keep_the_type_of_their_prime():
+    assert type(cyclic(np.int64(3), 2).p) is np.int64
+    assert type(cyclic(3, 2).p) is int
+    with pytest.raises(ValueError):
+        cyclic(2, 0)
+    with pytest.raises(ValueError):
+        padic(1)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))

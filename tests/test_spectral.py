@@ -1,13 +1,16 @@
 """Bigraded tables, the collapsing page, assembly, and serialization."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import abutment_by_cells, abutment_cell
 from stabcoh.errors import UnsupportedPrime, WindowMismatch
-from stabcoh.modules import cyclic, local_free, padic, prufer, zero_module
+from stabcoh.modules import ModuleExpr, cyclic, local_free, padic, prufer, zero_module
 from stabcoh.spectral import (
     BigradedTable,
     SSPage,
-    abutment_cell,
     apply_l_functors,
     assemble_abutment,
     compare_tables,
@@ -95,17 +98,69 @@ def test_page_rejects_higher_columns():
 def test_abutment_contributions_are_constrained():
     t = hovey_sadofsky_table(t_window=(-8, 8), s_max=4)
     page = apply_l_functors(t)
+    out = assemble_abutment(page, s_max=3)
     for tt in range(-8, 9):
         for n in range(4):
             cell = abutment_cell(page, n, tt)
             for (i, s), expr in cell.contributions:
                 assert (i, s) in ((0, n), (1, n + 1))
                 assert not expr.is_zero
+            assert out.get(n, tt) == cell.assembled
+            assert ((n, tt) in out.collisions) == cell.collision
     # the t=0 tower: H^1 receives exactly the L1 of Ext^(2,0)
     cell = abutment_cell(page, 1, 0)
     assert cell.assembled == padic(2)
     assert cell.contributions == (((1, 2), padic(2)),)
     assert not cell.collision
+    assert out == abutment_by_cells(page, s_max=3)
+
+
+def _nonzero_exprs(p):
+    counts = st.integers(min_value=0, max_value=2)
+    return st.builds(
+        lambda f, z, cy, q: ModuleExpr(p, f, z, tuple(cy), q),
+        counts,
+        counts,
+        st.lists(st.integers(min_value=1, max_value=5), max_size=2),
+        counts,
+    ).filter(lambda m: not m.is_zero)
+
+
+@st.composite
+def pages_and_s_max(draw):
+    """A page on a small random window with random nonzero cells in both
+    columns, and an s_max from 0 to one past the page's top row, or None."""
+    p = draw(st.sampled_from([2, 3]))
+    t_lo = draw(st.integers(min_value=-4, max_value=4))
+    t_hi = t_lo + draw(st.integers(min_value=0, max_value=4))
+    s_top = draw(st.integers(min_value=0, max_value=4))
+    keys = [(i, s, t) for i in (0, 1) for s in range(s_top + 1) for t in range(t_lo, t_hi + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    cells = tuple(sorted((key, draw(_nonzero_exprs(p))) for key in chosen))
+    s_max = draw(st.none() | st.integers(min_value=0, max_value=s_top + 1))
+    return SSPage(p, (t_lo, t_hi), (0, s_top), cells), s_max
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pages_and_s_max())
+@example((SSPage(2, (0, 1), (0, 3), ()), None))  # empty page
+@example((  # a collision at (1, 0), and s_max = 1 below the top row 3
+    SSPage(
+        2,
+        (0, 1),
+        (0, 3),
+        (
+            ((0, 1, 0), cyclic(2, 1)),
+            ((0, 3, 1), cyclic(2, 2)),
+            ((1, 2, 0), padic(2)),
+            ((1, 3, 1), padic(2)),
+        ),
+    ),
+    1,
+))
+def test_sparse_assembly_equals_per_cell_oracle(page_and_s_max):
+    page, s_max = page_and_s_max
+    assert assemble_abutment(page, s_max) == abutment_by_cells(page, s_max)
 
 
 def test_assembled_equals_golden_both_conventions():
@@ -170,8 +225,6 @@ def test_wide_window_assembly_matches_golden():
 
 
 def test_json_round_trip_and_schema():
-    import json
-
     t = derived_ss_table(t_window=(-8, 8), s_max=3)
     doc = json.loads(table_to_json(t))
     assert doc["p"] == 2
@@ -233,3 +286,28 @@ def test_zero_cells_are_omitted():
     assert t.cells == ()
     with pytest.raises(ValueError):
         BigradedTable(2, (0, 0), (0, 0), "golden", (((0, 0), zero_module()),))
+    with pytest.raises(ValueError, match="zero cells"):
+        SSPage(2, (0, 0), (0, 1), (((0, 0, 0), zero_module()),))
+
+
+def test_page_refuses_cells_outside_its_window():
+    with pytest.raises(ValueError, match="outside window"):
+        SSPage(2, (0, 0), (0, 1), (((0, 2, 0), padic(2)),))
+    with pytest.raises(ValueError, match="outside window"):
+        SSPage(2, (0, 0), (0, 1), (((1, 1, 2), padic(2)),))
+
+
+def test_duplicate_cells_are_refused():
+    # with two values at one (s, t), compare_tables would read only one
+    # of them and could miss a conflicting cell
+    with pytest.raises(ValueError, match="duplicate"):
+        BigradedTable(
+            2, (0, 4), (0, 2), "golden",
+            (((1, 2), cyclic(2, 1)), ((1, 2), cyclic(2, 3))),
+        )
+    with pytest.raises(ValueError, match="duplicate"):
+        SSPage(2, (0, 0), (0, 2), (((0, 1, 0), cyclic(2, 1)), ((0, 1, 0), padic(2))))
+    doc = json.loads(table_to_json(golden_table(t_window=(0, 4), s_max=2)))
+    doc["cells"].append({"s": 1, "t": 2, "module": "Z/2^3", "collision": False})
+    with pytest.raises(ValueError, match="duplicate"):
+        table_from_json(json.dumps(doc))
