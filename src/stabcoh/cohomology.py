@@ -392,7 +392,7 @@ def _bar_differential(g: FiniteGroupData, k: int) -> list[dict[int, int]]:
                 col = R // (place * n * n) * place * n + (merged - 1) * place + R % place
                 row[col] = row.get(col, 0) + sign
         row[R // n] = row.get(R // n, 0) + last
-        d.append({c: x % M for c, x in row.items() if x % M})
+        d.append({c: y for c, x in row.items() if (y := x % M)})
     return d
 
 
@@ -498,17 +498,14 @@ def _level_complex_matrices(p: int, a: int, t: int, r: int, N: int, s_top: int):
 
 
 def _level_data(p: int, a: int, t: int, r: int, N: int, s_top: int) -> _LevelData:
+    """Per degree s, the kernel generators p^(N - a_i) V e_i of d^s with
+    a_i >= 1 (the others are 0 mod p^N) and the columns of d^(s-1)."""
     diffs = _level_complex_matrices(p, a, t, r, N, s_top)
     M = p**N
     cocycles, boundaries = [], []
     for s in range(s_top + 1):
-        n = s + 1
-        vals, _, _, V, _ = snf_mod(diffs[s], p, N, want_cols=True)
-        avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
-        gens = [
-            [(row[i] * p ** (N - avals[i])) % M for row in V] for i in range(n)
-        ]
-        cocycles.append(gens)
+        vals, _, _, V, _ = snf_mod(diffs[s], p, N, want=("V",))
+        cocycles.append([[row[i] * p ** (N - a) % M for row in V] for i, a in enumerate(vals) if a])
         boundaries.append([list(col) for col in zip(*diffs[s - 1])] if s else [])
     return _LevelData(cocycles, boundaries)
 

@@ -18,8 +18,10 @@ arithmetic is on Python ints, so no modulus or size can overflow.
   double N and retry, up to a ceiling; an answer certified at N is the
   same at every larger N.
 
+``snf_mod`` and ``snf_int`` build only the transforms their caller names.
 ``snf_mod`` eliminates dense lists of rows; ``_cohomology_mod`` densifies
-only the rows it eliminates.
+only the rows it eliminates, and it and ``lattice_quotient_exponents``
+leave out the kernel generators and vectors that are 0 mod p^N.
 """
 
 from __future__ import annotations
@@ -86,64 +88,60 @@ def _identity_ll(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def snf_int(rows, transforms: bool = True):
+def _transforms(want, m: int, n: int):
+    """(U, Ui, V, Vi): an identity for each name in want, else None."""
+    sizes = (("U", m), ("Ui", m), ("V", n), ("Vi", n))
+    return [_identity_ll(k) if name in want else None for name, k in sizes]
+
+
+def snf_int(rows, want=("U", "Ui", "V", "Vi")):
     """Integer Smith form.
 
     Returns (diag, U, V, Uinv, Vinv) as lists with U @ A @ V diagonal,
     every d_i >= 0 and d_i | d_{i+1}.  Pivots are globally minimal in
     absolute value; once a pivot divides the remaining block, the chain
-    condition holds by construction.
+    condition holds by construction.  Only the transforms named in want
+    are built, the others are None; diag does not depend on want.
     """
     A = [list(map(int, r)) for r in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity_ll(m) if transforms else None
-    Ui = _identity_ll(m) if transforms else None
-    V = _identity_ll(n) if transforms else None
-    Vi = _identity_ll(n) if transforms else None
+    # Ui and V are held transposed, so that every transform update is a row operation
+    U, Uit, Vt, Vi = _transforms(want, m, n)
+
+    def add(X, i, j, q):  # row_i += q * row_j, if X is built
+        if X is not None:
+            X[i] = [x + q * y for x, y in zip(X[i], X[j])]
+
+    def swap(X, i, j):
+        if X is not None:
+            X[i], X[j] = X[j], X[i]
 
     def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if transforms:
-            U[i], U[j] = U[j], U[i]
-            for r in Ui:
-                r[i], r[j] = r[j], r[i]
+        for X in (A, U, Uit):
+            swap(X, i, j)
 
     def add_row(i, j, q):  # row_i += q * row_j
-        Ai, Aj = A[i], A[j]
-        for k in range(n):
-            Ai[k] += q * Aj[k]
-        if transforms:
-            Uii, Uj = U[i], U[j]
-            for k in range(m):
-                Uii[k] += q * Uj[k]
-            for r in Ui:
-                r[j] -= q * r[i]
+        add(A, i, j, q)
+        add(U, i, j, q)
+        add(Uit, j, i, -q)
 
     def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        if transforms:
-            U[i] = [-x for x in U[i]]
-            for r in Ui:
-                r[i] = -r[i]
+        for X in (A, U, Uit):
+            if X is not None:
+                X[i] = [-x for x in X[i]]
 
     def swap_cols(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
-        if transforms:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-            Vi[i], Vi[j] = Vi[j], Vi[i]
+        swap(Vt, i, j)
+        swap(Vi, i, j)
 
     def add_col(j, i, q):  # col_j += q * col_i
         for r in A:
             r[j] += q * r[i]
-        if transforms:
-            for r in V:
-                r[j] += q * r[i]
-            Vij, Vii = Vi[j], Vi[i]
-            for k in range(n):
-                Vii[k] -= q * Vij[k]
+        add(Vt, j, i, q)
+        add(Vi, i, j, -q)
 
     t = 0
     rmax = min(m, n)
@@ -204,31 +202,29 @@ def snf_int(rows, transforms: bool = True):
             add_row(t, offender, 1)
         t += 1
     diag = [A[i][i] for i in range(rmax)]
+    Ui, V = (None if X is None else [list(c) for c in zip(*X)] for X in (Uit, Vt))
     return diag, U, V, Ui, Vi
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form over Z/p^L (minimal-valuation pivoting)
 
-def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False):
+def snf_mod(A, p: int, L: int, want=()):
     """Diagonalize a list of rows over Z/p^L.  Returns (vals, U, Ui, V, Vi).
 
     vals has length min(m, n); an entry equal to L means zero in the ring.
     The valuation chain is non-decreasing because pivots are globally
     minimal: step t takes the first entry, in row-major order, of minimal
     valuation in the live block (rows and columns t and up).  Transforms
-    are unimodular mod p^L, lists of rows; U and Ui are built only when
-    want_rows, V and Vi only when want_cols.  Python ints throughout, at
-    any size and modulus; A is not modified.
+    are unimodular mod p^L, lists of rows, built only when named in want
+    ("U", "Ui", "V", "Vi"), else None.  Python ints throughout, at any size
+    and modulus; A is not modified.
     """
     M = p**L
     A = [[x % M for x in row] for row in A]
     m = len(A)
     n = len(A[0]) if m else 0
-    U = _identity_ll(m) if want_rows else None
-    Ui = _identity_ll(m) if want_rows else None
-    V = _identity_ll(n) if want_cols else None
-    Vi = _identity_ll(n) if want_cols else None
+    U, Ui, V, Vi = _transforms(want, m, n)
     vals: list[int] = []
     for t in range(min(m, n)):
         # first entry, in row-major order, of minimal valuation
@@ -252,16 +248,18 @@ def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False)
             break
         if i0 != t:
             A[t], A[i0] = A[i0], A[t]
-            if want_rows:
+            if U is not None:
                 U[t], U[i0] = U[i0], U[t]
+            if Ui is not None:
                 for r in Ui:
                     r[t], r[i0] = r[i0], r[t]
         if j0 != t:
             for r in A:
                 r[t], r[j0] = r[j0], r[t]
-            if want_cols:
+            if V is not None:
                 for r in V:
                     r[t], r[j0] = r[j0], r[t]
+            if Vi is not None:
                 Vi[t], Vi[j0] = Vi[j0], Vi[t]
         # rows t and below are 0 left of column t, and a zero of the pivot
         # row changes nothing, so row operations run on the pivot row's
@@ -272,8 +270,9 @@ def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False)
         At = A[t]
         At[t:] = [(x * uinv) % M for x in At[t:]]
         nz = [(j, y) for j, y in enumerate(At[t:], t) if y]
-        if want_rows:
+        if U is not None:
             U[t] = [(x * uinv) % M for x in U[t]]
+        if Ui is not None:
             for r in Ui:
                 r[t] = (r[t] * u) % M
         for i in range(t + 1, m):
@@ -282,8 +281,9 @@ def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False)
             if f:
                 for j, y in nz:
                     Ai[j] = (Ai[j] - f * y) % M
-                if want_rows:
+                if U is not None:
                     U[i] = [(x - f * y) % M for x, y in zip(U[i], U[t])]
+                if Ui is not None:
                     for r in Ui:
                         r[t] = (r[t] + r[i] * f) % M
         # column t is now clear away from row t, so clearing row t touches
@@ -291,12 +291,13 @@ def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False)
         gs = [(j, y // pa) for j, y in nz[1:]]
         for j, _ in gs:
             At[j] = 0
-        if want_cols and gs:
+        if V is not None and gs:
             for r in V:
                 rt = r[t]
                 if rt:
                     for j, g in gs:
                         r[j] = (r[j] - rt * g) % M
+        if Vi is not None and gs:
             acc = Vi[t]
             for j, g in gs:
                 for c, y in enumerate(Vi[j]):
@@ -312,13 +313,13 @@ def snf_mod(A, p: int, L: int, want_cols: bool = False, want_rows: bool = False)
 # Smith normal form over Z_p at working precision N
 
 
-def snf_trunc(rows, p: int, N: int, transforms: bool = True):
+def snf_trunc(rows, p: int, N: int, want=("U", "Ui", "V", "Vi")):
     """Smith form over Z_p at working precision N, for an exact integer
     matrix: ``snf_int``, whose invariant factors have the p-adic
     valuations of the Z_p Smith form.  Raises PrecisionExhausted when a
     nonzero invariant factor has valuation N or more, so every decision a
     caller reads off the result is certified below the precision."""
-    diag, *T = snf_int(rows, transforms)
+    diag, *T = snf_int(rows, want)
     for d in diag:
         if d and vp(d, p) >= N:
             raise PrecisionExhausted(
@@ -351,7 +352,8 @@ class CochainComplex:
         for i, d in enumerate(self.differentials):
             m, n = self.ranks[i + 1], self.ranks[i]
             if isinstance(self.base, BaseZMod):
-                ok = len(d) == m and all(0 <= j < n for row in d for j in row)
+                cols = set(range(n))
+                ok = len(d) == m and all(row.keys() <= cols for row in d)
             else:
                 ok = len(d) == m and all(len(row) == n for row in d)
             if not ok:
@@ -379,10 +381,11 @@ class CochainComplex:
 def _composite_vanishes(dout, din, base: Base) -> bool:
     if isinstance(base, BaseZMod):
         M = base.p**base.N
+        din_items = [row.items() for row in din]
         for row in dout:
             acc: dict[int, int] = {}
             for j, x in row.items():
-                for col, y in din[j].items():
+                for col, y in din_items[j]:
                     acc[col] = acc.get(col, 0) + x * y
             for v in acc.values():
                 if v % M:
@@ -419,7 +422,7 @@ def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
         rank = 0
         vi = _identity_ll(n)
     else:
-        diag, _, _, _, vi = snf_trunc(dout, p, N)
+        diag, _, _, _, vi = snf_trunc(dout, p, N, want=("Vi",))
         rank = sum(1 for d in diag if d != 0)
     kdim = n - rank
     if kdim == 0:
@@ -434,7 +437,7 @@ def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
         free = kdim
         cyc: tuple[int, ...] = ()
     else:
-        diag2, *_ = snf_trunc(rel, p, N, transforms=False)
+        diag2, *_ = snf_trunc(rel, p, N, want=())
         nonzero = [d for d in diag2 if d != 0]
         free = kdim - len(nonzero)
         cyc = tuple(v for v in (vp(d, p) for d in nonzero) if v >= 1)
@@ -457,6 +460,11 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
     that fail are added to P and eliminated once more: the rows that passed
     lie in the span of P, so that matrix has the row span of dout and needs
     no second check.
+
+    Kernel generator i, p^(N - a_i) V e_i, has order p^(a_i); only the live
+    ones, a_i >= 1, get relations.  A dead one is 0: its row would be a
+    unit beside the image of din over p^N, itself 0 mod p^N, so it splits
+    off as a unit invariant factor and its kernel test checks nothing.
     """
     if n == 0:
         return zero_module()
@@ -470,20 +478,27 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
         vi = _identity_ll(n)
     else:
         rows = dense(dout[: 2 * n])
-        vals, _, _, v, vi = snf_mod(rows, p, N, want_cols=True)
+        vals, _, _, v, vi = snf_mod(rows, p, N, want=("V", "Vi"))
         if len(dout) > 2 * n:
             checks = [(p**a, [r[i] for r in v]) for i, a in enumerate(vals) if a]
-            bad = [
-                row for row in dout[2 * n :]
-                if any(sum([x * col[j] for j, x in row.items()]) % gap for gap, col in checks)
-            ]
+            bad = []
+            for row in dout[2 * n :]:
+                for gap, col in checks:
+                    acc = 0
+                    for j, x in row.items():
+                        acc += x * col[j]
+                    if acc % gap:
+                        bad.append(row)
+                        break
             if bad:
-                vals, _, _, _, vi = snf_mod(rows + dense(bad), p, N, want_cols=True)
+                vals, _, _, _, vi = snf_mod(rows + dense(bad), p, N, want=("Vi",))
         avals = [min(a, N) for a in vals] + [N] * (n - len(vals))
-    # kernel generator i is p^(N - a_i) * (V e_i), of order p^(a_i); the
-    # relations are diag(p^(a_i)) beside the image of din in those generators
+    live = [i for i in range(n) if avals[i]]
+    if not live:
+        return zero_module()
+    # relations: diag(p^(a_i)) beside the image of din in the live generators
     rel = []
-    for i in range(n):
+    for c, i in enumerate(live):
         gap = p ** (N - avals[i])
         y = [0] * k
         if k:
@@ -493,7 +508,8 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
                         y[col] += x * z
         if any(e % M % gap for e in y):
             raise ValueError("boundaries do not lie in the kernel")
-        rel.append([p ** avals[i] if j == i else 0 for j in range(n)] + [e % M // gap for e in y])
+        diag = [p ** avals[i] if j == c else 0 for j in range(len(live))]
+        rel.append(diag + [e % M // gap for e in y])
     vals2, *_ = snf_mod(rel, p, N + 1)
     if any(v > N for v in vals2):
         raise AssertionError("finite quotient exceeded its exponent bound")
@@ -509,18 +525,23 @@ def lattice_quotient_exponents(num, den, ambient: int, p: int, N: int) -> tuple[
     """Exponent multiset of (span(num) + D)/D inside (Z/p^N)^ambient, where
     D = span(den) + p^N Z^ambient.
 
-    num and den are iterables of integer coordinate vectors.  Everything
-    runs mod p^(N+1), one digit above the exponent bound p^N, which pins
-    the invariant factors exactly.
+    num and den are iterables of integer coordinate vectors.  One that is
+    0 mod p^N lies in p^N Z^ambient, inside D, so dropping it changes
+    neither D nor span(num) + D.  Everything runs mod p^(N+1), one digit
+    above the exponent bound p^N, which pins the invariant factors exactly.
     """
     M = p**N
     L1 = p ** (N + 1)
+
+    def live(vectors):
+        return [u for u in ([int(x) for x in v] for v in vectors) if any(x % M for x in u)]
+
     pad = [[M if i == j else 0 for j in range(ambient)] for i in range(ambient)]
-    g2 = [list(map(int, v)) for v in den] + pad
-    g1 = [list(map(int, v)) for v in num] + g2
+    g2 = live(den) + pad
+    g1 = live(num) + g2
     a1 = [[v[i] % L1 for v in g1] for i in range(ambient)]
     a2 = [[v[i] % L1 for v in g2] for i in range(ambient)]
-    vals1, u1, _, _, _ = snf_mod(a1, p, N + 1, want_rows=True)
+    vals1, u1, _, _, _ = snf_mod(a1, p, N + 1, want=("U",))
     vals1 = [min(v, N) for v in vals1]
     if len(vals1) < ambient:
         raise AssertionError("numerator lattice is not full rank")

@@ -3,7 +3,8 @@
 Nothing in here calls the package's elimination code: Smith factors come
 from determinant divisors, cohomology of small complexes from exhaustive
 enumeration, cohomology of cyclic groups from closed forms, and group
-structure from order statistics, associativity from every triple.  The
+structure from order statistics, associativity from every triple, lattice
+quotients from listing both subgroups.  The
 full bar complex is built one tuple at a time and returned as matrices;
 eliminating them is the caller's job, or that of
 ``cohomology_by_full_elimination``, a separate copy of the Z/p^N complex
@@ -158,6 +159,31 @@ def enumerate_cohomology_type(dout, din, n, p, N):
         cnt = int(in_img[((ker * p**k) % M) @ place(n)].sum())
         assert cnt % img_size == 0
         counts.append(cnt // img_size)
+    return abelian_type_from_divisor_counts(counts, p)
+
+
+def lattice_quotient_by_enumeration(num, den, ambient, p, N):
+    """Exponents, descending, of (span(num) + D)/D inside (Z/p^N)^ambient,
+    D = span(den), by listing both subgroups element by element (tiny
+    instances only).  A quotient class x + D is killed by p^k iff p^k x
+    lies in D, which gives the counts ``abelian_type_from_divisor_counts``
+    reads."""
+    M = p**N
+
+    def span(vectors):
+        out = {(0,) * ambient}
+        for v in vectors:
+            v = [int(x) % M for x in v]
+            out = {tuple((x + c * y) % M for x, y in zip(s, v)) for s in out for c in range(M)}
+        return out
+
+    d = span(den)
+    s = span(list(num) + list(den))
+    counts = []
+    for k in range(N + 1):
+        killed = sum(tuple(x * p**k % M for x in v) in d for v in s)
+        assert killed % len(d) == 0
+        counts.append(killed // len(d))
     return abelian_type_from_divisor_counts(counts, p)
 
 

@@ -1,7 +1,10 @@
-"""The benchmark tracer's contract: every function it wraps exists.
+"""The benchmark tracer's contract: every function it wraps exists, and
+the arguments it reads have the shape it assumes.
 
 ``perfbench/tracing.py`` looks its functions up by name, so a rename in
-``stabcoh`` would otherwise surface only in a traced benchmark run."""
+``stabcoh`` would otherwise surface only in a traced benchmark run; it
+also reads ``rows, cols = np.shape(args[0])`` on every ``snf_mod`` call,
+which fails on an empty or ragged first argument."""
 
 import importlib
 import sys
@@ -40,3 +43,52 @@ def test_apply_l_functors_calls_each_functor_once_per_cell(monkeypatch):
     exprs = [expr for _, expr in table.cells]
     assert len(exprs) > 0
     assert seen["l0"] == exprs and seen["l1"] == exprs
+
+
+def _snf_mod_spy(monkeypatch):
+    """The first argument of every snf_mod call, through each module that
+    binds the name."""
+    from stabcoh import cohomology, exact_linalg
+
+    seen = []
+    real = exact_linalg.snf_mod
+
+    def spy(A, *args, **kwargs):
+        seen.append(A)
+        return real(A, *args, **kwargs)
+
+    for module in (exact_linalg, cohomology):
+        monkeypatch.setattr(module, "snf_mod", spy)
+    return seen
+
+
+def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
+    from stabcoh import cli, cohomology
+
+    seen = _snf_mod_spy(monkeypatch)
+    # the memos are exact; emptied, every Smith form runs again
+    cohomology._stable_colimit_exponents.cache_clear()
+    cohomology._bar_crosscheck_class.cache_clear()
+    assert cli.main(["verify"]) == 0
+    for p in (3, 5, 7):
+        for w in (0, 1, 2, p - 1, p, -p * (p - 1)):
+            cohomology.continuous_via_quotients(p, w, 3)
+    capsys.readouterr()
+    bad = [
+        A for A in seen
+        if not (isinstance(A, list) and A and all(isinstance(r, list) and len(r) == len(A[0]) for r in A))
+    ]
+    assert len(seen) > 1000 and not bad, bad[:3]
+
+
+def test_no_live_generator_skips_the_relation_smith_form(monkeypatch):
+    # d^1 = diag(1, 3) over Z/8 has only unit pivots, so every kernel
+    # generator is dead and H^1 = 0; the relation matrix would have no
+    # rows, and it is never handed to snf_mod
+    from stabcoh.exact_linalg import BaseZMod, CochainComplex, complex_cohomology
+    from stabcoh.modules import zero_module
+
+    seen = _snf_mod_spy(monkeypatch)
+    c = CochainComplex(BaseZMod(2, 3), (1, 2, 2), ([{}, {}], [{0: 1}, {1: 3}]))
+    assert complex_cohomology(c, 1) == zero_module()
+    assert seen == [[[1, 0], [0, 3]]]

@@ -14,8 +14,10 @@ from oracles import (
     cyclic_cohomology,
     cyclic_group_data,
     dense_array,
+    enumerate_cohomology_type,
     full_bar_differential,
     is_associative,
+    lattice_quotient_by_enumeration,
     primitive_root_by_orbit,
     sparse_rows,
 )
@@ -29,6 +31,7 @@ from stabcoh.cohomology import (
     _bar_crosscheck_class,
     _bar_differential,
     _colimit_level,
+    _level_complex_matrices,
     _level_data,
     _min_level,
     _stable_colimit_exponents,
@@ -547,6 +550,28 @@ def _pushed_image(source, target, p, N, s, lag):
     scalar = [pow(p, ((s - i) // 2) * lag, M) for i in range(s + 1)]
     pushed = [[(x * c) % M for x, c in zip(z, scalar)] for z in source.cocycles[s]]
     return lattice_quotient_exponents(pushed, target.boundaries[s], s + 1, p, N)
+
+
+@pytest.mark.parametrize("p,N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_level_data_emits_exactly_the_live_generators(p, N):
+    # generator p^(N - a_i) V e_i of ker d^s is 0 mod p^N iff a_i = 0: the
+    # emitted cocycles are all nonzero, lie in ker d^s and span it (equal
+    # exponents, enumerated), at the lowest level and at r*
+    M = p**N
+    for w in (0, 1, 2, 3, 4, 6, -5):
+        a, t = _action_class(p, w, N)
+        for r in (_min_level(p, a, N), _colimit_level(p, a, N)):
+            cocycles = _level_data(p, a, t, r, N, 2).cocycles
+            diffs = _level_complex_matrices(p, a, t, r, N, 2)
+            for s in range(3):
+                gens = cocycles[s]
+                assert all(any(x % M for x in z) for z in gens), (w, r, s)
+                assert not any(
+                    sum(d * x for d, x in zip(row, z)) % M for row in diffs[s] for z in gens
+                ), (w, r, s)
+                assert lattice_quotient_by_enumeration(gens, [], s + 1, p, N) == (
+                    enumerate_cohomology_type(diffs[s], None, s + 1, p, N)
+                ), (w, r, s)
 
 
 def _search_colimit_exponents(p, a, t, N, s_top, level_ceiling):

@@ -1,8 +1,10 @@
 """Smith forms, cokernels, and cochain cohomology against hand oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     cohomology_by_full_elimination,
@@ -10,6 +12,7 @@ from oracles import (
     cyclic_group_data,
     dense_array,
     enumerate_cohomology_type,
+    lattice_quotient_by_enumeration,
     smith_diagonal_by_minor_gcds,
     sparse_rows,
 )
@@ -27,6 +30,8 @@ from stabcoh.exact_linalg import (
     vp,
 )
 from stabcoh.modules import ModuleExpr, cyclic, padic, zero_module
+
+ALL_TRANSFORMS = ("U", "Ui", "V", "Vi")
 
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda m: st.integers(min_value=1, max_value=4).flatmap(
@@ -93,7 +98,7 @@ def test_snf_transform_identity_and_divisibility(rows):
 @settings(max_examples=100)
 def test_snf_mod_agrees_with_integer_p_parts(rows, p, N):
     A = np.array(rows, dtype=np.int64)
-    vals, *T = snf_mod(rows, p, N, want_cols=True, want_rows=True)
+    vals, *T = snf_mod(rows, p, N, want=ALL_TRANSFORMS)
     U, Ui, V, Vi = (np.array(X, dtype=np.int64) for X in T)
     M = p**N
     D = (U @ A @ V) % M
@@ -148,8 +153,8 @@ def _check_mod_transforms(A, vals, U, Ui, V, Vi, p, L):
 def test_snf_mod_past_int64_matches_integer_p_parts(rows):
     # 3^40 > 2^63: these residues do not fit a machine word
     p, L = 3, 40
-    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want_cols=True, want_rows=True)
-    diag, *_ = snf_int(rows, transforms=False)
+    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
+    diag, *_ = snf_int(rows, want=())
     assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
     _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
 
@@ -175,8 +180,8 @@ def test_snf_mod_past_int64_matches_integer_p_parts(rows):
 def test_snf_mod_sparse_rows_match_integer_p_parts(rows, p, L):
     # mostly-zero rows, as the bar complexes give: elimination skips the
     # zeros of the pivot row, and the transforms must still be exact
-    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want_cols=True, want_rows=True)
-    diag, *_ = snf_int(rows, transforms=False)
+    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
+    diag, *_ = snf_int(rows, want=())
     assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
     _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
 
@@ -184,13 +189,35 @@ def test_snf_mod_sparse_rows_match_integer_p_parts(rows, p, L):
 def test_snf_mod_container_follows_input():
     # lists of rows in, lists of rows out, whatever their size
     rows = [[2, 4, 6], [1, 3, 5]]
-    vals, U, Ui, V, Vi = snf_mod(rows, 2, 3, want_cols=True, want_rows=True)
+    vals, U, Ui, V, Vi = snf_mod(rows, 2, 3, want=ALL_TRANSFORMS)
     assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
     _check_mod_transforms(rows, vals, U, Ui, V, Vi, 2, 3)
     big = [[(i * j) % 7 for j in range(20)] for i in range(20)]
-    vals, U, Ui, V, Vi = snf_mod(big, 7, 2, want_cols=True, want_rows=True)
+    vals, U, Ui, V, Vi = snf_mod(big, 7, 2, want=ALL_TRANSFORMS)
     assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
     _check_mod_transforms(big, vals, U, Ui, V, Vi, 7, 2)
+
+
+@given(small_matrices, st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=4))
+@settings(max_examples=60)
+def test_transforms_are_built_only_on_request(rows, p, L):
+    # every request gives the same diagonal; each transform asked for is
+    # the one the full request builds, which satisfies its identity, and
+    # each other one is None
+    full_mod = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
+    _check_mod_transforms(rows, *full_mod, p, L)
+    full_int = snf_int(rows, want=ALL_TRANSFORMS)
+    _check_int_transforms(rows, *full_int)
+    for k in range(len(ALL_TRANSFORMS) + 1):
+        for want in combinations(ALL_TRANSFORMS, k):
+            for got, full, order in (
+                (snf_mod(rows, p, L, want=want), full_mod, ("U", "Ui", "V", "Vi")),
+                (snf_int(rows, want=want), full_int, ("U", "V", "Ui", "Vi")),
+                (snf_trunc(rows, p, 64, want=want), full_int, ("U", "V", "Ui", "Vi")),
+            ):
+                assert got[0] == full[0], want
+                for name, T, F in zip(order, got[1:], full[1:]):
+                    assert T == (F if name in want else None), (want, name)
 
 
 def test_snf_truncated_base_and_precision_exhaustion():
@@ -264,12 +291,14 @@ def test_d_squared_is_checked_on_construction():
         )
 
 
-def _random_mod_complex(rng, p, N, n):
+def _random_mod_complex(rng, p, N, n, dout=None):
     """A two-differential complex over Z/p^N with d o d = 0, built from a
-    random map out and a random selection of its kernel as the map in."""
+    map out, random unless given, and a random selection of its kernel as
+    the map in."""
     M = p**N
-    dout = rng.integers(0, M, size=(rng.integers(1, 4), n))
-    vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want_cols=True)
+    if dout is None:
+        dout = rng.integers(0, M, size=(rng.integers(1, 4), n))
+    vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
     V = np.array(V, dtype=np.int64)
     gens = []
     avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
@@ -327,7 +356,7 @@ def test_tall_mod_cohomology_matches_full_elimination_and_enumeration(p, N):
             coeffs[rng.random(m) < 0.7] = 0
             dout = coeffs @ basis % M
             # din: random combinations of the kernel generators of dout
-            vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want_cols=True)
+            vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
             gens = np.array(V, dtype=np.int64) * p ** (N - np.array(vals)) % M
             din = gens @ rng.integers(0, M, size=(n, int(rng.integers(1, 4)))) % M
             c = CochainComplex(
@@ -405,3 +434,61 @@ def test_lattice_quotient_exponents():
     assert lattice_quotient_exponents([[1, 0], [0, 1]], [], 2, 2, 2) == (2, 2)
     assert lattice_quotient_exponents([], [[1, 0]], 2, 2, 3) == ()
     assert lattice_quotient_exponents([[2, 0]], [[8, 0]], 2, 2, 4) == (2,)
+
+
+@st.composite
+def _lattice_instances(draw):
+    """(p, N, ambient, num, den) with p^N <= 9 and ambient <= 3; vectors
+    are zero, 0 mod p^N (most of them not mod p^(N+1)) or arbitrary."""
+    p, N = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    ambient = draw(st.integers(min_value=1, max_value=3))
+    M = p**N
+    coords = st.lists(st.integers(min_value=-3 * M, max_value=3 * M), min_size=ambient, max_size=ambient)
+    vector = st.one_of(st.just([0] * ambient), coords.map(lambda v: [M * x for x in v]), coords)
+    num = draw(st.lists(vector, max_size=4))
+    den = draw(st.lists(vector, max_size=4))
+    return p, N, ambient, num, den
+
+
+@given(_lattice_instances(), st.booleans())
+@example((2, 2, 2, [[4, 0], [0, 1]], [[0, 2]]), False)
+@example((3, 1, 3, [[3, 0, 0], [1, 1, 0]], []), True)
+@example((2, 3, 1, [], [[8], [0]]), True)
+@example((3, 2, 2, [[9, 18], [0, 0], [1, 3]], [[27, 9], [0, 3]]), False)
+@settings(max_examples=200, deadline=None)
+def test_lattice_quotient_exponents_matches_enumeration(instance, as_arrays):
+    p, N, ambient, num, den = instance
+    want = lattice_quotient_by_enumeration(num, den, ambient, p, N)
+    if as_arrays:
+        num, den = (np.array(vs, dtype=np.int64).reshape(len(vs), ambient) for vs in (num, den))
+    assert lattice_quotient_exponents(num, den, ambient, p, N) == want
+
+
+@pytest.mark.parametrize("p,N", [(2, 2), (2, 3), (3, 2)])
+def test_mod_cohomology_relations_cover_the_live_generators(monkeypatch, p, N):
+    # kernel generator i, p^(N - a_i) V e_i, is 0 mod p^N iff a_i = 0; the
+    # relation matrix (the one Smith form mod p^(N+1)) has one row per
+    # generator with a_i >= 1 and none without, and the group is still the
+    # enumerated one.  Rows of dout are scaled by p^0 or p^1, so a_i = 0, 1
+    # and N all occur.
+    rng = np.random.default_rng(20261018 + 10 * p + N)
+    M = p**N
+    seen = set()
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        dout = rng.integers(0, M, size=(m, n)) * p ** rng.integers(0, 2, size=(m, 1)) % M
+        dout, din = _random_mod_complex(rng, p, N, n, dout)
+        vals = snf_mod(dout.tolist(), p, N)[0]
+        avals = [min(a, N) for a in vals] + [N] * (n - len(vals))
+        live = sum(a >= 1 for a in avals)
+        seen.update(avals)
+        c = CochainComplex(
+            BaseZMod(p, N), (din.shape[1], n, m), (sparse_rows(din), sparse_rows(dout))
+        )
+        calls = _snf_mod_spy(monkeypatch)
+        got = complex_cohomology(c, 1)
+        monkeypatch.undo()
+        assert [shape for shape, L in calls if L == N + 1] == ([(live, live + din.shape[1])] if live else [])
+        assert tuple(got.cyclics) == enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)
+    assert {0, 1, N} <= seen
