@@ -21,9 +21,10 @@ Two independent computational routes live here.
   pins |H^s(Z/p^N)| = |H^s(Z_p)/p^N| * |H^(s+1)(Z_p)[p^N]|.  Growth in N
   (order slopes) detects Z_p summands; the bounded remainder unfolds into
   the torsion of consecutive degrees starting from the torsion-free H^0.
-  Both limits are read at derived points, not searched for: the colimit
-  at level N + 1 (N + 2 at p = 2) with lag N, the unfolding at
-  n_top = max(4, v + 2) from the torsion bound max(v, 1).
+  Both limits are read at derived points: the colimit at level N + 1
+  (N + 2 at p = 2) with lag N, as its order log|coker B| - log|coker(P Z
+  + B)| alone (B the boundaries, P Z the pushed cocycles), the unfolding
+  at n_top = max(4, v + 2) from the torsion bound max(v, 1).
 
 Raw finite-level cohomology does *not* equal the continuous answer (for
 instance H^2((Z/2^r)^x, Z/2) has rank 3 for every r >= 4 while the
@@ -34,8 +35,8 @@ Finite quotients are realized through the standard splitting
 (Z/p^r)^x = (torsion) x (cyclic).  Every brute call checks this model
 against the bar complex of the same quotient, ``bar_cohomology_finite``,
 once per weight class and whenever the budget affords it, and reads the
-model through the same ``_level_data`` and lattice-quotient reader the
-sweep runs.
+model through ``_level_data`` and the sweep's own order reader as well as
+the lattice-quotient reader of full groups.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from .errors import BudgetExceeded, NoStabilization, PrecisionExhausted
+from .errors import BudgetExceeded, NoStabilization, PrecisionExhausted, UnsupportedPrime
 from .exact_linalg import (
     DEFAULT_PRECISION,
     PRECISION_CEILING,
@@ -57,7 +58,6 @@ from .exact_linalg import (
     snf_mod,
     vp,
 )
-from .errors import UnsupportedPrime
 from .modules import ModuleExpr, is_prime, zero_module
 
 __all__ = [
@@ -431,25 +431,27 @@ def bar_cohomology_finite(
 
 def _geometric_sum(a: int, count: int, M: int) -> int:
     """1 + a + ... + a^(count-1) mod M by binary splitting."""
-    total, power, length = 0, 1, 0  # power = a^length
-    add_total, add_power, add_len = 1, a % M, 1
+    total, power = 0, 1  # power = a^(terms summed so far)
+    add_total, add_power = 1, a % M
     bits = count
     while bits:
         if bits & 1:
             total = (total + power * add_total) % M
             power = (power * add_power) % M
-            length += add_len
         add_total = (add_total + add_power * add_total) % M
         add_power = (add_power * add_power) % M
-        add_len *= 2
         bits >>= 1
     return total
 
 
 @dataclass
 class _LevelData:
+    """Per degree s: kernel generators of d^s, the columns B of d^(s-1) and
+    log_p |coker B| over Z/p^N (the Smith valuations of d^(s-1), plus N)."""
+
     cocycles: list[list[list[int]]]  # per degree: generator vectors
     boundaries: list[list[list[int]]]
+    coker_orders: list[int]
 
 
 def _cyclic_order_at_level(p: int, r: int) -> int:
@@ -499,15 +501,17 @@ def _level_complex_matrices(p: int, a: int, t: int, r: int, N: int, s_top: int):
 
 def _level_data(p: int, a: int, t: int, r: int, N: int, s_top: int) -> _LevelData:
     """Per degree s, the kernel generators p^(N - a_i) V e_i of d^s with
-    a_i >= 1 (the others are 0 mod p^N) and the columns of d^(s-1)."""
+    a_i >= 1 (the others are 0 mod p^N), the columns of d^(s-1) and the
+    order of their cokernel (N at s = 0)."""
     diffs = _level_complex_matrices(p, a, t, r, N, s_top)
     M = p**N
-    cocycles, boundaries = [], []
+    cocycles, boundaries, coker_orders = [], [], [N]
     for s in range(s_top + 1):
         vals, _, _, V, _ = snf_mod(diffs[s], p, N, want=("V",))
         cocycles.append([[row[i] * p ** (N - a) % M for row in V] for i, a in enumerate(vals) if a])
         boundaries.append([list(col) for col in zip(*diffs[s - 1])] if s else [])
-    return _LevelData(cocycles, boundaries)
+        coker_orders.append(sum(vals) + N)  # d^s has s + 2 rows, s + 1 pivots
+    return _LevelData(cocycles, boundaries, coker_orders)
 
 
 def _colimit_level(p: int, a: int, N: int) -> int:
@@ -525,19 +529,37 @@ def _colimit_level(p: int, a: int, N: int) -> int:
     return r
 
 
-def _image_exponents(level: _LevelData, p: int, N: int, s: int, lag: int):
-    """Exponents of the image of H^s(phi^lag) on one level complex, where
-    phi, one inflation step, multiplies the cell in cyclic degree j by
-    p^floor(j/2) and leaves the torsion factor untouched."""
+def _pushed_cocycles(level: _LevelData, p: int, N: int, s: int, lag: int):
+    """P Z: the degree-s cocycles under phi^lag; phi, one inflation step,
+    multiplies cyclic degree j by p^floor(j/2), the torsion factor by 1."""
     M = p**N
     scalar = [pow(p, ((s - i) // 2) * lag, M) for i in range(s + 1)]
-    pushed = [[(x * c) % M for x, c in zip(z, scalar)] for z in level.cocycles[s]]
+    return [[(x * c) % M for x, c in zip(z, scalar)] for z in level.cocycles[s]]
+
+
+def _image_exponents(level: _LevelData, p: int, N: int, s: int, lag: int):
+    """Exponents of the image of H^s(phi^lag) on one level complex."""
+    pushed = _pushed_cocycles(level, p, N, s, lag)
     return lattice_quotient_exponents(pushed, level.boundaries[s], s + 1, p, N)
 
 
+def _image_order(level: _LevelData, p: int, N: int, s: int, lag: int) -> int:
+    """log_p |(span(P Z) + D)/D|, D = span(B) + p^N Z^(s+1): log|coker B| -
+    log|coker(P Z + B)| over Z/p^N, one diagonal-only Smith form with a
+    pivot in each of its s + 1 rows (a zero pivot counts N)."""
+    live = [z for z in _pushed_cocycles(level, p, N, s, lag) if any(z)]
+    if not live:
+        return 0
+    vals = snf_mod([list(row) for row in zip(*live, *level.boundaries[s])], p, N)[0]
+    order = level.coker_orders[s] - sum(vals)
+    if not 0 <= order <= N * (s + 1):
+        raise AssertionError(f"image order {order} outside [0, {N * (s + 1)}] in degree {s}")
+    return order
+
+
 @lru_cache(maxsize=4096)
-def _stable_colimit_exponents(p, a, t, N, s_top):
-    """For each degree s <= s_top, the exponents of the colimit of
+def _stable_colimit_orders(p, a, t, N, s_top):
+    """For each degree s <= s_top, log_p of the order of the colimit of
     H^s((Z/p^r)^x, Z/p^N(w)) along inflation, where (a, t) = (gamma^w,
     omega^w) mod p^N is the action class of w.
 
@@ -546,16 +568,18 @@ def _stable_colimit_exponents(p, a, t, N, s_top):
     is the chain map phi = diag(p^floor(j/2)), j the cyclic degree.  For a
     lag of at least N, phi^lag is one fixed projection P of C (identity in
     cyclic degrees 0 and 1, zero above), and phi P = P.  The colimit of
-    C -> C -> ... along phi is therefore im H(P), which is one image
-    computation per degree with lag* = N.  Every lower level inflates into
-    r*, so its classes reach the colimit through r* and add nothing.
+    C -> C -> ... along phi is therefore im H(P), whose order is one
+    ``_image_order`` per degree with lag* = N: log|coker B| - log|coker(P Z
+    + B)| over Z/p^N, one diagonal-only Smith form, since the sweep reads
+    orders only.  Every lower level inflates into r*, so its classes reach
+    the colimit through r* and add nothing.
 
     The cache is exact.  The complex at r* is built from p, N, s_top and
     the action class alone, and the function never sees w, so two weights
     with the same action class cannot get different answers.
     """
     level = _level_data(p, a, t, _colimit_level(p, a, N), N, s_top)
-    return tuple(_image_exponents(level, p, N, s, N) for s in range(s_top + 1))
+    return tuple(_image_order(level, p, N, s, N) for s in range(s_top + 1))
 
 
 def _bar_crosscheck(p: int, w: int, s_top: int):
@@ -578,7 +602,8 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     not |G|^3, but the rule stays: it fixes which classes are checked, and
     with them the bar_check certificates.  Returns (r, s_chk, bar groups), or None
     when skipped; a disagreement raises AssertionError.  The model side is
-    ``quotient_level_cohomology``, the sweep's own reader at lag 0.
+    ``quotient_level_cohomology`` at lag 0, and ``_image_order``, the order
+    reader the sweep runs, must give each checked group's order.
 
     ``units_group_data`` cannot refuse level r.  It asks that 1 + p^r act
     trivially, (1 + p^r)^w = 1 mod p^2, while r was chosen so that
@@ -607,8 +632,9 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
         return None
     bar = bar_cohomology_finite(g, s_chk)
     small = quotient_level_cohomology(p, w, r, N, s_chk)
+    level = _level_data(p, *_action_class(p, w, N), r, N, s_chk)
     for s in range(s_chk + 1):
-        if bar.group(s) != small[s]:
+        if bar.group(s) != small[s] or _image_order(level, p, N, s, 0) != small[s].torsion_length():
             raise AssertionError(
                 f"quotient model disagrees with the bar complex at level {r}, "
                 f"degree {s}"
@@ -624,12 +650,13 @@ def continuous_via_quotients(
 ) -> CohomologyResult:
     """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by finite-quotient descent.
 
-    Per coefficient precision N = 1..n_top the finite-level answers A^s_N
-    are the inflation colimits of ``_stable_colimit_exponents``, read at
-    the derived level r* (N + 1, or N + 2 at p = 2) with lag N; across N
-    the orders log_p |A^s_N| = rho_s N + m_s(N) + m_(s+1)(N) unfold into
-    the free ranks rho_s (order slopes, the Z_p detection rule) and the
-    torsion partitions m_s, seeded by the torsion-freeness of H^0.
+    Per coefficient precision N = 1..n_top the orders log_p |A^s_N| of
+    the inflation colimits come from ``_stable_colimit_orders`` at the
+    derived level r* (N + 1, or N + 2 at p = 2) with lag N, each as
+    log|coker B| - log|coker(P Z + B)| over Z/p^N (B the boundaries, P Z
+    the pushed cocycles).  Across N they unfold as rho_s N + m_s(N) +
+    m_(s+1)(N) into the free ranks rho_s (order slopes, the Z_p detection
+    rule) and the torsion partitions m_s, seeded by the torsion-free H^0.
 
     n_top is derived as well.  The structured complex of Z_p(w) has
     differentials [[h_s, 0], [+-p^v, h_(s-1)]] with h in {0, 1, -2, m}
@@ -661,10 +688,9 @@ def continuous_via_quotients(
     # top precision needs the highest level
     max_level = _colimit_level(p, _action_class(p, w, n_top)[0], n_top)
     bar = _bar_crosscheck(p, w, s_max)
-    orders: dict[int, list[int]] = {}
+    orders: dict[int, tuple[int, ...]] = {}
     for N in range(1, n_top + 1):
-        a, t = _action_class(p, w, N)
-        orders[N] = [sum(e) for e in _stable_colimit_exponents(p, a, t, N, s_max)]
+        orders[N] = _stable_colimit_orders(p, *_action_class(p, w, N), N, s_max)
     unfolded = _unfold_orders(orders, s_max, n_top)
     if unfolded is None:
         raise AssertionError(
@@ -690,7 +716,7 @@ def continuous_via_quotients(
     )
 
 
-def _unfold_orders(orders: dict[int, list[int]], s_top: int, n_top: int):
+def _unfold_orders(orders: dict[int, tuple[int, ...]], s_top: int, n_top: int):
     """Resolve a_s(N) = rho_s N + m_s(N) + m_(s+1)(N) with m_0 = 0.
 
     Returns (rho, tau), or None when the data contradicts saturation:
@@ -720,7 +746,7 @@ def _unfold_orders(orders: dict[int, list[int]], s_top: int, n_top: int):
         if m_next[n_top] != m_next[n_top - 1]:
             return None
         m_prev = m_next
-    return rho, [t for t in tau]
+    return rho, tau
 
 
 def _partition_from_counts(m: dict[int, int], n_top: int):
@@ -741,9 +767,8 @@ def _partition_from_counts(m: dict[int, int], n_top: int):
 
 def quotient_level_cohomology(p: int, w: int, r: int, N: int, s_max: int) -> list[ModuleExpr]:
     """Raw H^s((Z/p^r)^x, Z/p^N(w)) for s <= s_max from the periodic
-    product model, read by the sweep's own reader: ``_level_data`` and
-    ``_image_exponents`` at lag 0, where the push is the identity and the
-    image is the whole group.  The bar cross-check compares these groups
+    product model: ``_image_exponents`` at lag 0, the whole group, on the
+    sweep's ``_level_data``.  The bar cross-check compares these groups
     with the bar complex of the same finite group."""
     level = _level_data(p, *_action_class(p, w, N), r, N, s_max)
     return [ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0)) for s in range(s_max + 1)]

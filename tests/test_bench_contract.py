@@ -67,11 +67,11 @@ def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
 
     seen = _snf_mod_spy(monkeypatch)
     # the memos are exact; emptied, every Smith form runs again
-    cohomology._stable_colimit_exponents.cache_clear()
+    cohomology._stable_colimit_orders.cache_clear()
     cohomology._bar_crosscheck_class.cache_clear()
     assert cli.main(["verify"]) == 0
     for p in (3, 5, 7):
-        for w in (0, 1, 2, p - 1, p, -p * (p - 1)):
+        for w in (0, 1, 2, 3, -1, p - 1, p, -p * (p - 1)):
             cohomology.continuous_via_quotients(p, w, 3)
     capsys.readouterr()
     bad = [

@@ -31,10 +31,12 @@ from stabcoh.cohomology import (
     _bar_crosscheck_class,
     _bar_differential,
     _colimit_level,
+    _image_exponents,
+    _image_order,
     _level_complex_matrices,
     _level_data,
     _min_level,
-    _stable_colimit_exponents,
+    _stable_colimit_orders,
     _torsion_scalars,
     _units_groups,
     bar_cohomology_finite,
@@ -380,12 +382,31 @@ def test_bar_crosscheck_reads_the_sweeps_reader(monkeypatch):
     original = cohomology.lattice_quotient_exponents
 
     def clear_memos():
-        for memo in (_units_groups, _stable_colimit_exponents, _bar_crosscheck_class):
+        for memo in (_units_groups, _stable_colimit_orders, _bar_crosscheck_class):
             memo.cache_clear()
 
     monkeypatch.setattr(
         cohomology, "lattice_quotient_exponents", lambda *args: original(*args)[1:]
     )
+    clear_memos()
+    try:
+        with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
+            continuous_via_quotients(3, 0, 2)
+    finally:
+        clear_memos()
+
+
+def test_bar_crosscheck_reads_the_sweeps_order_reader(monkeypatch):
+    # the sweep reads orders through _image_order, not exponents; a fault
+    # there, one more than the true order, must trip the bar cross-check
+    # before the sweep reads a single colimit
+    original = cohomology._image_order
+
+    def clear_memos():
+        for memo in (_units_groups, _stable_colimit_orders, _bar_crosscheck_class):
+            memo.cache_clear()
+
+    monkeypatch.setattr(cohomology, "_image_order", lambda *args: original(*args) + 1)
     clear_memos()
     try:
         with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
@@ -531,13 +552,13 @@ def test_brute_colimit_memo_is_exact(p, weights):
     # the weights share action classes at small N, so later weights read
     # colimits that earlier ones put in the cache; fresh recomputation,
     # with the cache emptied first, must give the same groups
-    _stable_colimit_exponents.cache_clear()
+    _stable_colimit_orders.cache_clear()
     warm = [continuous_via_quotients(p, w, 3) for w in weights]
-    assert _stable_colimit_exponents.cache_info().hits > 0
+    assert _stable_colimit_orders.cache_info().hits > 0
     classes = {_action_class(p, w, 2) for w in weights}
     assert len(classes) < len(weights)
     for w, res in zip(weights, warm):
-        _stable_colimit_exponents.cache_clear()
+        _stable_colimit_orders.cache_clear()
         cold = continuous_via_quotients(p, w, 3)
         assert cold.groups == res.groups, (p, w)
         assert cold.certificate == res.certificate, (p, w)
@@ -617,17 +638,46 @@ def _search_colimit_exponents(p, a, t, N, s_top, level_ceiling):
 def test_derived_colimit_matches_search(p, N, u, k, s_top):
     # w = u p^k reaches the deep action classes a = 1 mod p^N as well as
     # the shallow ones; the derived level is N + 1 (N + 2 at p = 2), the
-    # search agrees with it, and one more level and one more lag change
+    # search agrees with it (the sweep's orders with the sums of the
+    # searched exponents, the exponent reader at r* and lag N with the
+    # exponents themselves), and one more level and one more lag change
     # nothing
     w = u * p**k
     a, t = _action_class(p, w, N)
-    exps, r = _stable_colimit_exponents(p, a, t, N, s_top), _colimit_level(p, a, N)
+    r = _colimit_level(p, a, N)
     assert r == N + (2 if p == 2 else 1), (p, w, N)
-    assert exps == _search_colimit_exponents(p, a, t, N, s_top, 2 * N + 24), (p, w, N)
+    searched = _search_colimit_exponents(p, a, t, N, s_top, 2 * N + 24)
+    assert _stable_colimit_orders(p, a, t, N, s_top) == tuple(map(sum, searched)), (p, w, N)
+    level = _level_data(p, a, t, r, N, s_top)
+    exps = tuple(_image_exponents(level, p, N, s, N) for s in range(s_top + 1))
+    assert exps == searched, (p, w, N)
     source = _level_data(p, a, t, r + 1, N, s_top)
     target = _level_data(p, a, t, r + 1 + N + 1, N, s_top)
     later = tuple(_pushed_image(source, target, p, N, s, N + 1) for s in range(s_top + 1))
     assert later == exps, (p, w, N)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    N=st.integers(1, 7),
+    u=st.integers(-24, 24),
+    k=st.integers(0, 8),
+    s_top=st.sampled_from([3, 5]),
+    lag=st.sampled_from([0, 1, "N"]),
+)
+def test_image_order_is_the_sum_of_the_image_exponents(p, N, u, k, s_top, lag):
+    # the sweep's order reader (one diagonal-only Smith form against the
+    # cokernel of d^(s-1)) and the exponent reader (two Smith forms and a
+    # transform) agree on every degree, at r* and at the lowest level
+    w = u * p**k
+    a, t = _action_class(p, w, N)
+    lag = N if lag == "N" else lag
+    for r in (_colimit_level(p, a, N), _min_level(p, a, N)):
+        level = _level_data(p, a, t, r, N, s_top)
+        for s in range(s_top + 1):
+            want = sum(_image_exponents(level, p, N, s, lag))
+            assert _image_order(level, p, N, s, lag) == want, (p, w, N, r, s, lag)
 
 
 @pytest.mark.parametrize(
