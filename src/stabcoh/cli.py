@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedPrime,
 )
-from .exact_linalg import DEFAULT_PRECISION
+from .exact_linalg import PRECISION_CEILING
 from .modules import derived_completion, format_module_expr, is_prime, parse_module_expr
 from .spectral import (
     BigradedTable,
@@ -110,13 +110,7 @@ def _emit_tables(tables: list[BigradedTable], fmt: str, out) -> None:
 def _route_cell_fn(route: str, cfg: RunConfig):
     if route == "structured":
         def fn(w):
-            return units_cohomology(
-                cfg.p,
-                w,
-                cfg.s_max,
-                precision=DEFAULT_PRECISION,
-                precision_ceiling=cfg.precision_max,
-            )
+            return units_cohomology(cfg.p, w, cfg.s_max, precision_ceiling=cfg.precision_max)
     elif route == "brute":
         def fn(w):
             return continuous_via_quotients(
@@ -316,7 +310,7 @@ def _add_common(sub, default_window="-48:48", default_smax=5):
         help="internal degree window LO:HI or a single T",
     )
     sub.add_argument("--smax", type=int, default=default_smax)
-    sub.add_argument("--precision-max", type=int, default=256, dest="precision_max")
+    sub.add_argument("--precision-max", type=int, default=PRECISION_CEILING, dest="precision_max")
     sub.add_argument("--format", choices=FORMATS, default="pretty")
     sub.add_argument(
         "--t0-even-row",

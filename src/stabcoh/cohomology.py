@@ -12,6 +12,7 @@ Two independent computational routes live here.
   2-periodic resolution of the torsion factor.  Rescaled by p-adic units
   it becomes a small integer complex (entries 0, 1, -2, the torsion order
   and p^v), eliminated exactly over Z under the Z_p precision contract,
+  once, at a precision read off the gcd of each differential's entries,
   so free ranks and torsion exponents come out certified.
 
 * ``continuous_via_quotients`` (brute): cohomology of the finite quotients
@@ -44,11 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import Optional
 
 from .errors import BudgetExceeded, NoStabilization, PrecisionExhausted, UnsupportedPrime
 from .exact_linalg import (
-    DEFAULT_PRECISION,
     PRECISION_CEILING,
     BaseZMod,
     BaseZpTrunc,
@@ -71,7 +72,6 @@ __all__ = [
     "bar_cohomology_finite",
     "continuous_via_quotients",
     "units_group_data",
-    "quotient_level_cohomology",
     "DEFAULT_BAR_BUDGET",
 ]
 
@@ -223,52 +223,53 @@ def _units_total_complex(
 
 
 @lru_cache(maxsize=4096)
-def _units_groups(p, h, c, s_max, precision, precision_ceiling):
-    """(groups, N): H^s of ``_units_total_complex(p, h, c, ...)`` for
-    s <= s_max as ((s, expr), ...), and the precision N they were certified
-    at.  Starts at the given precision and doubles on PrecisionExhausted up
-    to the ceiling; a refusal raises and is not cached.
+def _units_precision(p: int, h: tuple[int, int], c: int, s_max: int) -> int:
+    """N = 1 + max v_p(g), g the gcd of the entries of d^s for s <= s_max
+    (g = 0 skipped): gcd(h_even, c) for d^0, gcd(h_even, h_odd, c) above.
+    h_even h_odd = 0, so each d^s has rank <= 1 and one invariant factor,
+    g, and the relations d^(s-1) gives on the saturated kernel of d^s have
+    that same one.  Every valuation ``snf_trunc`` inspects is thus some
+    v_p(g): N certifies every degree <= s_max, and N - 1 does not.  Cached
+    (a pure function of its arguments) because every call of the route
+    reads it, memo hit or not."""
+    h_even, h_odd = h
+    gs = [gcd(h_even, c)] + [gcd(h_even, h_odd, c)] * min(s_max, 1)
+    return 1 + max((vp(g, p) for g in gs if g), default=0)
 
-    The cache is exact.  The complex, and so every elimination and every
-    precision decision, is built from p, h, c, s_max and N alone, and N
-    runs through a sequence fixed by precision and precision_ceiling.  The
-    function never sees w, so two weights with the same torsion scalars h
-    and the same c = p^v get the same groups and the same N.  The result
-    is a tuple of immutable module expressions; callers wrap it in a fresh
-    CohomologyResult and certificate."""
-    N = precision
-    while True:
-        try:
-            cx = _units_total_complex(p, h, c, s_max + 1, N)
-            return tuple((s, complex_cohomology(cx, s)) for s in range(s_max + 1)), N
-        except PrecisionExhausted:
-            if N >= precision_ceiling:
-                raise
-            N = min(2 * N, precision_ceiling)
+
+@lru_cache(maxsize=4096)
+def _units_groups(p, h, c, s_max):
+    """((s, H^s), ...) of ``_units_total_complex`` for s <= s_max, from one
+    elimination at N = ``_units_precision``; PrecisionExhausted there is an
+    internal error, raised as AssertionError and never cached.  The cache
+    is exact: the complex and N are built from the key alone and never see
+    w, so weights with the same torsion scalars h and the same c = p^v
+    share the groups, immutable module expressions that callers wrap in a
+    fresh CohomologyResult."""
+    N = _units_precision(p, h, c, s_max)
+    cx = _units_total_complex(p, h, c, s_max + 1, N)
+    try:
+        return tuple((s, complex_cohomology(cx, s)) for s in range(s_max + 1))
+    except PrecisionExhausted as e:
+        raise AssertionError(f"structured route not certified at precision {N}: {e}") from None
 
 
 def units_cohomology(
-    p: int,
-    w: int,
-    s_max: int,
-    precision: int = DEFAULT_PRECISION,
-    precision_ceiling: int = PRECISION_CEILING,
+    p: int, w: int, s_max: int, precision_ceiling: int = PRECISION_CEILING
 ) -> CohomologyResult:
-    """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by the structured route.
-
-    Starts at the given working precision, or at the ceiling when that is
-    lower, and doubles on PrecisionExhausted up to the ceiling.  Weights
-    that share the torsion scalars and v_p(gamma^|w| - 1) share one
-    elimination (``_units_groups``).
-    """
+    """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by the structured route: one
+    elimination (shared by the weights with the same torsion scalars and
+    v_p(gamma^|w| - 1), ``_units_groups``) at the precision
+    ``_units_precision`` reads off the complex.  A precision above the
+    ceiling is refused with PrecisionExhausted before any elimination."""
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
+    h = _torsion_scalars(p, w)
     c = p ** _anchor_valuation(p, w) if w else 0
-    groups, N = _units_groups(
-        p, _torsion_scalars(p, w), c, s_max,
-        min(precision, precision_ceiling), precision_ceiling,
-    )
-    return CohomologyResult(p, w, groups, "structured", {"precision": N})
+    N = _units_precision(p, h, c, s_max)
+    if N > precision_ceiling:
+        raise PrecisionExhausted(f"precision ceiling {precision_ceiling} hit for w={w}: needs {N}")
+    return CohomologyResult(p, w, _units_groups(p, h, c, s_max), "structured", {"precision": N})
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +603,9 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     not |G|^3, but the rule stays: it fixes which classes are checked, and
     with them the bar_check certificates.  Returns (r, s_chk, bar groups), or None
     when skipped; a disagreement raises AssertionError.  The model side is
-    ``quotient_level_cohomology`` at lag 0, and ``_image_order``, the order
-    reader the sweep runs, must give each checked group's order.
+    one ``_level_data`` at level r: ``_image_exponents`` at lag 0, the whole
+    group, and ``_image_order``, the order reader the sweep runs, which
+    must give each checked group's order.
 
     ``units_group_data`` cannot refuse level r.  It asks that 1 + p^r act
     trivially, (1 + p^r)^w = 1 mod p^2, while r was chosen so that
@@ -613,12 +615,12 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
 
     The cache is exact.  Everything the check reads of w is a power of a
     unit mod p^2: the action class (gamma^w, omega^w) mod p^2 that fixes r
-    and feeds ``quotient_level_cohomology``, and the descent test and the
-    action u -> u^w mod p^2 in ``units_group_data``.  Each depends only on
-    w mod e, the exponent of (Z/p^2)^x (negative w too: a negative power
-    mod p^2 is the inverse power), so the check of w mod e is the check of
-    w.  A failing check raises, and lru_cache stores no exception, so a
-    disagreement surfaces on every call."""
+    and builds the level, and the descent test and the action u -> u^w
+    mod p^2 in ``units_group_data``.  Each depends only on w mod e, the
+    exponent of (Z/p^2)^x (negative w too: a negative power mod p^2 is the
+    inverse power), so the check of w mod e is the check of w.  A failing
+    check raises, and lru_cache stores no exception, so a disagreement
+    surfaces on every call."""
     N = 2
     r = _min_level(p, _action_class(p, w, N)[0], N)
     if (p ** (r - 1) * (p - 1)) ** 3 > DEFAULT_BAR_BUDGET:
@@ -631,10 +633,10 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     if s_chk < 0:
         return None
     bar = bar_cohomology_finite(g, s_chk)
-    small = quotient_level_cohomology(p, w, r, N, s_chk)
     level = _level_data(p, *_action_class(p, w, N), r, N, s_chk)
     for s in range(s_chk + 1):
-        if bar.group(s) != small[s] or _image_order(level, p, N, s, 0) != small[s].torsion_length():
+        small = ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0))
+        if bar.group(s) != small or _image_order(level, p, N, s, 0) != small.torsion_length():
             raise AssertionError(
                 f"quotient model disagrees with the bar complex at level {r}, "
                 f"degree {s}"
@@ -764,11 +766,3 @@ def _partition_from_counts(m: dict[int, int], n_top: int):
         parts.extend([k] * (counts[k - 1] - nxt))
     return tuple(sorted(parts, reverse=True))
 
-
-def quotient_level_cohomology(p: int, w: int, r: int, N: int, s_max: int) -> list[ModuleExpr]:
-    """Raw H^s((Z/p^r)^x, Z/p^N(w)) for s <= s_max from the periodic
-    product model: ``_image_exponents`` at lag 0, the whole group, on the
-    sweep's ``_level_data``.  The bar cross-check compares these groups
-    with the bar complex of the same finite group."""
-    level = _level_data(p, *_action_class(p, w, N), r, N, s_max)
-    return [ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0)) for s in range(s_max + 1)]

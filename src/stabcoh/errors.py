@@ -7,7 +7,7 @@ class StabcohError(Exception):
 
 class PrecisionExhausted(StabcohError):
     """A p-adic rank or torsion decision could not be certified at the
-    working precision.  Callers should raise the precision and retry."""
+    working precision, or the precision it needs exceeds the ceiling."""
 
 
 class OutsideAtomClass(StabcohError):

@@ -15,8 +15,9 @@ arithmetic is on Python ints, so no modulus or size can overflow.
   and eliminate over Z, whose Smith form has the p-adic valuations of the
   one over Z_p.  Any rank or torsion decision that rests on an invariant
   factor of valuation N or more aborts with PrecisionExhausted.  Callers
-  double N and retry, up to a ceiling; an answer certified at N is the
-  same at every larger N.
+  derive N from the complex before eliminating (the structured route reads
+  it off the gcd of each rank-one differential's entries), so the check is
+  a safety net; an answer certified at N is the same at every larger N.
 
 ``snf_mod`` and ``snf_int`` build only the transforms their caller names.
 ``snf_mod`` eliminates dense lists of rows; ``_cohomology_mod`` densifies
@@ -33,7 +34,6 @@ from .errors import PrecisionExhausted
 from .modules import ModuleExpr, zero_module
 
 __all__ = [
-    "DEFAULT_PRECISION",
     "PRECISION_CEILING",
     "BaseZMod",
     "BaseZpTrunc",
@@ -46,7 +46,6 @@ __all__ = [
     "vp",
 ]
 
-DEFAULT_PRECISION = 8
 PRECISION_CEILING = 256
 
 

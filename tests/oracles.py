@@ -13,6 +13,10 @@ and ``dense_array`` convert between those matrices and the package's
 container for Z/p^N differentials, rows of dicts {column: value}.  The
 abutment of a collapsing page is read one degree (n, t) at a time by
 ``abutment_cell``, visiting the whole window.
+
+One helper does call the package: ``quotient_level_cohomology`` reads the
+periodic model's raw groups through the brute route's own level reader.
+It is no oracle for that reader; tests compare it with the bar complex.
 """
 
 import math
@@ -21,7 +25,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from stabcoh.cohomology import FiniteGroupData
+from stabcoh.cohomology import FiniteGroupData, _action_class, _image_exponents, _level_data
 from stabcoh.exact_linalg import vp
 from stabcoh.modules import ModuleExpr, cyclic, zero_module
 from stabcoh.spectral import BigradedTable
@@ -415,3 +419,11 @@ def abutment_by_cells(page, s_max=None):
     return BigradedTable(
         page.p, page.t_window, (0, s_max), "ss", tuple(cells), frozenset(collisions)
     )
+
+
+def quotient_level_cohomology(p, w, r, N, s_max):
+    """Raw H^s((Z/p^r)^x, Z/p^N(w)) for s <= s_max from the periodic
+    product model: ``_image_exponents`` at lag 0, the whole group, on the
+    brute route's ``_level_data``."""
+    level = _level_data(p, *_action_class(p, w, N), r, N, s_max)
+    return [ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0)) for s in range(s_max + 1)]

@@ -225,8 +225,8 @@ def test_verbose_brute_certificate_names_precision_cap(capsys):
 
 
 def test_precision_max_below_start_refused_by_both_routes(capsys):
-    # v_2(5^4 - 1) = 4 needs precision 5; --precision-max 4 is also below
-    # the structured route's starting precision 8, which must not pass it
+    # v_2(5^4 - 1) = 4: the structured route needs precision 5 and the
+    # brute route 6, so --precision-max 4 is refused by both
     for route in ("structured", "brute"):
         code, out, err = run_cli(
             capsys, "cohomology", "--t", "8", "--smax", "1",
@@ -234,6 +234,19 @@ def test_precision_max_below_start_refused_by_both_routes(capsys):
         )
         assert code == 3, route
         assert out == "" and f"route {route} failed" in err
+
+
+@pytest.mark.parametrize("t,refused,answered", [(2, 1, 2), (8, 4, 5), (128, 8, 9)])
+def test_structured_precision_max_exit_codes(capsys, t, refused, answered):
+    # the structured route needs precision 2, 5 and 9 at t = 2, 8 and 128:
+    # exit 3 one below that, 0 at it
+    for cap, want in ((refused, 3), (answered, 0)):
+        code, out, err = run_cli(
+            capsys, "cohomology", "--t", str(t), "--route", "structured",
+            "--precision-max", str(cap),
+        )
+        assert code == want, (t, cap)
+        assert (out == "") == (want == 3) and ("route structured failed" in err) == (want == 3)
 
 
 def test_unexpected_exception_exits_4_on_one_line(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Weight-module cohomology: routes, oracles, and cross-validation."""
 
 import dataclasses
+import math
 import random
 from itertools import permutations
 
@@ -19,6 +20,7 @@ from oracles import (
     is_associative,
     lattice_quotient_by_enumeration,
     primitive_root_by_orbit,
+    quotient_level_cohomology,
     sparse_rows,
 )
 from stabcoh import cohomology, exact_linalg
@@ -39,11 +41,12 @@ from stabcoh.cohomology import (
     _stable_colimit_orders,
     _torsion_scalars,
     _units_groups,
+    _units_precision,
+    _units_total_complex,
     bar_cohomology_finite,
     continuous_via_quotients,
     primitive_root,
     procyclic_generator,
-    quotient_level_cohomology,
     teichmuller,
     units_cohomology,
     units_group_data,
@@ -416,14 +419,25 @@ def test_bar_crosscheck_reads_the_sweeps_order_reader(monkeypatch):
 
 
 def test_bar_crosscheck_failure_is_never_cached(monkeypatch):
-    def broken(p, w, r, N, s_max):
-        return [cyclic(p, 5)] * (s_max + 1)
-
+    # a model side that reads Z/p^5 in every checked degree disagrees with
+    # the bar complex on every call, and no failure enters the memo
     _bar_crosscheck_class.cache_clear()
-    monkeypatch.setattr(cohomology, "quotient_level_cohomology", broken)
+    monkeypatch.setattr(cohomology, "_image_exponents", lambda *args: (5,))
     for _ in range(2):
         with pytest.raises(AssertionError, match="disagrees with the bar complex"):
             continuous_via_quotients(2, 3, 2)
+    assert _bar_crosscheck_class.cache_info().currsize == 0
+
+
+def test_bar_crosscheck_compares_groups_not_only_orders(monkeypatch):
+    # a model side that splits Z/p^2 into Z/p + Z/p keeps every order, so
+    # only the comparison of whole groups can catch it; at p = 2, w = 0 the
+    # checked H^0 is Z/4
+    original = cohomology._image_exponents
+    monkeypatch.setattr(cohomology, "_image_exponents", lambda *args: (1,) * sum(original(*args)))
+    _bar_crosscheck_class.cache_clear()
+    with pytest.raises(AssertionError, match="disagrees with the bar complex at level 2, degree 0"):
+        continuous_via_quotients(2, 0, 2)
     assert _bar_crosscheck_class.cache_info().currsize == 0
 
 
@@ -441,17 +455,21 @@ def test_units_cohomology_reference_cells():
     assert r.group(1) == cyclic(3, 1)
 
 
-def test_units_cohomology_deep_weights_trigger_precision_retry():
-    # v_2(5^64 - 1) = 8: the default working precision is insufficient and
-    # the doubling retry must kick in transparently
+def test_units_cohomology_deep_weight_reads_its_precision():
+    # v_2(5^64 - 1) = 8: d^0 = [0; 2^8] has invariant factor 2^8, so the
+    # one elimination runs at precision 9; w = 4 and w = 1 need 5 and 2
     r = units_cohomology(2, 64, 1)
     assert r.group(1) == cyclic(2, 8)
-    assert r.certificate["precision"] > 8
+    assert r.certificate["precision"] == 9
+    assert units_cohomology(2, 4, 1).certificate["precision"] == 5
+    assert units_cohomology(2, 1, 1).certificate["precision"] == 2
 
 
 def test_units_cohomology_precision_ceiling():
     with pytest.raises(PrecisionExhausted):
-        units_cohomology(2, 64, 1, precision=4, precision_ceiling=8)
+        units_cohomology(2, 64, 1, precision_ceiling=8)
+    r = units_cohomology(2, 64, 1, precision_ceiling=9)
+    assert r.group(1) == cyclic(2, 8) and r.certificate["precision"] == 9
 
 
 def test_units_cohomology_teichmuller_entries():
@@ -484,7 +502,7 @@ def _closed_form(p, w, s):
 def test_units_cohomology_odd_prime_closed_form(p):
     # the closed form, structured == brute and H^s(w) == H^s(-w) on both
     # routes; at p = 7 the weights run through torsion characters of order
-    # 1, 2, 3 and 6, and the deep ones need the precision retry
+    # 1, 2, 3 and 6, and the deep ones need precisions up to 13
     small = list(range(-2 * (p - 1), 2 * (p - 1) + 1))
     deep = [sign * p**k * (p - 1) for k in range(12) for sign in (1, -1)]
     s_max = 3
@@ -712,23 +730,93 @@ def test_structured_memo_is_exact(p, weights):
 
 
 def test_structured_certificate_precision_within_ceiling():
-    # the working precision starts at min(precision, ceiling), so a
-    # certificate never names a precision past the ceiling
+    # the route refuses exactly when its derived precision N exceeds the
+    # ceiling; otherwise it answers at N, never past the ceiling, with the
+    # groups it gives under the default ceiling
     for p in (2, 3, 5):
         for w in (0, 1, 2, p - 1, 4 * p, p**4 * (p - 1), -(p**6)):
-            for precision, ceiling in ((8, 4), (8, 5), (8, 16), (3, 3), (2, 7), (32, 256)):
+            full = units_cohomology(p, w, 2)
+            N = full.certificate["precision"]
+            for ceiling in (1, 2, 3, 4, 5, 7, 16, 256):
                 try:
-                    r = units_cohomology(p, w, 2, precision=precision, precision_ceiling=ceiling)
+                    r = units_cohomology(p, w, 2, precision_ceiling=ceiling)
                 except PrecisionExhausted:
-                    assert w != 0 and _anchor_valuation(p, w) >= ceiling, (p, w, ceiling)
+                    assert N > ceiling, (p, w, ceiling)
                     continue
-                assert r.certificate["precision"] <= ceiling, (p, w, precision, ceiling)
+                assert N <= ceiling, (p, w, ceiling)
+                assert r.groups == full.groups and r.certificate == {"precision": N}, (p, w)
     # v_2(5^4 - 1) = 4 needs precision 5: refused under a ceiling of 4,
     # answered at exactly 5 under a ceiling of 5
     with pytest.raises(PrecisionExhausted):
-        units_cohomology(2, 4, 1, precision=8, precision_ceiling=4)
-    r = units_cohomology(2, 4, 1, precision=8, precision_ceiling=5)
+        units_cohomology(2, 4, 1, precision_ceiling=4)
+    r = units_cohomology(2, 4, 1, precision_ceiling=5)
     assert r.group(1) == cyclic(2, 4) and r.certificate["precision"] == 5
+
+
+@st.composite
+def _structured_cases(draw):
+    """(p, w, s_max): |w| <= 60, or w = +-u p^k, deep in the valuation."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    deep = st.builds(
+        lambda u, k, sign: sign * u * p**k,
+        st.integers(1, 60), st.integers(0, 12), st.sampled_from([1, -1]),
+    )
+    return p, draw(st.integers(-60, 60) | deep), draw(st.sampled_from([0, 1, 5]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_structured_cases())
+def test_structured_derived_precision_is_minimal(case):
+    # N = 1 + max v_p(gcd of a differential's entries), read here off every
+    # differential of the complex: the route reports it, every degree is
+    # certified at N with the closed-form group, and at N - 1 some degree
+    # is refused
+    p, w, s_max = case
+    h = _torsion_scalars(p, w)
+    c = p ** _anchor_valuation(p, w) if w else 0
+    cx = _units_total_complex(p, h, c, s_max + 1, 1)
+    gs = [math.gcd(*(x for row in d for x in row)) for d in cx.differentials]
+    N = 1 + max((vp(g, p) for g in gs if g), default=0)
+    assert _units_precision(p, h, c, s_max) == N, (p, w, s_max)
+    assert units_cohomology(p, w, s_max).certificate["precision"] == N, (p, w, s_max)
+    cx = _units_total_complex(p, h, c, s_max + 1, N)
+    for s in range(s_max + 1):
+        assert complex_cohomology(cx, s) == _closed_form(p, w, s), (p, w, s)
+    if N >= 2:
+        coarse = _units_total_complex(p, h, c, s_max + 1, N - 1)
+        refused = 0
+        for s in range(s_max + 1):
+            try:
+                complex_cohomology(coarse, s)
+            except PrecisionExhausted:
+                refused += 1
+        assert refused, (p, w, s_max, N)
+
+
+def test_structured_refusal_precedes_elimination(monkeypatch):
+    # a ceiling below the derived precision is refused before the complex
+    # is eliminated, even with the memo empty
+    def forbidden(*args):
+        raise AssertionError("complex_cohomology called")
+
+    monkeypatch.setattr(cohomology, "complex_cohomology", forbidden)
+    _units_groups.cache_clear()
+    for p, w, ceiling in ((2, 64, 8), (2, 4, 4), (2, 1, 1), (2, 0, 1), (3, 2 * 3**13, 14)):
+        with pytest.raises(PrecisionExhausted, match=f"ceiling {ceiling} hit"):
+            units_cohomology(p, w, 3, precision_ceiling=ceiling)
+    assert _units_groups.cache_info().currsize == 0
+
+
+def test_structured_underived_precision_is_an_internal_error(monkeypatch):
+    # one below the derived precision, snf_trunc's check fires; that is an
+    # AssertionError (exit 4), raised on every call and never cached
+    real = cohomology._units_precision
+    monkeypatch.setattr(cohomology, "_units_precision", lambda *args: real(*args) - 1)
+    _units_groups.cache_clear()
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="not certified at precision 8"):
+            units_cohomology(2, 64, 1)
+    assert _units_groups.cache_info().currsize == 0
 
 
 def test_anchor_valuation_matches_direct_power():
@@ -762,8 +850,14 @@ def test_brute_certificate_reports_levels():
 
 
 def test_precision_monotonicity_structured():
+    # the structured complex's groups at the derived precision are its
+    # groups at every larger one
     for w in (0, 1, 4, 12):
-        base = units_cohomology(2, w, 3, precision=8)
-        for n in (16, 32):
-            again = units_cohomology(2, w, 3, precision=n)
-            assert [again.group(s) for s in range(4)] == [base.group(s) for s in range(4)]
+        h = _torsion_scalars(2, w)
+        c = 2 ** _anchor_valuation(2, w) if w else 0
+        N = units_cohomology(2, w, 3).certificate["precision"]
+        groups = []
+        for n in (N, 16, 32):
+            cx = _units_total_complex(2, h, c, 4, n)
+            groups.append([complex_cohomology(cx, s) for s in range(4)])
+        assert groups[0] == groups[1] == groups[2], w
