@@ -113,12 +113,7 @@ def _route_cell_fn(route: str, cfg: RunConfig):
             return units_cohomology(cfg.p, w, cfg.s_max, precision_ceiling=cfg.precision_max)
     elif route == "brute":
         def fn(w):
-            return continuous_via_quotients(
-                cfg.p,
-                w,
-                cfg.s_max,
-                precision_ceiling=min(cfg.precision_max, 24),
-            )
+            return continuous_via_quotients(cfg.p, w, cfg.s_max, precision_ceiling=cfg.precision_max)
     else:
         raise ValueError(route)
     return fn

@@ -42,11 +42,9 @@ the lattice-quotient reader of full groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from typing import Optional
 
 from .errors import BudgetExceeded, NoStabilization, PrecisionExhausted, UnsupportedPrime
 from .exact_linalg import (
@@ -59,7 +57,7 @@ from .exact_linalg import (
     snf_mod,
     vp,
 )
-from .modules import ModuleExpr, is_prime, zero_module
+from .modules import ModuleExpr, Value, is_prime, zero_module
 
 __all__ = [
     "FiniteGroupData",
@@ -124,13 +122,18 @@ def teichmuller(p: int, N: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    p: int
-    w: Optional[int]
-    groups: tuple[tuple[int, ModuleExpr], ...]
-    route: str
-    certificate: dict = field(default_factory=dict, compare=False)
+class CohomologyResult(Value):
+    """H^s by one route: ``groups`` holds (s, H^s) in increasing s.  Equality
+    and hashing read p, w, groups and route; the certificate, a record of
+    how the answer was reached, takes no part in them."""
+
+    __slots__ = ("p", "w", "groups", "route", "certificate")
+
+    def __init__(self, p, w, groups, route, certificate=None):
+        self._set(p, w, groups, route, {} if certificate is None else certificate)
+
+    def _key(self):
+        return self.p, self.w, self.groups, self.route
 
     def group(self, s: int) -> ModuleExpr:
         for deg, expr in self.groups:
@@ -276,8 +279,7 @@ def units_cohomology(
 # bar complexes of finite groups
 
 
-@dataclass(frozen=True)
-class FiniteGroupData:
+class FiniteGroupData(Value):
     """A finite group with an action on Z/p^N by units.
 
     table[i][j] is the index of g_i g_j; index 0 must be the identity.
@@ -290,12 +292,10 @@ class FiniteGroupData:
     |S| |G|^2 lookups instead of |G|^3, and the same verdict.
     """
 
-    p: int
-    N: int
-    table: tuple[tuple[int, ...], ...]
-    action: tuple[int, ...]
+    __slots__ = ("p", "N", "table", "action")
 
-    def __post_init__(self):
+    def __init__(self, p: int, N: int, table, action):
+        self._set(p, N, table, action)
         tbl = self.table
         n = len(tbl)
         if any(len(row) != n for row in tbl) or len(self.action) != n:
@@ -320,6 +320,9 @@ class FiniteGroupData:
             for j, k in enumerate(row)
         ):
             raise ValueError("action is not multiplicative")
+
+    def _key(self):
+        return self.p, self.N, self.table, self.action
 
     def __len__(self) -> int:
         return len(self.table)
@@ -445,14 +448,14 @@ def _geometric_sum(a: int, count: int, M: int) -> int:
     return total
 
 
-@dataclass
 class _LevelData:
     """Per degree s: kernel generators of d^s, the columns B of d^(s-1) and
     log_p |coker B| over Z/p^N (the Smith valuations of d^(s-1), plus N)."""
 
-    cocycles: list[list[list[int]]]  # per degree: generator vectors
-    boundaries: list[list[list[int]]]
-    coker_orders: list[int]
+    __slots__ = ("cocycles", "boundaries", "coker_orders")
+
+    def __init__(self, cocycles, boundaries, coker_orders):
+        self.cocycles, self.boundaries, self.coker_orders = cocycles, boundaries, coker_orders
 
 
 def _cyclic_order_at_level(p: int, r: int) -> int:
@@ -645,10 +648,7 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
 
 
 def continuous_via_quotients(
-    p: int,
-    w: int,
-    s_max: int,
-    precision_ceiling: int = 24,
+    p: int, w: int, s_max: int, precision_ceiling: int = PRECISION_CEILING
 ) -> CohomologyResult:
     """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by finite-quotient descent.
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact_linalg import PRECISION_CEILING
 from .modules import is_prime
 
@@ -11,19 +9,20 @@ ROUTES = ("structured", "brute", "ss", "golden")
 FORMATS = ("json", "csv", "pretty")
 
 
-@dataclass
 class RunConfig:
-    p: int = 2
-    t_lo: int = -48
-    t_hi: int = 48
-    s_max: int = 5
-    precision_max: int = PRECISION_CEILING
-    fmt: str = "pretty"
-    routes: tuple[str, ...] = ("structured",)
-    t0_even_row: bool = True
-    verbose: bool = False
+    """One run's settings, checked on construction."""
 
-    def __post_init__(self):
+    __slots__ = (
+        "p", "t_lo", "t_hi", "s_max", "precision_max", "fmt", "routes", "t0_even_row", "verbose",
+    )
+
+    def __init__(
+        self, p=2, t_lo=-48, t_hi=48, s_max=5, precision_max=PRECISION_CEILING,
+        fmt="pretty", routes=("structured",), t0_even_row=True, verbose=False,
+    ):
+        self.p, self.t_lo, self.t_hi, self.s_max = p, t_lo, t_hi, s_max
+        self.precision_max, self.fmt, self.routes = precision_max, fmt, routes
+        self.t0_even_row, self.verbose = t0_even_row, verbose
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.t_lo > self.t_hi:

@@ -27,11 +27,10 @@ leave out the kernel generators and vectors that are 0 mod p^N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import PrecisionExhausted
-from .modules import ModuleExpr, zero_module
+from .modules import Frozen, ModuleExpr, zero_module
 
 __all__ = [
     "PRECISION_CEILING",
@@ -64,16 +63,18 @@ def vp(n: int, p: int) -> int:
 # bases
 
 
-@dataclass(frozen=True)
-class BaseZMod:
-    p: int
-    N: int
+class BaseZMod(Frozen):
+    __slots__ = ("p", "N")
+
+    def __init__(self, p: int, N: int):
+        self._set(p, N)
 
 
-@dataclass(frozen=True)
-class BaseZpTrunc:
-    p: int
-    N: int
+class BaseZpTrunc(Frozen):
+    __slots__ = ("p", "N")
+
+    def __init__(self, p: int, N: int):
+        self._set(p, N)
 
 
 Base = Union[BaseZMod, BaseZpTrunc]
@@ -330,8 +331,7 @@ def snf_trunc(rows, p: int, N: int, want=("U", "Ui", "V", "Vi")):
 # cochain complexes
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(Frozen):
     """A finite complex of free modules in degrees 0..len(ranks)-1;
     differentials[i] maps degree i to i + 1.
 
@@ -341,11 +341,10 @@ class CochainComplex:
     ring on construction.
     """
 
-    base: Base
-    ranks: tuple[int, ...]
-    differentials: tuple
+    __slots__ = ("base", "ranks", "differentials")
 
-    def __post_init__(self):
+    def __init__(self, base: Base, ranks: tuple[int, ...], differentials: tuple):
+        self._set(base, ranks, differentials)
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
             raise ValueError("need exactly len(ranks)-1 differentials")
         for i, d in enumerate(self.differentials):

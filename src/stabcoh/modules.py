@@ -24,7 +24,6 @@ occur in the tables this package reproduces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ModuleExprParseError, NotProjective, OutsideAtomClass
@@ -50,8 +49,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModuleExpr:
+class Frozen:
+    """Base of the package's immutable records: a subclass names its
+    fields in ``__slots__`` and stores them with ``_set``, and assigning
+    or deleting an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+
+class Value(Frozen):
+    """A frozen record that hashes by ``_key()``, the tuple of its value's
+    fields, and equals itself or a record of its class with an equal one."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class ModuleExpr(Value):
     """Isomorphism class of a finite direct sum of p-local atoms.
 
     ``free``, ``padics`` and ``prufers`` count copies of Z_(p), Z_p and
@@ -61,22 +92,22 @@ class ModuleExpr:
     depend on an ambient prime.
     """
 
-    p: int | None
-    free: int = 0
-    padics: int = 0
-    cyclics: tuple[int, ...] = ()
-    prufers: int = 0
+    __slots__ = ("p", "free", "padics", "cyclics", "prufers")
 
-    def __post_init__(self):
-        if min(self.free, self.padics, self.prufers) < 0:
+    def __init__(self, p, free=0, padics=0, cyclics=(), prufers=0):
+        if min(free, padics, prufers) < 0:
             raise ValueError("negative atom multiplicity")
-        if any(k < 1 for k in self.cyclics):
+        if any(k < 1 for k in cyclics):
             raise ValueError("cyclic exponents must be >= 1")
-        object.__setattr__(self, "cyclics", tuple(sorted(self.cyclics, reverse=True)))
-        if self.is_zero:
-            object.__setattr__(self, "p", None)
-        elif self.p is None or self.p < 2:
+        cyclics = tuple(sorted(cyclics, reverse=True))
+        if not (free or padics or cyclics or prufers):
+            p = None
+        elif p is None or p < 2:
             raise ValueError("a nonzero expression needs a prime p >= 2")
+        self._set(p, free, padics, cyclics, prufers)
+
+    def _key(self):
+        return self.p, self.free, self.padics, self.cyclics, self.prufers
 
     @property
     def is_zero(self) -> bool:

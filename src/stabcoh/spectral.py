@@ -28,21 +28,18 @@ part is what the s = 1 row here means.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass
 
 from .errors import UnsupportedPrime, WindowMismatch
 from .modules import (
     ModuleExpr,
+    Value,
     cyclic,
     format_module_expr,
     l0,
     l1,
     local_free,
     padic,
-    parse_module_expr,
     prufer,
     zero_module,
 )
@@ -59,31 +56,28 @@ __all__ = [
     "compare_tables",
     "DEFAULT_T0_EVEN_ROW",
     "table_to_json",
-    "table_from_json",
     "table_to_csv",
 ]
 
 DEFAULT_T0_EVEN_ROW = True
 
 
-@dataclass(frozen=True)
-class BigradedTable:
+class BigradedTable(Value):
     """Map (s, t) -> module expression on a declared window; zero cells are
     absent, every key occurs once and every stored expression is canonical.
 
-    ``cells`` is the table's value: equality and hashing read it alone.
-    ``get`` looks a cell up in a dict built from it on construction, so a
-    lookup costs O(1) instead of a scan of the table."""
+    Equality and hashing read p, both windows, route, cells and collisions,
+    never ``_by_key``: the dict of ``cells`` built on construction, in which
+    ``get`` looks a cell up in O(1) instead of scanning the table."""
 
-    p: int
-    t_window: tuple[int, int]
-    s_window: tuple[int, int]
-    route: str
-    cells: tuple[tuple[tuple[int, int], ModuleExpr], ...]
-    collisions: frozenset[tuple[int, int]] = frozenset()
+    __slots__ = ("p", "t_window", "s_window", "route", "cells", "collisions", "_by_key")
 
-    def __post_init__(self):
+    def __init__(self, p, t_window, s_window, route, cells, collisions=frozenset()):
+        self._set(p, t_window, s_window, route, cells, collisions)
         _index_cells(self)
+
+    def _key(self):
+        return self.p, self.t_window, self.s_window, self.route, self.cells, self.collisions
 
     def get(self, s: int, t: int) -> ModuleExpr:
         expr = self._by_key.get((s, t))
@@ -113,7 +107,6 @@ def _index_cells(table) -> None:
         if key in index:
             raise ValueError(f"duplicate cell {key}")
         index[key] = expr
-    # not a field: equality and hashing never read it
     object.__setattr__(table, "_by_key", index)
 
 
@@ -207,22 +200,22 @@ def golden_table(
 # the collapsing page
 
 
-@dataclass(frozen=True)
-class SSPage:
+class SSPage(Value):
     """E_2 = E_infinity page: (i, s, t) -> module, i in {0, 1} only; its
     cells obey the rules of ``BigradedTable`` cells, and ``get`` reads the
-    same kind of dict index."""
+    same kind of dict index, which equality and hashing never read."""
 
-    p: int
-    t_window: tuple[int, int]
-    s_window: tuple[int, int]
-    cells: tuple[tuple[tuple[int, int, int], ModuleExpr], ...]
+    __slots__ = ("p", "t_window", "s_window", "cells", "_by_key")
 
-    def __post_init__(self):
+    def __init__(self, p, t_window, s_window, cells):
+        self._set(p, t_window, s_window, cells)
         for (i, _, _), _expr in self.cells:
             if i not in (0, 1):
                 raise ValueError("derived index must be 0 or 1")
         _index_cells(self)
+
+    def _key(self):
+        return self.p, self.t_window, self.s_window, self.cells
 
     def get(self, i: int, s: int, t: int) -> ModuleExpr:
         expr = self._by_key.get((i, s, t))
@@ -318,6 +311,8 @@ def compare_tables(a: BigradedTable, b: BigradedTable) -> list[tuple[int, int, M
 
 
 def table_to_json(table: BigradedTable) -> str:
+    import json  # only the json format needs it; verify never loads it
+
     doc = {
         "p": table.p,
         "window": {"t": list(table.t_window), "s": list(table.s_window)},
@@ -335,28 +330,9 @@ def table_to_json(table: BigradedTable) -> str:
     return json.dumps(doc, indent=2)
 
 
-def table_from_json(text: str) -> BigradedTable:
-    doc = json.loads(text)
-    p = doc["p"]
-    cells = []
-    collisions = set()
-    for cell in doc["cells"]:
-        s, t = cell["s"], cell["t"]
-        cells.append(((s, t), parse_module_expr(cell["module"], p=p)))
-        if cell.get("collision"):
-            collisions.add((s, t))
-    cells.sort(key=lambda it: it[0])
-    return BigradedTable(
-        p,
-        tuple(doc["window"]["t"]),
-        tuple(doc["window"]["s"]),
-        doc["route"],
-        tuple(cells),
-        frozenset(collisions),
-    )
-
-
 def table_to_csv(table: BigradedTable) -> str:
+    import csv  # only the csv format needs it; verify never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["s", "t", "module", "collision"])

@@ -12,13 +12,15 @@ cohomology that eliminates every row of the differential.  ``sparse_rows``
 and ``dense_array`` convert between those matrices and the package's
 container for Z/p^N differentials, rows of dicts {column: value}.  The
 abutment of a collapsing page is read one degree (n, t) at a time by
-``abutment_cell``, visiting the whole window.
+``abutment_cell``, visiting the whole window.  ``table_from_json`` reads
+back the package's JSON table format.
 
 One helper does call the package: ``quotient_level_cohomology`` reads the
 periodic model's raw groups through the brute route's own level reader.
 It is no oracle for that reader; tests compare it with the bar complex.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -27,7 +29,7 @@ import numpy as np
 
 from stabcoh.cohomology import FiniteGroupData, _action_class, _image_exponents, _level_data
 from stabcoh.exact_linalg import vp
-from stabcoh.modules import ModuleExpr, cyclic, zero_module
+from stabcoh.modules import ModuleExpr, cyclic, parse_module_expr, zero_module
 from stabcoh.spectral import BigradedTable
 
 
@@ -427,3 +429,25 @@ def quotient_level_cohomology(p, w, r, N, s_max):
     brute route's ``_level_data``."""
     level = _level_data(p, *_action_class(p, w, N), r, N, s_max)
     return [ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0)) for s in range(s_max + 1)]
+
+
+def table_from_json(text: str) -> BigradedTable:
+    """The table a ``table_to_json`` document describes."""
+    doc = json.loads(text)
+    p = doc["p"]
+    cells = []
+    collisions = set()
+    for cell in doc["cells"]:
+        s, t = cell["s"], cell["t"]
+        cells.append(((s, t), parse_module_expr(cell["module"], p=p)))
+        if cell.get("collision"):
+            collisions.add((s, t))
+    cells.sort(key=lambda it: it[0])
+    return BigradedTable(
+        p,
+        tuple(doc["window"]["t"]),
+        tuple(doc["window"]["s"]),
+        doc["route"],
+        tuple(cells),
+        frozenset(collisions),
+    )

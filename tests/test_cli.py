@@ -8,9 +8,10 @@ import time
 
 import pytest
 
+from oracles import table_from_json
 from stabcoh import cli
 from stabcoh.cli import main
-from stabcoh.spectral import compare_tables, table_from_json
+from stabcoh.spectral import compare_tables
 
 
 def run_cli(capsys, *argv):
@@ -214,14 +215,34 @@ def test_verify_compares_each_pair_once(capsys, monkeypatch):
 
 
 def test_verbose_brute_certificate_names_precision_cap(capsys):
-    # the brute route caps its precision at min(--precision-max, 24)
-    for cap, want in (("256", 24), ("16", 16)):
+    # the brute route's ceiling is --precision-max itself, with no cap of its own
+    for cap in ("256", "25", "16"):
         code, _, err = run_cli(
             capsys, "cohomology", "--p", "2", "--t", "2", "--smax", "1",
             "--route", "brute", "--precision-max", cap, "--verbose",
         )
         assert code == 0
-        assert f"'precision_ceiling': {want}" in err
+        assert f"'precision_ceiling': {cap}" in err
+
+
+def test_brute_precision_max_exit_codes_past_24(capsys):
+    # t = 2^22: w = 2^21, v_2(5^w - 1) = 23, so the brute route needs
+    # n_top = 25; it is refused before any work one below, answered at 25,
+    # and its s = 1 cell is the structured route's Z/2^23
+    window = ("--p", "2", "--t", "4194304:4194304", "--smax", "2")
+    code, out, err = run_cli(
+        capsys, "cohomology", *window, "--route", "brute", "--precision-max", "24"
+    )
+    assert code == 3 and out == ""
+    assert "route brute failed" in err and "needs coefficient precision 25" in err
+    code, out, _ = run_cli(
+        capsys, "cohomology", *window, "--route", "brute,structured",
+        "--precision-max", "25", "--format", "json",
+    )
+    assert code == 0
+    brute, structured = json.loads(out)
+    assert brute["route"] == "brute" and brute["cells"] == structured["cells"]
+    assert {"s": 1, "t": 4194304, "module": "Z/2^23", "collision": False} in brute["cells"]
 
 
 def test_precision_max_below_start_refused_by_both_routes(capsys):
@@ -296,15 +317,20 @@ def test_stdout_is_machine_parseable_in_json_mode(capsys):
     assert "certificate" in err  # verbose traces go to stderr
 
 
-def test_console_entry_point_subprocess():
-    # the child imports the same stabcoh as this test, installed or not
+def _package_env():
+    """The environment of a child that imports the same stabcoh as this test,
+    installed or not."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "stabcoh.cli", "l", "--s", "1", "Q/Z(2)"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "Zp"
@@ -312,9 +338,7 @@ def test_console_entry_point_subprocess():
 
 def test_python_dash_m_stabcoh():
     # python -m stabcoh runs the CLI and passes its exit code on
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = _package_env()
     ok = subprocess.run(
         [sys.executable, "-m", "stabcoh", "verify", "--t=-4:4", "--smax", "1"],
         capture_output=True,
@@ -329,32 +353,69 @@ def test_python_dash_m_stabcoh():
     assert bad.returncode == 2
 
 
+def _imports(*argv):
+    """(completed process, names of the modules it imported) of a child
+    run with -X importtime, which names every module imported, on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env=_package_env(),
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, names
+
+
+def test_cold_start_imports_only_what_runs():
+    # importing the CLI loads no dataclasses (nor inspect, which it pulls
+    # in) and neither of the two output-format modules; verify prints
+    # neither format, so a whole run loads neither.  Modules a bare
+    # interpreter already imports (site's, say) are not the package's.
+    bare = _imports("-c", "pass")[1]
+    unwanted = {"dataclasses", "inspect", "json", "csv"}
+    proc, names = _imports("-c", "import stabcoh.cli")
+    assert proc.returncode == 0 and "stabcoh.spectral" in names
+    assert not (names - bare) & unwanted
+    proc, names = _imports("-m", "stabcoh", "verify")
+    assert proc.returncode == 0 and "stabcoh.cohomology" in names
+    assert not (names - bare) & unwanted
+    # the formats that do load them print the same bytes as always
+    doc = {
+        "p": 2,
+        "window": {"t": [0, 2], "s": [0, 1]},
+        "route": "golden",
+        "cells": [
+            {"s": 0, "t": 0, "module": "Zp", "collision": False},
+            {"s": 1, "t": 0, "module": "Zp", "collision": False},
+            {"s": 1, "t": 2, "module": "Z/2", "collision": False},
+        ],
+    }
+    want = {
+        "json": json.dumps(doc, indent=2) + "\n",
+        "csv": "s,t,module,collision\n0,0,Zp,false\n1,0,Zp,false\n1,2,Z/2,false\n",
+    }
+    for fmt, text in want.items():
+        proc, names = _imports(
+            "-m", "stabcoh", "table", "--golden", "--t", "0:2", "--smax", "1", "--format", fmt
+        )
+        assert proc.returncode == 0 and fmt in names
+        assert proc.stdout == text, fmt
+
+
 def test_numpy_never_imported():
     # the package runs on the standard library: neither importing the CLI
-    # nor a whole python -m stabcoh verify loads numpy (-X importtime names
-    # every module imported, on stderr)
-    package_root = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    # nor a whole python -m stabcoh verify loads numpy
     probe = subprocess.run(
         [sys.executable, "-c", "import stabcoh.cli, sys; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_package_env(),
     )
     assert probe.returncode == 0 and probe.stdout.strip() == "False"
-    run = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "stabcoh", "verify"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    run, imported = _imports("-m", "stabcoh", "verify")
     assert run.returncode == 0
-    imported = [
-        line.rsplit("|", 1)[1].strip()
-        for line in run.stderr.splitlines()
-        if line.startswith("import time:")
-    ]
     assert "stabcoh.cohomology" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 

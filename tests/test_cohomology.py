@@ -1,6 +1,5 @@
 """Weight-module cohomology: routes, oracles, and cross-validation."""
 
-import dataclasses
 import math
 import random
 from itertools import permutations
@@ -26,6 +25,7 @@ from oracles import (
 from stabcoh import cohomology, exact_linalg
 from stabcoh.cohomology import (
     DEFAULT_BAR_BUDGET,
+    CohomologyResult,
     FiniteGroupData,
     _action_class,
     _anchor_valuation,
@@ -53,6 +53,7 @@ from stabcoh.cohomology import (
 )
 from stabcoh.errors import BudgetExceeded, NoStabilization, PrecisionExhausted
 from stabcoh.exact_linalg import (
+    PRECISION_CEILING,
     BaseZMod,
     CochainComplex,
     complex_cohomology,
@@ -521,11 +522,28 @@ def test_units_cohomology_odd_prime_closed_form(p):
 @given(p=st.sampled_from([2, 3, 5, 7]), u=st.integers(1, 1000), k=st.integers(0, 8))
 def test_weight_sign_symmetry_property(p, u, k):
     # H^s(w) == H^s(-w) on both routes and structured == brute, for
-    # weights w = u p^k up to v_p(w) = 17 (n_top 21 <= 24 at p = 2)
+    # weights w = u p^k up to v_p(w) = 17 (n_top up to 21, at p = 2)
     w = u * p**k
     structured = [units_cohomology(p, x, 3).groups for x in (w, -w)]
     brute = [continuous_via_quotients(p, x, 3).groups for x in (w, -w)]
     assert structured[0] == structured[1] == brute[0] == brute[1], (p, w)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    m=st.integers(0, 300),
+    n_top=st.integers(25, 60),
+    sign=st.sampled_from([1, -1]),
+)
+def test_brute_equals_structured_past_precision_24(p, m, n_top, sign):
+    # w = u p^k with u prime to p has v_p(gamma^w - 1) = k + 2 at p = 2 and
+    # k + 1 at odd p, so the brute route unfolds at n_top = v + 2 > 24
+    k = n_top - (4 if p == 2 else 3)
+    w = sign * (m * p + 1) * p**k
+    brute = continuous_via_quotients(p, w, 3)
+    assert brute.certificate["precision"] == n_top
+    assert brute.groups == units_cohomology(p, w, 3).groups, (p, w)
 
 
 def test_teichmuller_is_root_of_unity():
@@ -725,7 +743,7 @@ def test_structured_memo_is_exact(p, weights):
         (a, b) for i, a in enumerate(weights) for b in weights[i + 1 :] if key[a] == key[b]
     )
     ra, rb = units_cohomology(p, a, 3), units_cohomology(p, b, 3)
-    assert ra != rb and dataclasses.replace(ra, w=b) == rb
+    assert ra != rb and CohomologyResult(ra.p, b, ra.groups, ra.route, ra.certificate) == rb
     assert ra.certificate == rb.certificate and ra.certificate is not rb.certificate
 
 
@@ -819,6 +837,29 @@ def test_structured_underived_precision_is_an_internal_error(monkeypatch):
     assert _units_groups.cache_info().currsize == 0
 
 
+def test_cohomology_result_equality_ignores_the_certificate():
+    groups = ((0, padic(2)), (1, cyclic(2, 3)))
+    a = CohomologyResult(2, 4, groups, "structured", {"precision": 5})
+    b = CohomologyResult(2, 4, groups, "structured", {"precision": 9})
+    assert a == b and hash(a) == hash(b)
+    assert a != CohomologyResult(2, 6, groups, "structured")
+    assert a != CohomologyResult(2, 4, groups, "brute")
+    assert a != CohomologyResult(2, 4, groups[:1], "structured")
+    assert a != (2, 4, groups, "structured")
+    fresh, other = CohomologyResult(2, 4, groups, "bar"), CohomologyResult(2, 4, groups, "bar")
+    assert fresh.certificate == {} and fresh.certificate is not other.certificate
+
+
+def test_finite_group_data_is_a_frozen_value():
+    g = units_group_data(2, 3, 1, 2)
+    assert g == units_group_data(2, 3, 1, 2) and hash(g) == hash(units_group_data(2, 3, 1, 2))
+    assert g != units_group_data(2, 3, 1, 3) and g != units_group_data(2, 2, 1, 2)
+    res = bar_cohomology_finite(g, 1)
+    for record, name in ((g, "N"), (res, "groups"), (res, "certificate")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_anchor_valuation_matches_direct_power():
     for p in (2, 3, 5, 7):
         g = procyclic_generator(p)
@@ -832,15 +873,16 @@ def test_brute_certificate_reports_levels():
     r = continuous_via_quotients(2, 4, 2)
     assert r.certificate["max_level"] >= 6
     assert r.certificate["precision"] >= 6
-    assert r.certificate["precision_ceiling"] == 24
+    # the default ceiling is the package's one precision ceiling, 256
+    assert r.certificate["precision_ceiling"] == PRECISION_CEILING == 256
     # v_2(5^4 - 1) = 4 gives n_top = 6, read at level 6 + 2 with lag 6
     # and its bar cross-check ran at level 2 in degrees s <= 2
     assert r.certificate == {
-        "precision": 6, "max_level": 8, "lag": 6, "precision_ceiling": 24, "bar_check": [2, 2]
+        "precision": 6, "max_level": 8, "lag": 6, "precision_ceiling": 256, "bar_check": [2, 2]
     }
     r = continuous_via_quotients(3, 2 * 3**5, 2)
     assert r.certificate == {
-        "precision": 8, "max_level": 9, "lag": 8, "precision_ceiling": 24, "bar_check": [1, 2]
+        "precision": 8, "max_level": 9, "lag": 8, "precision_ceiling": 256, "bar_check": [1, 2]
     }
     r = continuous_via_quotients(2, 4, 2, precision_ceiling=12)
     assert r.certificate["precision_ceiling"] == 12

@@ -245,6 +245,15 @@ def test_complex_left_kernel_of_doubling_on_z8():
     assert complex_cohomology(c, 1) == cyclic(2, 1)
 
 
+def test_bases_and_complexes_are_frozen():
+    assert BaseZMod(2, 2) != BaseZpTrunc(2, 2) and BaseZpTrunc(2, 2) != BaseZMod(2, 2)
+    c = CochainComplex(BaseZMod(2, 3), (1, 1), ([{0: 2}],))
+    for record, name in ((BaseZMod(2, 2), "N"), (BaseZpTrunc(2, 2), "p"), (c, "ranks")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 3)
+    assert c.base.N == 3 and c.ranks == (1, 1)
+
+
 def test_complex_zero_differentials_returns_module():
     c = CochainComplex(BaseZMod(2, 2), (2, 2), ([{}, {}],))
     assert complex_cohomology(c, 0) == cyclic(2, 2, 2)

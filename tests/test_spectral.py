@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import abutment_by_cells, abutment_cell
+from oracles import abutment_by_cells, abutment_cell, table_from_json
 from stabcoh.errors import UnsupportedPrime, WindowMismatch
 from stabcoh.modules import ModuleExpr, cyclic, local_free, padic, prufer, zero_module
 from stabcoh.spectral import (
@@ -17,7 +17,6 @@ from stabcoh.spectral import (
     derived_ss_table,
     golden_table,
     hovey_sadofsky_table,
-    table_from_json,
     table_to_csv,
     table_to_json,
 )
@@ -215,6 +214,17 @@ def test_cell_index_takes_no_part_in_equality_or_hash():
     del cells[(1, 8)]
     c = BigradedTable(a.p, a.t_window, a.s_window, a.route, tuple(sorted(cells.items())))
     assert compare_tables(a, c) == [(1, 8, cyclic(2, 4), zero_module())]
+
+
+def test_tables_that_differ_only_in_route_or_collisions_are_unequal():
+    a = golden_table(t_window=(0, 8), s_max=2)
+    assert a == BigradedTable(a.p, a.t_window, a.s_window, a.route, a.cells)
+    assert a != BigradedTable(a.p, a.t_window, a.s_window, "ss", a.cells)
+    assert a != BigradedTable(a.p, a.t_window, a.s_window, a.route, a.cells, frozenset({(1, 8)}))
+    page = apply_l_functors(hovey_sadofsky_table(t_window=(0, 8), s_max=2))
+    for record, name in ((a, "cells"), (a, "_by_key"), (page, "cells")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
 
 
 def test_wide_window_assembly_matches_golden():
