@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedPrime,
 )
 from .exact_linalg import PRECISION_CEILING
-from .modules import derived_completion, format_module_expr, is_prime, parse_module_expr
+from .modules import cyclic, derived_completion, format_module_expr, is_prime, parse_module_expr
 from .spectral import (
     BigradedTable,
     compare_tables,
@@ -119,11 +119,10 @@ def _route_cell_fn(route: str, cfg: RunConfig):
     return fn
 
 
-def compute_route_table(route: str, cfg: RunConfig, verbose=False, err=None) -> BigradedTable:
+def compute_route_table(route: str, cfg: RunConfig) -> BigradedTable:
     """Weight-module cohomology on the window by a computational route.
-    Odd internal degrees carry no weight module and stay zero."""
-    if err is None:
-        err = sys.stderr
+    Odd internal degrees carry no weight module and stay zero; with
+    cfg.verbose each weight's certificate goes to stderr."""
     if route == "ss":
         return derived_ss_table(cfg.p, (cfg.t_lo, cfg.t_hi), cfg.s_max, cfg.t0_even_row)
     if route == "golden":
@@ -133,8 +132,8 @@ def compute_route_table(route: str, cfg: RunConfig, verbose=False, err=None) -> 
     cells = []
     for w in weights:
         res = fn(w)
-        if verbose:
-            err.write(f"[{route}] w={w}: certificate {res.certificate}\n")
+        if cfg.verbose:
+            sys.stderr.write(f"[{route}] w={w}: certificate {res.certificate}\n")
         t = 2 * w
         if not (cfg.t_lo <= t <= cfg.t_hi):
             continue
@@ -187,7 +186,7 @@ def cmd_cohomology(args) -> int:
     tables = []
     for route in cfg.routes:
         try:
-            tables.append(compute_route_table(route, cfg, verbose=cfg.verbose))
+            tables.append(compute_route_table(route, cfg))
         except (PrecisionExhausted, NoStabilization) as e:
             print(f"route {route} failed: {e}", file=sys.stderr)
             return EXIT_PRECISION
@@ -233,8 +232,6 @@ def cmd_table(args) -> int:
 
 def _inject_fault(table: BigradedTable, cell: tuple[int, int]) -> BigradedTable:
     """Flip one cell (debug aid for the negative verification test)."""
-    from .modules import cyclic
-
     cells = dict(table.cells)
     old = cells.pop(cell, None)
     if old is None or old == cyclic(table.p, 1):
@@ -263,7 +260,7 @@ def cmd_verify(args) -> int:
     tables = {}
     for route in ("ss", "structured", "brute", "golden"):
         try:
-            tables[route] = compute_route_table(route, cfg, verbose=cfg.verbose)
+            tables[route] = compute_route_table(route, cfg)
         except (PrecisionExhausted, NoStabilization) as e:
             print(f"route {route} failed: {e}", file=sys.stderr)
             return EXIT_PRECISION

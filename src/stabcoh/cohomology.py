@@ -35,9 +35,9 @@ from level r = N + 2 on, so levels grow with the coefficient precision.
 Finite quotients are realized through the standard splitting
 (Z/p^r)^x = (torsion) x (cyclic).  Every brute call checks this model
 against the bar complex of the same quotient, ``bar_cohomology_finite``,
-once per weight class and whenever the budget affords it, and reads the
-model through ``_level_data`` and the sweep's own order reader as well as
-the lattice-quotient reader of full groups.
+once per weight class and whenever the budget affords it: the model's
+groups are read with ``complex_cohomology``, as the bar groups are, and
+their orders through the sweep's own order reader.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .exact_linalg import (
     BaseZpTrunc,
     CochainComplex,
     complex_cohomology,
-    lattice_quotient_exponents,
     snf_mod,
     vp,
 )
@@ -433,19 +432,14 @@ def bar_cohomology_finite(
 # brute route: finite quotients, inflation colimits, N-unfolding
 
 
-def _geometric_sum(a: int, count: int, M: int) -> int:
-    """1 + a + ... + a^(count-1) mod M by binary splitting."""
-    total, power = 0, 1  # power = a^(terms summed so far)
-    add_total, add_power = 1, a % M
-    bits = count
-    while bits:
-        if bits & 1:
-            total = (total + power * add_total) % M
-            power = (power * add_power) % M
-        add_total = (add_total + add_power * add_total) % M
-        add_power = (add_power * add_power) % M
-        bits >>= 1
-    return total
+def _geometric_sum(a: int, q: int, M: int) -> int:
+    """1 + a + ... + a^(q-1) mod M.  The sum is (a^q - 1)/(a - 1) for
+    a != 1, and a^q = 1 mod (a - 1), so a^q - 1 read mod (a - 1) M is an
+    exact multiple of a - 1 whose quotient is the sum mod M."""
+    if a == 1:
+        return q % M
+    m = (a - 1) * M
+    return (pow(a, q, m) - 1) % m // (a - 1)
 
 
 class _LevelData:
@@ -541,12 +535,6 @@ def _pushed_cocycles(level: _LevelData, p: int, N: int, s: int, lag: int):
     return [[(x * c) % M for x, c in zip(z, scalar)] for z in level.cocycles[s]]
 
 
-def _image_exponents(level: _LevelData, p: int, N: int, s: int, lag: int):
-    """Exponents of the image of H^s(phi^lag) on one level complex."""
-    pushed = _pushed_cocycles(level, p, N, s, lag)
-    return lattice_quotient_exponents(pushed, level.boundaries[s], s + 1, p, N)
-
-
 def _image_order(level: _LevelData, p: int, N: int, s: int, lag: int) -> int:
     """log_p |(span(P Z) + D)/D|, D = span(B) + p^N Z^(s+1): log|coker B| -
     log|coker(P Z + B)| over Z/p^N, one diagonal-only Smith form with a
@@ -606,8 +594,10 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     not |G|^3, but the rule stays: it fixes which classes are checked, and
     with them the bar_check certificates.  Returns (r, s_chk, bar groups), or None
     when skipped; a disagreement raises AssertionError.  The model side is
-    one ``_level_data`` at level r: ``_image_exponents`` at lag 0, the whole
-    group, and ``_image_order``, the order reader the sweep runs, which
+    the level-r complex of ``_level_complex_matrices``, built as a
+    CochainComplex, which checks its shapes and d d = 0, and read by
+    ``complex_cohomology``, the bar side's reader; ``_image_order`` at lag
+    0 on that level's ``_level_data``, the order reader the sweep runs,
     must give each checked group's order.
 
     ``units_group_data`` cannot refuse level r.  It asks that 1 + p^r act
@@ -636,9 +626,13 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     if s_chk < 0:
         return None
     bar = bar_cohomology_finite(g, s_chk)
-    level = _level_data(p, *_action_class(p, w, N), r, N, s_chk)
+    a, t = _action_class(p, w, N)
+    diffs = _level_complex_matrices(p, a, t, r, N, s_chk)
+    sparse = tuple([{j: x for j, x in enumerate(row) if x} for row in d] for d in diffs)
+    model = CochainComplex(BaseZMod(p, N), tuple(range(1, s_chk + 3)), sparse)
+    level = _level_data(p, a, t, r, N, s_chk)
     for s in range(s_chk + 1):
-        small = ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0))
+        small = complex_cohomology(model, s)
         if bar.group(s) != small or _image_order(level, p, N, s, 0) != small.torsion_length():
             raise AssertionError(
                 f"quotient model disagrees with the bar complex at level {r}, "

@@ -1,15 +1,18 @@
 """Exact kernels, cokernels and cohomology via Smith normal form.
 
-Two base rings are supported, each with one matrix container; all
-arithmetic is on Python ints, so no modulus or size can overflow.
+Two base rings are supported; all arithmetic is on Python ints, so no
+modulus or size can overflow.
 
 * ``BaseZMod(p,N)`` -- the finite ring Z/p^N; every question is decidable
-  in-ring.  Complexes over it (the bar complexes) hold sparse rows, one
-  dict {column: value mod p^N} per row.  The Smith forms pivot on a
+  in-ring.  Complexes over it (the bar complexes, and the brute route's
+  model at the level its bar check reads) hold sparse rows, one dict
+  {column: value mod p^N} per row.  The Smith forms pivot on a
   globally minimal valuation at every step, so the valuation chain is
   non-decreasing.  A differential with n columns and more than 2n rows is
   eliminated on its first 2n rows, whose span is checked to hold every
   row, so the answer is that of the full matrix (``_cohomology_mod``).
+  Their groups have one reader, ``lattice_quotient_exponents``, which
+  ``_cohomology_mod`` calls in the live kernel coordinates.
 * ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
   Differentials are exact integer matrices held as rows of Python ints
   and eliminate over Z, whose Smith form has the p-adic valuations of the
@@ -459,14 +462,16 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
     lie in the span of P, so that matrix has the row span of dout and needs
     no second check.
 
-    Kernel generator i, p^(N - a_i) V e_i, has order p^(a_i); only the live
-    ones, a_i >= 1, get relations.  A dead one is 0: its row would be a
-    unit beside the image of din over p^N, itself 0 mod p^N, so it splits
-    off as a unit invariant factor and its kernel test checks nothing.
+    In the coordinates z = V^-1 x the kernel is spanned by the generators
+    p^(N - a_i) e_i, of order p^(a_i).  A dead one, a_i = 0, is 0 mod p^N,
+    and so is coordinate i of every boundary, since the complex checked
+    d d = 0 on construction and boundaries are cocycles.  The group is
+    therefore ``lattice_quotient_exponents`` in the live coordinates alone:
+    numerator the live generators, denominator the columns of V^-1 din
+    restricted to the live rows.
     """
     if n == 0:
         return zero_module()
-    M = p**N
 
     def dense(rows):
         return [[row.get(j, 0) for j in range(n)] for row in rows]
@@ -494,29 +499,22 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
     live = [i for i in range(n) if avals[i]]
     if not live:
         return zero_module()
-    # relations: diag(p^(a_i)) beside the image of din in the live generators
-    rel = []
-    for c, i in enumerate(live):
-        gap = p ** (N - avals[i])
-        y = [0] * k
-        if k:
+    gens = [
+        [p ** (N - avals[i]) if c == e else 0 for e in range(len(live))] for c, i in enumerate(live)
+    ]
+    image = [[0] * k for _ in live]  # live rows of V^-1 din
+    if k:
+        for y, i in zip(image, live):
             for j, x in enumerate(vi[i]):
                 if x:
                     for col, z in din[j].items():
                         y[col] += x * z
-        if any(e % M % gap for e in y):
-            raise ValueError("boundaries do not lie in the kernel")
-        diag = [p ** avals[i] if j == c else 0 for j in range(len(live))]
-        rel.append(diag + [e % M // gap for e in y])
-    vals2, *_ = snf_mod(rel, p, N + 1)
-    if any(v > N for v in vals2):
-        raise AssertionError("finite quotient exceeded its exponent bound")
-    exps = tuple(v for v in vals2 if 1 <= v <= N)
+    exps = lattice_quotient_exponents(gens, zip(*image), len(live), p, N)
     return ModuleExpr(p, cyclics=exps)
 
 
 # ---------------------------------------------------------------------------
-# finite lattice quotients (used by the finite-quotient cohomology route)
+# finite lattice quotients (the group reader of every Z/p^N complex)
 
 
 def lattice_quotient_exponents(num, den, ambient: int, p: int, N: int) -> tuple[int, ...]:

@@ -15,9 +15,13 @@ abutment of a collapsing page is read one degree (n, t) at a time by
 ``abutment_cell``, visiting the whole window.  ``table_from_json`` reads
 back the package's JSON table format.
 
-One helper does call the package: ``quotient_level_cohomology`` reads the
-periodic model's raw groups through the brute route's own level reader.
-It is no oracle for that reader; tests compare it with the bar complex.
+Two helpers do call the package.  ``image_exponents`` reads the image of
+inflation on one of the brute route's levels as a group, with
+``lattice_quotient_exponents`` on ``_level_data``; it is the reference
+for the sweep's order reader ``_image_order`` at every lag.
+``quotient_level_cohomology`` is that reader at lag 0, the periodic
+model's raw groups.  Neither is an oracle for the code it calls; tests
+compare them with the bar complex and with enumeration.
 """
 
 import json
@@ -27,8 +31,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from stabcoh.cohomology import FiniteGroupData, _action_class, _image_exponents, _level_data
-from stabcoh.exact_linalg import vp
+from stabcoh.cohomology import FiniteGroupData, _action_class, _level_data, _pushed_cocycles
+from stabcoh.exact_linalg import lattice_quotient_exponents, vp
 from stabcoh.modules import ModuleExpr, cyclic, parse_module_expr, zero_module
 from stabcoh.spectral import BigradedTable
 
@@ -423,12 +427,19 @@ def abutment_by_cells(page, s_max=None):
     )
 
 
+def image_exponents(level, p, N, s, lag):
+    """Exponents of the image of H^s(phi^lag) on one level complex of the
+    brute route: the pushed cocycles modulo the boundaries."""
+    pushed = _pushed_cocycles(level, p, N, s, lag)
+    return lattice_quotient_exponents(pushed, level.boundaries[s], s + 1, p, N)
+
+
 def quotient_level_cohomology(p, w, r, N, s_max):
     """Raw H^s((Z/p^r)^x, Z/p^N(w)) for s <= s_max from the periodic
-    product model: ``_image_exponents`` at lag 0, the whole group, on the
+    product model: ``image_exponents`` at lag 0, the whole group, on the
     brute route's ``_level_data``."""
     level = _level_data(p, *_action_class(p, w, N), r, N, s_max)
-    return [ModuleExpr(p, cyclics=_image_exponents(level, p, N, s, 0)) for s in range(s_max + 1)]
+    return [ModuleExpr(p, cyclics=image_exponents(level, p, N, s, 0)) for s in range(s_max + 1)]
 
 
 def table_from_json(text: str) -> BigradedTable:

@@ -1,5 +1,6 @@
-"""The benchmark tracer's contract: every function it wraps exists, and
-the arguments it reads have the shape it assumes.
+"""The benchmark tracer's contract: every function it wraps exists, every
+call of a traced layer goes through its wrapper, and the arguments it
+reads have the shape it assumes.
 
 ``perfbench/tracing.py`` looks its functions up by name, so a rename in
 ``stabcoh`` would otherwise surface only in a traced benchmark run; it
@@ -12,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from tracing import TRACED  # noqa: E402
+from tracing import ROUTES, TRACED, Tracer  # noqa: E402
 
 
 def test_every_traced_function_resolves():
@@ -22,6 +23,47 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"stabcoh.{module}"), func, None))
     ]
     assert TRACED and not missing, missing
+
+
+def test_tracer_sees_every_layer_of_verify(capsys):
+    # the tracer rebinds each traced name wherever stabcoh binds it; a call
+    # that reaches a function some other way (a dict of route functions, a
+    # name bound before the tracer ran) would read 0 on its per-layer
+    # metric, so every traced layer must show calls on a cold verify, one
+    # certificate per weight of t in [-48, 48] on each route
+    from stabcoh import cli, cohomology
+
+    modules = {
+        name: mod for name, mod in sys.modules.items() if name == "stabcoh" or name.startswith("stabcoh.")
+    }
+    before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    for memo in (
+        cohomology._units_precision,
+        cohomology._units_groups,
+        cohomology._stable_colimit_orders,
+        cohomology._bar_crosscheck_class,
+    ):
+        memo.cache_clear()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify"]) == 0
+    finally:
+        for name, mod in modules.items():
+            for attr, value in before[name].items():
+                if getattr(mod, attr) is not value:
+                    setattr(mod, attr, value)
+    capsys.readouterr()
+    assert all(
+        getattr(mod, attr) is value for name, mod in modules.items() for attr, value in before[name].items()
+    )
+    assert len(tracer.certificates["structured"]) == 49
+    assert len(tracer.certificates["brute"]) == 49
+    stats = tracer.layer_stats()
+    names = [f"cli.compute_route_table.{route}" for route in ROUTES]
+    names += [f"{module}.{func}" for module, func in TRACED if func != "compute_route_table"]
+    unseen = [name for name in names if not stats.get(name, {}).get("calls")]
+    assert not unseen, unseen
 
 
 def test_apply_l_functors_calls_each_functor_once_per_cell(monkeypatch):

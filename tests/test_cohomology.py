@@ -6,7 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     bar_cohomology_by_enumeration,
@@ -16,13 +16,14 @@ from oracles import (
     dense_array,
     enumerate_cohomology_type,
     full_bar_differential,
+    image_exponents,
     is_associative,
     lattice_quotient_by_enumeration,
     primitive_root_by_orbit,
     quotient_level_cohomology,
     sparse_rows,
 )
-from stabcoh import cohomology, exact_linalg
+from stabcoh import cli, cohomology, exact_linalg
 from stabcoh.cohomology import (
     DEFAULT_BAR_BUDGET,
     CohomologyResult,
@@ -33,7 +34,7 @@ from stabcoh.cohomology import (
     _bar_crosscheck_class,
     _bar_differential,
     _colimit_level,
-    _image_exponents,
+    _geometric_sum,
     _image_order,
     _level_complex_matrices,
     _level_data,
@@ -60,7 +61,7 @@ from stabcoh.exact_linalg import (
     lattice_quotient_exponents,
     vp,
 )
-from stabcoh.modules import cyclic, is_prime, padic, zero_module
+from stabcoh.modules import ModuleExpr, cyclic, is_prime, padic, zero_module
 
 
 # --- number-theoretic anchor -------------------------------------------------
@@ -379,25 +380,27 @@ def test_bar_crosscheck_level_always_descends(p):
         assert len(units_group_data(p, r, w, 2)) == p ** (r - 1) * (p - 1)
 
 
+def _clear_brute_memos():
+    for memo in (_units_groups, _stable_colimit_orders, _bar_crosscheck_class):
+        memo.cache_clear()
+
+
 def test_bar_crosscheck_reads_the_sweeps_reader(monkeypatch):
-    # a fault in the lattice-quotient reader the sweep runs must trip the
-    # bar cross-check; at p = 3, w = 0 its checked H^0 is Z/9, so dropping
-    # an exponent changes a checked group
-    original = cohomology.lattice_quotient_exponents
-
-    def clear_memos():
-        for memo in (_units_groups, _stable_colimit_orders, _bar_crosscheck_class):
-            memo.cache_clear()
-
+    # the group reader of every Z/p^N complex, bar and model alike, is
+    # lattice_quotient_exponents; a fault there that drops an exponent
+    # must trip the bar cross-check even though both sides share it: at
+    # p = 3, w = 0 the checked H^0 is Z/9 on both sides, and the sweep's
+    # order reader, which does not call it, still reads order 2
+    original = exact_linalg.lattice_quotient_exponents
     monkeypatch.setattr(
-        cohomology, "lattice_quotient_exponents", lambda *args: original(*args)[1:]
+        exact_linalg, "lattice_quotient_exponents", lambda *args: original(*args)[1:]
     )
-    clear_memos()
+    _clear_brute_memos()
     try:
         with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
             continuous_via_quotients(3, 0, 2)
     finally:
-        clear_memos()
+        _clear_brute_memos()
 
 
 def test_bar_crosscheck_reads_the_sweeps_order_reader(monkeypatch):
@@ -405,28 +408,42 @@ def test_bar_crosscheck_reads_the_sweeps_order_reader(monkeypatch):
     # there, one more than the true order, must trip the bar cross-check
     # before the sweep reads a single colimit
     original = cohomology._image_order
-
-    def clear_memos():
-        for memo in (_units_groups, _stable_colimit_orders, _bar_crosscheck_class):
-            memo.cache_clear()
-
     monkeypatch.setattr(cohomology, "_image_order", lambda *args: original(*args) + 1)
-    clear_memos()
+    _clear_brute_memos()
     try:
         with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
             continuous_via_quotients(3, 0, 2)
     finally:
-        clear_memos()
+        _clear_brute_memos()
+
+
+def _fault_on_model(monkeypatch, fault):
+    """Let fault rewrite every group the bar cross-check reads off the
+    periodic model's complex, whose degree s has rank s + 1; the bar
+    complexes keep their honest groups.  Returns the model degrees read."""
+    real = cohomology.complex_cohomology
+    degrees = []
+
+    def reader(c, s):
+        got = real(c, s)
+        if c.ranks != tuple(range(1, len(c.ranks) + 1)):
+            return got
+        degrees.append(s)
+        return fault(got)
+
+    monkeypatch.setattr(cohomology, "complex_cohomology", reader)
+    return degrees
 
 
 def test_bar_crosscheck_failure_is_never_cached(monkeypatch):
     # a model side that reads Z/p^5 in every checked degree disagrees with
     # the bar complex on every call, and no failure enters the memo
     _bar_crosscheck_class.cache_clear()
-    monkeypatch.setattr(cohomology, "_image_exponents", lambda *args: (5,))
+    degrees = _fault_on_model(monkeypatch, lambda _: cyclic(2, 5))
     for _ in range(2):
         with pytest.raises(AssertionError, match="disagrees with the bar complex"):
             continuous_via_quotients(2, 3, 2)
+    assert degrees == [0, 0]
     assert _bar_crosscheck_class.cache_info().currsize == 0
 
 
@@ -434,12 +451,39 @@ def test_bar_crosscheck_compares_groups_not_only_orders(monkeypatch):
     # a model side that splits Z/p^2 into Z/p + Z/p keeps every order, so
     # only the comparison of whole groups can catch it; at p = 2, w = 0 the
     # checked H^0 is Z/4
-    original = cohomology._image_exponents
-    monkeypatch.setattr(cohomology, "_image_exponents", lambda *args: (1,) * sum(original(*args)))
+    degrees = _fault_on_model(
+        monkeypatch, lambda got: ModuleExpr(2, cyclics=(1,) * got.torsion_length())
+    )
     _bar_crosscheck_class.cache_clear()
     with pytest.raises(AssertionError, match="disagrees with the bar complex at level 2, degree 0"):
         continuous_via_quotients(2, 0, 2)
+    assert degrees == [0]
     assert _bar_crosscheck_class.cache_info().currsize == 0
+
+
+def test_bar_crosscheck_refuses_a_model_that_is_not_a_complex(monkeypatch, capsys):
+    # adding 1 to entry [0][0] of every d^s, s >= 1, breaks d d = 0 at
+    # p = 3, w = 0; read as groups regardless, the broken model gives
+    # H^1 = 0 where Z_p belongs, so the check must refuse it outright
+    real = cohomology._level_complex_matrices
+
+    def broken(*args):
+        diffs = real(*args)
+        for d in diffs[1:]:
+            d[0][0] += 1
+        return diffs
+
+    monkeypatch.setattr(cohomology, "_level_complex_matrices", broken)
+    _clear_brute_memos()
+    try:
+        with pytest.raises(ValueError, match="did not square to zero"):
+            continuous_via_quotients(3, 0, 3)
+        _clear_brute_memos()
+        argv = ["cohomology", "--p", "3", "--t", "0", "--smax", "3", "--route", "brute"]
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        assert "did not square to zero" in capsys.readouterr().err
+    finally:
+        _clear_brute_memos()
 
 
 # --- structured route --------------------------------------------------------
@@ -554,6 +598,33 @@ def test_teichmuller_is_root_of_unity():
 
 
 # --- brute route -------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    N=st.integers(1, 6),
+    a=st.one_of(st.sampled_from([0, 1]), st.integers(0, 11**6)),
+    q=st.one_of(st.sampled_from([0, 1]), st.integers(0, 200)),
+    k=st.one_of(st.none(), st.integers(0, 4)),
+)
+@example(p=2, N=3, a=0, q=0, k=None)
+@example(p=2, N=3, a=0, q=1, k=None)
+@example(p=3, N=2, a=1, q=0, k=None)
+@example(p=3, N=2, a=1, q=1, k=None)
+@example(p=5, N=3, a=1, q=0, k=3)
+@example(p=2, N=4, a=0, q=0, k=2)
+@example(p=2, N=6, a=5, q=0, k=4)
+def test_geometric_sum_matches_the_naive_sum(p, N, a, q, k):
+    # 1 + a + ... + a^(q-1) mod p^N, the one-pow closed form against the
+    # term-by-term sum, at a in {0, 1}, q in {0, 1} and q = p^k (k given)
+    if k is not None:
+        q = p**k
+    M = p**N
+    want, term = 0, 1
+    for _ in range(q):
+        want, term = (want + term) % M, term * a % M
+    assert _geometric_sum(a, q, M) == want, (a, q, M)
 
 
 def test_brute_reference_cells():
@@ -685,7 +756,7 @@ def test_derived_colimit_matches_search(p, N, u, k, s_top):
     searched = _search_colimit_exponents(p, a, t, N, s_top, 2 * N + 24)
     assert _stable_colimit_orders(p, a, t, N, s_top) == tuple(map(sum, searched)), (p, w, N)
     level = _level_data(p, a, t, r, N, s_top)
-    exps = tuple(_image_exponents(level, p, N, s, N) for s in range(s_top + 1))
+    exps = tuple(image_exponents(level, p, N, s, N) for s in range(s_top + 1))
     assert exps == searched, (p, w, N)
     source = _level_data(p, a, t, r + 1, N, s_top)
     target = _level_data(p, a, t, r + 1 + N + 1, N, s_top)
@@ -712,7 +783,7 @@ def test_image_order_is_the_sum_of_the_image_exponents(p, N, u, k, s_top, lag):
     for r in (_colimit_level(p, a, N), _min_level(p, a, N)):
         level = _level_data(p, a, t, r, N, s_top)
         for s in range(s_top + 1):
-            want = sum(_image_exponents(level, p, N, s, lag))
+            want = sum(image_exponents(level, p, N, s, lag))
             assert _image_order(level, p, N, s, lag) == want, (p, w, N, r, s, lag)
 
 
