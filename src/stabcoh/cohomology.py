@@ -281,14 +281,9 @@ def units_cohomology(
 class FiniteGroupData(Value):
     """A finite group with an action on Z/p^N by units.
 
-    table[i][j] is the index of g_i g_j; index 0 must be the identity.
-    Group axioms and multiplicativity of the action are checked on
-    construction.  Associativity is checked by Light's test (Clifford and
-    Preston, *The Algebraic Theory of Semigroups* I, 1.2): the g with
-    (x g) z = x (g z) for all x, z are closed under products, since
-    (x(gh))z = ((xg)h)z = (xg)(hz) = x(g(hz)) = x((gh)z), so it suffices to
-    check the g of a generating set S, which the table's own closure finds;
-    |S| |G|^2 lookups instead of |G|^3, and the same verdict.
+    table, a tuple of tuples: table[i][j] is the index of g_i g_j, and 0 the
+    identity.  Its group axioms are checked once per table (``_check_table``),
+    the action's units and multiplicativity on every construction.
     """
 
     __slots__ = ("p", "N", "table", "action")
@@ -299,25 +294,12 @@ class FiniteGroupData(Value):
         n = len(tbl)
         if any(len(row) != n for row in tbl) or len(self.action) != n:
             raise ValueError("table/action shape mismatch")
-        if list(tbl[0]) != list(range(n)) or [row[0] for row in tbl] != list(range(n)):
-            raise ValueError("index 0 is not an identity")
-        if not all(sorted(row) == list(range(n)) for row in tbl):
-            raise ValueError("rows are not permutations; inverses missing")
-        for g in _generators(tbl):
-            tg = tbl[g]
-            for x in range(n):
-                tx = tbl[x]
-                if list(tbl[tx[g]]) != [tx[y] for y in tg]:
-                    raise ValueError("multiplication table is not associative")
+        _check_table(tbl)
         M = self.p**self.N
         act = [a % M for a in self.action]
         if any(a % self.p == 0 for a in act):
             raise ValueError("action values must be units")
-        if any(
-            (act[k] - act[i] * act[j]) % M
-            for i, row in enumerate(tbl)
-            for j, k in enumerate(row)
-        ):
+        if any([act[k] for k in row] != [x * y % M for y in act] for x, row in zip(act, tbl)):
             raise ValueError("action is not multiplicative")
 
     def _key(self):
@@ -325,6 +307,29 @@ class FiniteGroupData(Value):
 
     def __len__(self) -> int:
         return len(self.table)
+
+
+@lru_cache(maxsize=256)
+def _check_table(tbl) -> None:
+    """The group axioms of a square multiplication table: identity at 0,
+    rows that are permutations, and associativity by Light's test (Clifford
+    and Preston, *The Algebraic Theory of Semigroups* I, 1.2): the g with
+    (x g) z = x (g z) for all x, z are closed under products, since
+    (x(gh))z = ((xg)h)z = (xg)(hz) = x(g(hz)) = x((gh)z), so it suffices to
+    check the g of a generating set S, which the table's own closure finds;
+    |S| |G|^2 lookups instead of |G|^3, and the same verdict.  The cache is
+    exact, its key the whole table; lru_cache stores no exception."""
+    n = len(tbl)
+    if list(tbl[0]) != list(range(n)) or [row[0] for row in tbl] != list(range(n)):
+        raise ValueError("index 0 is not an identity")
+    if not all(sorted(row) == list(range(n)) for row in tbl):
+        raise ValueError("rows are not permutations; inverses missing")
+    for g in _generators(tbl):
+        tg = tbl[g]
+        for x in range(n):
+            tx = tbl[x]
+            if list(tbl[tx[g]]) != [tx[y] for y in tg]:
+                raise ValueError("multiplication table is not associative")
 
 
 def _generators(table) -> list[int]:
@@ -359,8 +364,7 @@ def units_group_data(p: int, r: int, w: int, N: int) -> FiniteGroupData:
     """
     pr = p**r
     M = p**N
-    units = [u for u in range(1, pr) if u % p != 0]
-    units.sort(key=lambda u: u != 1)
+    units = [u for u in range(1, pr) if u % p != 0]  # 1 first: the identity
     if pow((1 + pr) % M if pr >= M else 1 + pr, w, M) != 1:
         raise ValueError(f"weight {w} does not descend to level r={r} at precision {N}")
     index = {u: i for i, u in enumerate(units)}
@@ -377,25 +381,37 @@ def _bar_differential(g: FiniteGroupData, k: int) -> list[dict[int, int]]:
     over the tuples with no identity entry, (|G|-1)^(k+1) and (|G|-1)^k of
     them in lexicographic order; a term whose merged product g_j g_(j+1) is
     the identity evaluates f there, at 0, and is dropped.  Each row is a
-    dict {column: value mod p^N} of at most k + 2 nonzero entries."""
+    dict {column: value mod p^N} of at most k + 2 nonzero entries.
+
+    For k >= 1, rows come in runs of n that share the head h = (g_1..g_k)
+    and vary x = g_(k+1): the first term's and each inner merge's column
+    end in x's digit and step by one, the last term's is h, and only h_k x
+    is read per row.  Digit by digit, two terms share a column only when
+    h = (a..a) and x = a (first and last), the one place an entry can cancel."""
     n = len(g) - 1  # non-identity elements, indices 1..n; digit e names e + 1
     M = g.p**g.N
-    tbl, act = g.table, g.action
-    cols = n**k
-    # merging g_j g_(j+1) into m: the column keeps the digits above and
-    # below the pair, with m - 1 in between at place value n^(k-j)
-    merges = [(j, n ** (k - j), (-1) ** j) for j in range(1, k + 1)]
-    last = (-1) ** (k + 1)
+    tbl, act = g.table, [a % M for a in g.action]
+    if k == 0:
+        return [{0: y} if (y := (a - 1) % M) else {} for a in act[1:]]
+    last, sign_k = (-1) ** (k + 1) % M, (-1) ** k % M
+    # merging g_j g_(j+1) into m, j < k: the column keeps the digits above
+    # and below the pair, with m - 1 in between at place value n^(k-j)
+    inner = [(j, n ** (k - j), (-1) ** j % M) for j in range(1, k)]
     d = []
-    for R, tau in enumerate(product(range(1, n + 1), repeat=k + 1)):
-        row = {R % cols: act[tau[0]]}
-        for j, place, sign in merges:
-            merged = tbl[tau[j - 1]][tau[j]]
+    for h, head in enumerate(product(range(1, n + 1), repeat=k)):
+        a, first, base = head[0], h % n ** (k - 1) * n, h // n * n - 1
+        run = [{c: act[a], h: last} for c in range(first, first + n)]
+        for j, place, sign in inner:
+            if merged := tbl[head[j - 1]][head[j]]:
+                c = h // (place * n) * place * n + (merged - 1) * place + h % (place // n) * n
+                for row, col in zip(run, range(c, c + n)):
+                    row[col] = sign
+        for row, merged in zip(run, tbl[head[-1]][1:]):
             if merged:
-                col = R // (place * n * n) * place * n + (merged - 1) * place + R % place
-                row[col] = row.get(col, 0) + sign
-        row[R // n] = row.get(R // n, 0) + last
-        d.append({c: y for c, x in row.items() if (y := x % M)})
+                row[base + merged] = sign_k
+        if head.count(a) == k:  # x = a: the first and last terms share column h
+            run[a - 1] = {c: y for c, y in {**run[a - 1], h: (act[a] + last) % M}.items() if y}
+        d += run
     return d
 
 
@@ -621,10 +637,8 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     g = units_group_data(p, r, w, N)
     n = len(g) - 1
     s_chk = min(s_top, 2)
-    while s_chk >= 0 and n ** (2 * s_chk + 1) > DEFAULT_BAR_BUDGET:
+    while n ** (2 * s_chk + 1) > DEFAULT_BAR_BUDGET:  # ends by 0: n < |G| <= budget^(1/3)
         s_chk -= 1
-    if s_chk < 0:
-        return None
     bar = bar_cohomology_finite(g, s_chk)
     a, t = _action_class(p, w, N)
     diffs = _level_complex_matrices(p, a, t, r, N, s_chk)

@@ -30,6 +30,7 @@ leave out the kernel generators and vectors that are 0 mod p^N.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Union
 
 from .errors import PrecisionExhausted
@@ -227,24 +228,26 @@ def snf_mod(A, p: int, L: int, want=()):
     A = [[x % M for x in row] for row in A]
     m = len(A)
     n = len(A[0]) if m else 0
-    U, Ui, V, Vi = _transforms(want, m, n)
+    U, Ui, V, Vi = _transforms(want, m, n) if want else (None,) * 4
+    ones = list(range(n))  # rows t and up of Vi are still unit vectors e_ones[j]
     vals: list[int] = []
     for t in range(min(m, n)):
-        # first entry, in row-major order, of minimal valuation
+        # first entry, in row-major order, of minimal valuation; a unit ends the search
         a, i0, j0 = L, -1, -1
         for i in range(t, m):
             row = A[i]
             for j in range(t, n):
                 x = row[j]
                 if x:
+                    if x % p:
+                        a, i0, j0 = 0, i, j
+                        break
                     v = 0
                     while x % p == 0:
                         x //= p
                         v += 1
                     if v < a:
                         a, i0, j0 = v, i, j
-                        if v == 0:
-                            break
             if a == 0:
                 break
         if i0 < 0:
@@ -264,20 +267,22 @@ def snf_mod(A, p: int, L: int, want=()):
                     r[t], r[j0] = r[j0], r[t]
             if Vi is not None:
                 Vi[t], Vi[j0] = Vi[j0], Vi[t]
+                ones[t], ones[j0] = ones[j0], ones[t]
         # rows t and below are 0 left of column t, and a zero of the pivot
         # row changes nothing, so row operations run on the pivot row's
         # nonzero live entries only: nz, whose first is (t, p^a)
         pa = p**a
         u = A[t][t] // pa
-        uinv = pow(u, -1, M)
         At = A[t]
-        At[t:] = [(x * uinv) % M for x in At[t:]]
+        if u != 1:
+            uinv = pow(u, -1, M)
+            At[t:] = [(x * uinv) % M for x in At[t:]]
+            if U is not None:
+                U[t] = [(x * uinv) % M for x in U[t]]
+            if Ui is not None:
+                for r in Ui:
+                    r[t] = (r[t] * u) % M
         nz = [(j, y) for j, y in enumerate(At[t:], t) if y]
-        if U is not None:
-            U[t] = [(x * uinv) % M for x in U[t]]
-        if Ui is not None:
-            for r in Ui:
-                r[t] = (r[t] * u) % M
         for i in range(t + 1, m):
             Ai = A[i]
             f = Ai[t] // pa
@@ -300,13 +305,9 @@ def snf_mod(A, p: int, L: int, want=()):
                 if rt:
                     for j, g in gs:
                         r[j] = (r[j] - rt * g) % M
-        if Vi is not None and gs:
-            acc = Vi[t]
+        if Vi is not None:
             for j, g in gs:
-                for c, y in enumerate(Vi[j]):
-                    if y:
-                        acc[c] += g * y
-            Vi[t] = [x % M for x in acc]
+                Vi[t][ones[j]] = g
         vals.append(a)
     vals.extend([L] * (min(m, n) - len(vals)))
     return vals, U, Ui, V, Vi
@@ -353,15 +354,14 @@ class CochainComplex(Frozen):
         for i, d in enumerate(self.differentials):
             m, n = self.ranks[i + 1], self.ranks[i]
             if isinstance(self.base, BaseZMod):
-                cols = set(range(n))
-                ok = len(d) == m and all(row.keys() <= cols for row in d)
+                ok = len(d) == m and set(range(n)).issuperset(chain.from_iterable(d))
             else:
                 ok = len(d) == m and all(len(row) == n for row in d)
             if not ok:
                 raise ValueError(f"differential {i} does not have shape {(m, n)}")
         for i in range(len(self.differentials) - 1):
             if not _composite_vanishes(
-                self.differentials[i + 1], self.differentials[i], self.base
+                self.differentials[i + 1], self.differentials[i], self.ranks[i], self.base
             ):
                 raise ValueError(f"d did not square to zero at position {i}")
 
@@ -379,9 +379,19 @@ class CochainComplex(Frozen):
         return self.ranks[degree] if 0 <= degree < len(self.ranks) else 0
 
 
-def _composite_vanishes(dout, din, base: Base) -> bool:
+def _composite_vanishes(dout, din, k: int, base: Base) -> bool:
+    """dout din = 0 in the base ring, din with k columns."""
     if isinstance(base, BaseZMod):
         M = base.p**base.N
+        if k == 1:  # one dot product per row of dout, as after a bar d^0
+            col = [row.get(0, 0) for row in din]
+            for row in dout:
+                acc = 0
+                for j, x in row.items():
+                    acc += x * col[j]
+                if acc % M:
+                    return False
+            return True
         din_items = [row.items() for row in din]
         for row in dout:
             acc: dict[int, int] = {}
@@ -474,7 +484,11 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
         return zero_module()
 
     def dense(rows):
-        return [[row.get(j, 0) for j in range(n)] for row in rows]
+        out = [[0] * n for _ in rows]
+        for r, row in zip(out, rows):
+            for j, x in row.items():
+                r[j] = x
+        return out
 
     if not dout:
         avals = [N] * n
@@ -541,6 +555,8 @@ def lattice_quotient_exponents(num, den, ambient: int, p: int, N: int) -> tuple[
     vals1 = [min(v, N) for v in vals1]
     if len(vals1) < ambient:
         raise AssertionError("numerator lattice is not full rank")
+    # exact: a2's columns are columns of a1, and row i of U1 a1 is p^vals1[i]
+    # times row i of V1^-1 unless snf_mod's U disagrees with its diagonal
     c = []
     for i in range(ambient):
         gap = p ** vals1[i]
@@ -549,7 +565,7 @@ def lattice_quotient_exponents(num, den, ambient: int, p: int, N: int) -> tuple[
         for col in zip(*a2):
             y = sum(x * z for x, z in zip(ui, col)) % L1
             if y % gap:
-                raise AssertionError("denominator lattice escapes the numerator")
+                raise AssertionError("snf_mod's U is inconsistent with its diagonal")
             row.append(y // gap)
         c.append(row)
     vals2, *_ = snf_mod(c, p, N + 1)

@@ -5,6 +5,9 @@ from determinant divisors, cohomology of small complexes from exhaustive
 enumeration, cohomology of cyclic groups from closed forms, and group
 structure from order statistics, associativity from every triple, lattice
 quotients from listing both subgroups.  The
+normalized bar differential is built one row at a time by
+``reference_bar_differential``, the reference for the package's builder,
+which builds its rows in runs.  The
 full bar complex is built one tuple at a time and returned as matrices;
 eliminating them is the caller's job, or that of
 ``cohomology_by_full_elimination``, a separate copy of the Z/p^N complex
@@ -315,6 +318,36 @@ def full_bar_differential(g, k):
             d[row, index[merged]] += (-1) ** j
         d[row, index[tau[:-1]]] += (-1) ** (k + 1)
     return d % g.p**g.N
+
+
+def reference_bar_differential(g: FiniteGroupData, k: int) -> list[dict[int, int]]:
+    """Sparse rows of d : C^k -> C^(k+1) on normalized inhomogeneous
+    cochains, the functions G^k -> M that vanish whenever an argument is
+    the identity, (df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum_j (-1)^j
+    f(.., g_j g_(j+1), ..) + (-1)^(k+1) f(g_1..g_k).  Rows and columns run
+    over the tuples with no identity entry, (|G|-1)^(k+1) and (|G|-1)^k of
+    them in lexicographic order; a term whose merged product g_j g_(j+1) is
+    the identity evaluates f there, at 0, and is dropped.  Each row is a
+    dict {column: value mod p^N} of at most k + 2 nonzero entries."""
+    n = len(g) - 1  # non-identity elements, indices 1..n; digit e names e + 1
+    M = g.p**g.N
+    tbl, act = g.table, g.action
+    cols = n**k
+    # merging g_j g_(j+1) into m: the column keeps the digits above and
+    # below the pair, with m - 1 in between at place value n^(k-j)
+    merges = [(j, n ** (k - j), (-1) ** j) for j in range(1, k + 1)]
+    last = (-1) ** (k + 1)
+    d = []
+    for R, tau in enumerate(product(range(1, n + 1), repeat=k + 1)):
+        row = {R % cols: act[tau[0]]}
+        for j, place, sign in merges:
+            merged = tbl[tau[j - 1]][tau[j]]
+            if merged:
+                col = R // (place * n * n) * place * n + (merged - 1) * place + R % place
+                row[col] = row.get(col, 0) + sign
+        row[R // n] = row.get(R // n, 0) + last
+        d.append({c: y for c, x in row.items() if (y := x % M)})
+    return d
 
 
 def primitive_root_by_orbit(p):

@@ -21,6 +21,7 @@ from oracles import (
     lattice_quotient_by_enumeration,
     primitive_root_by_orbit,
     quotient_level_cohomology,
+    reference_bar_differential,
     sparse_rows,
 )
 from stabcoh import cli, cohomology, exact_linalg
@@ -33,6 +34,7 @@ from stabcoh.cohomology import (
     _bar_crosscheck,
     _bar_crosscheck_class,
     _bar_differential,
+    _check_table,
     _colimit_level,
     _geometric_sum,
     _image_order,
@@ -185,6 +187,30 @@ def test_group_data_refuses_the_order_5_loop():
         FiniteGroupData(2, 1, LOOP_5, (1,) * 5)
 
 
+def test_table_check_caches_no_failure():
+    # a table that fails its axioms raises on every construction: the
+    # shared table check stores verdicts, never a failure
+    _check_table.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteGroupData(2, 1, LOOP_5, (1,) * 5)
+    info = _check_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+def test_weights_of_one_quotient_share_one_table_check():
+    # (Z/49)^x acting by two weights: one table, checked once; the action
+    # checks run for each weight
+    _check_table.cache_clear()
+    g1, g2 = units_group_data(7, 2, 1, 2), units_group_data(7, 2, 2, 2)
+    assert g1.table == g2.table and g1.action != g2.action
+    info = _check_table.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    with pytest.raises(ValueError, match="not multiplicative"):
+        FiniteGroupData(7, 2, g1.table, (1,) + g1.action[2:] + g1.action[1:2])
+    assert _check_table.cache_info().hits == 2
+
+
 def _symmetric_group_table(k):
     perms = list(permutations(range(k)))  # the identity comes first
     index = {q: i for i, q in enumerate(perms)}
@@ -288,6 +314,69 @@ def test_normalized_bar_equals_full_bar():
         full = _full_bar_groups(g, s_max)
         for s in range(s_max + 1):
             assert bar.group(s) == full[s], (g.p, g.N, len(g), g.action, s)
+
+
+def test_bar_differential_matches_the_row_at_a_time_reference():
+    # the run builder against the row-at-a-time reference on (Z/p^r)^x,
+    # r <= 3, acting on Z/p^N, N <= 3, by each listed weight that descends,
+    # in degrees k <= 3 with at most 40,000 rows: the same rows, dict-equal
+    # and in the same order.  The weights give trivial actions and actions
+    # with -1 in their image, so rows whose first and last terms cancel
+    # (act = 1 at even k, act = -1 at odd k) occur; the last term's column
+    # R // n is then missing from row R
+    cases = cancelled = 0
+    for p in (2, 3, 5, 7):
+        for r in range(2 if p == 2 else 1, 4):
+            for N in (1, 2, 3):
+                for w in (0, 1, p**2):
+                    try:
+                        g = units_group_data(p, r, w, N)
+                    except ValueError:
+                        continue
+                    n = len(g) - 1
+                    for k in range(4):
+                        if n ** (k + 1) > 40_000:
+                            break
+                        want = reference_bar_differential(g, k)
+                        assert _bar_differential(g, k) == want, (p, r, N, w, k)
+                        cases += 1
+                        cancelled += sum(R // n not in row for R, row in enumerate(want))
+    assert cases >= 250 and cancelled
+
+
+def test_bar_complex_refuses_one_changed_entry():
+    # the d d = 0 check on construction, on both of its paths: d^1 after
+    # the one-column d^0 at p = 7, and d^2 after d^1 at p = 3.  Adding 1
+    # to entry (R, c) adds row c of the previous differential to row R of
+    # the composite, so any c whose row there is nonzero must be refused
+    rng = random.Random(20261019)
+    for p, k in ((7, 1), (3, 2)):
+        g = units_group_data(p, 2, 1, 2)
+        n = len(g) - 1
+        ranks = tuple(n**j for j in range(k + 2))
+        diffs = [_bar_differential(g, j) for j in range(k + 1)]
+        CochainComplex(BaseZMod(p, 2), ranks, tuple(diffs))
+        live = [c for c, row in enumerate(diffs[k - 1]) if row]
+        for R in rng.sample(range(len(diffs[k])), 8):
+            c = rng.choice(live)
+            broken = list(diffs[k])
+            broken[R] = {**broken[R], c: (broken[R].get(c, 0) + 1) % p**2}
+            with pytest.raises(ValueError, match="did not square to zero"):
+                CochainComplex(BaseZMod(p, 2), ranks, (*diffs[:k], broken))
+
+
+def test_zmod_complex_refuses_a_column_out_of_range():
+    # a row key n or -1 in a differential with n columns is a shape error,
+    # in the one-column d^0 and in d^1 alike
+    g = units_group_data(3, 2, 1, 2)
+    d0, d1 = _bar_differential(g, 0), _bar_differential(g, 1)
+    ranks = (1, 5, 25)
+    for k, n in ((0, 1), (1, 5)):
+        for bad in (n, -1):
+            diffs = [d0, d1]
+            diffs[k] = [{**diffs[k][0], bad: 1}] + diffs[k][1:]
+            with pytest.raises(ValueError, match=f"differential {k} does not have shape"):
+                CochainComplex(BaseZMod(3, 2), ranks, tuple(diffs))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -443,6 +443,9 @@ def test_lattice_quotient_exponents():
     assert lattice_quotient_exponents([[1, 0], [0, 1]], [], 2, 2, 2) == (2, 2)
     assert lattice_quotient_exponents([], [[1, 0]], 2, 2, 3) == ()
     assert lattice_quotient_exponents([[2, 0]], [[8, 0]], 2, 2, 4) == (2,)
+    # the quotient is (span(num) + D)/D, so den need not lie in span(num)
+    assert lattice_quotient_exponents([[2, 0]], [[1, 0]], 2, 2, 3) == ()
+    assert lattice_quotient_exponents([[1, 0], [0, 2]], [[2, 0]], 2, 2, 3) == (2, 1)
 
 
 @st.composite
