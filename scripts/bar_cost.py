@@ -9,15 +9,17 @@ For every class w mod e (e = 2 at p = 2, p(p-1) at odd p) that
 stage in process and prints JSON with the median over the repeats, in
 milliseconds:
 
-* ``group``: ``units_group_data`` once its table's axioms are cached, as
-  for every class after the first of its quotient; ``table_check``:
-  those axioms, paid once per quotient (``_check_table``);
+* ``group``: ``units_group_data`` once its table (``_units_table``) and
+  the table's axioms are cached, as for every class after the first of
+  its quotient; ``table_check``: those axioms, paid once per quotient
+  (``_check_table``);
 * ``d0``, ``d1``, ...: each bar differential (``_bar_differential``);
 * ``complex``: the bar ``CochainComplex``, its shape and d d = 0 checks;
 * ``H0``, ``H1``, ...: ``complex_cohomology`` of each checked degree;
 * ``model``: the quotient model's side of the check, mirrored from
   ``_bar_crosscheck_class``: its level complex read with
-  ``complex_cohomology`` and each degree's ``_image_order`` at lag 0;
+  ``complex_cohomology`` and with the sweep's order reader
+  ``_complex_orders`` on the whole complex (lag 0);
 * ``class``: the whole uncached check.
 
 Skipped classes are listed with their reason.  The default --s-top is the
@@ -56,10 +58,9 @@ def model_side(p: int, w: int, r: int, s_chk: int, N: int = 2) -> None:
     diffs = C._level_complex_matrices(p, a, t, r, N, s_chk)
     sparse = tuple([{j: x for j, x in enumerate(row) if x} for row in d] for d in diffs)
     model = CochainComplex(BaseZMod(p, N), tuple(range(1, s_chk + 3)), sparse)
-    level = C._level_data(p, a, t, r, N, s_chk)
+    C._complex_orders(diffs, p, N, model.ranks)
     for s in range(s_chk + 1):
         complex_cohomology(model, s)
-        C._image_order(level, p, N, s, 0)
 
 
 def class_cost(p: int, w: int, s_top: int, repeat: int) -> dict:

@@ -23,9 +23,10 @@ Two independent computational routes live here.
   (order slopes) detects Z_p summands; the bounded remainder unfolds into
   the torsion of consecutive degrees starting from the torsion-free H^0.
   Both limits are read at derived points: the colimit at level N + 1
-  (N + 2 at p = 2) with lag N, as its order log|coker B| - log|coker(P Z
-  + B)| alone (B the boundaries, P Z the pushed cocycles), the unfolding
-  at n_top = max(4, v + 2) from the torsion bound max(v, 1).
+  (N + 2 at p = 2) with lag N, where inflation is a projection P that
+  commutes with d (checked entry by entry) and so splits the complex C:
+  the colimit is H^s(PC), one Smith form of at most 2 x 2 per degree; the
+  unfolding at n_top = max(4, v + 2) from the torsion bound max(v, 1).
 
 Raw finite-level cohomology does *not* equal the continuous answer (for
 instance H^2((Z/2^r)^x, Z/2) has rank 3 for every r >= 4 while the
@@ -37,7 +38,7 @@ Finite quotients are realized through the standard splitting
 against the bar complex of the same quotient, ``bar_cohomology_finite``,
 once per weight class and whenever the budget affords it: the model's
 groups are read with ``complex_cohomology``, as the bar groups are, and
-their orders through the sweep's own order reader.
+their orders through the sweep's own order reader, ``_complex_orders``.
 """
 
 from __future__ import annotations
@@ -356,6 +357,16 @@ def _generators(table) -> list[int]:
     return gens
 
 
+@lru_cache(maxsize=64)
+def _units_table(p: int, r: int):
+    """(units, table) of (Z/p^r)^x, 1 first as the identity; an exact cache
+    on (p, r), so the weight classes of one quotient share one table."""
+    pr = p**r
+    units = tuple(u for u in range(1, pr) if u % p != 0)
+    index = {u: i for i, u in enumerate(units)}
+    return units, tuple(tuple(index[(u * v) % pr] for v in units) for u in units)
+
+
 def units_group_data(p: int, r: int, w: int, N: int) -> FiniteGroupData:
     """(Z/p^r)^x acting on Z/p^N by w-th powers.
 
@@ -364,13 +375,10 @@ def units_group_data(p: int, r: int, w: int, N: int) -> FiniteGroupData:
     """
     pr = p**r
     M = p**N
-    units = [u for u in range(1, pr) if u % p != 0]  # 1 first: the identity
     if pow((1 + pr) % M if pr >= M else 1 + pr, w, M) != 1:
         raise ValueError(f"weight {w} does not descend to level r={r} at precision {N}")
-    index = {u: i for i, u in enumerate(units)}
-    table = tuple(tuple(index[(u * v) % pr] for v in units) for u in units)
-    action = tuple(pow(u, w, M) for u in units)
-    return FiniteGroupData(p, N, table, action)
+    units, table = _units_table(p, r)
+    return FiniteGroupData(p, N, table, tuple(pow(u, w, M) for u in units))
 
 
 def _bar_differential(g: FiniteGroupData, k: int) -> list[dict[int, int]]:
@@ -458,16 +466,6 @@ def _geometric_sum(a: int, q: int, M: int) -> int:
     return (pow(a, q, m) - 1) % m // (a - 1)
 
 
-class _LevelData:
-    """Per degree s: kernel generators of d^s, the columns B of d^(s-1) and
-    log_p |coker B| over Z/p^N (the Smith valuations of d^(s-1), plus N)."""
-
-    __slots__ = ("cocycles", "boundaries", "coker_orders")
-
-    def __init__(self, cocycles, boundaries, coker_orders):
-        self.cocycles, self.boundaries, self.coker_orders = cocycles, boundaries, coker_orders
-
-
 def _cyclic_order_at_level(p: int, r: int) -> int:
     return p ** max(r - 2, 0) if p == 2 else p ** max(r - 1, 0)
 
@@ -513,21 +511,6 @@ def _level_complex_matrices(p: int, a: int, t: int, r: int, N: int, s_top: int):
     return diffs
 
 
-def _level_data(p: int, a: int, t: int, r: int, N: int, s_top: int) -> _LevelData:
-    """Per degree s, the kernel generators p^(N - a_i) V e_i of d^s with
-    a_i >= 1 (the others are 0 mod p^N), the columns of d^(s-1) and the
-    order of their cokernel (N at s = 0)."""
-    diffs = _level_complex_matrices(p, a, t, r, N, s_top)
-    M = p**N
-    cocycles, boundaries, coker_orders = [], [], [N]
-    for s in range(s_top + 1):
-        vals, _, _, V, _ = snf_mod(diffs[s], p, N, want=("V",))
-        cocycles.append([[row[i] * p ** (N - a) % M for row in V] for i, a in enumerate(vals) if a])
-        boundaries.append([list(col) for col in zip(*diffs[s - 1])] if s else [])
-        coker_orders.append(sum(vals) + N)  # d^s has s + 2 rows, s + 1 pivots
-    return _LevelData(cocycles, boundaries, coker_orders)
-
-
 def _colimit_level(p: int, a: int, N: int) -> int:
     """r*: the first level whose norm 1 + a + ... + a^(q-1), q the order of
     its cyclic factor, is 0 mod p^N.  The level-r complex depends on r only
@@ -543,26 +526,21 @@ def _colimit_level(p: int, a: int, N: int) -> int:
     return r
 
 
-def _pushed_cocycles(level: _LevelData, p: int, N: int, s: int, lag: int):
-    """P Z: the degree-s cocycles under phi^lag; phi, one inflation step,
-    multiplies cyclic degree j by p^floor(j/2), the torsion factor by 1."""
-    M = p**N
-    scalar = [pow(p, ((s - i) // 2) * lag, M) for i in range(s + 1)]
-    return [[(x * c) % M for x, c in zip(z, scalar)] for z in level.cocycles[s]]
-
-
-def _image_order(level: _LevelData, p: int, N: int, s: int, lag: int) -> int:
-    """log_p |(span(P Z) + D)/D|, D = span(B) + p^N Z^(s+1): log|coker B| -
-    log|coker(P Z + B)| over Z/p^N, one diagonal-only Smith form with a
-    pivot in each of its s + 1 rows (a zero pivot counts N)."""
-    live = [z for z in _pushed_cocycles(level, p, N, s, lag) if any(z)]
-    if not live:
-        return 0
-    vals = snf_mod([list(row) for row in zip(*live, *level.boundaries[s])], p, N)[0]
-    order = level.coker_orders[s] - sum(vals)
-    if not 0 <= order <= N * (s + 1):
-        raise AssertionError(f"image order {order} outside [0, {N * (s + 1)}] in degree {s}")
-    return order
+def _complex_orders(diffs, p: int, N: int, ranks) -> tuple[int, ...]:
+    """log_p |H^s| over Z/p^N for each degree s of a complex with d^s =
+    diffs[s] (dense rows) on C^s of rank ranks[s]: log|ker d^s| - log|im
+    d^(s-1)| from one transform-free Smith form per degree, a valuation v
+    (N for a missing pivot) giving p^v kernel and p^(N-v) image elements.
+    Each order must lie in [0, N ranks[s]]."""
+    orders, image = [], 0
+    for s, d in enumerate(diffs):
+        vals = snf_mod(d, p, N)[0]
+        order = sum(vals) + N * (ranks[s] - len(vals)) - image
+        if not 0 <= order <= N * ranks[s]:
+            raise AssertionError(f"order {order} outside [0, {N * ranks[s]}] in degree {s}")
+        orders.append(order)
+        image = N * len(vals) - sum(vals)
+    return tuple(orders)
 
 
 @lru_cache(maxsize=4096)
@@ -576,18 +554,27 @@ def _stable_colimit_orders(p, a, t, N, s_top):
     is the chain map phi = diag(p^floor(j/2)), j the cyclic degree.  For a
     lag of at least N, phi^lag is one fixed projection P of C (identity in
     cyclic degrees 0 and 1, zero above), and phi P = P.  The colimit of
-    C -> C -> ... along phi is therefore im H(P), whose order is one
-    ``_image_order`` per degree with lag* = N: log|coker B| - log|coker(P Z
-    + B)| over Z/p^N, one diagonal-only Smith form, since the sweep reads
-    orders only.  Every lower level inflates into r*, so its classes reach
-    the colimit through r* and add nothing.
+    C -> C -> ... along phi is therefore im H(P).  Every lower level
+    inflates into r*, so its classes reach the colimit through r* and add
+    nothing.
+
+    P splits C: only the cyclic norm, 0 mod p^N from r* on, maps a kept
+    cell (cyclic degree 1) to a dropped one, so dP = Pd, C = PC + (1 - P)C
+    as complexes and im H^s(P) = H^s(PC), read by ``_complex_orders`` on
+    the <= 2 x 2 blocks of PC (torsion degrees s - 1 and s).  dP = Pd is
+    checked on every entry first; a failure raises AssertionError.
 
     The cache is exact.  The complex at r* is built from p, N, s_top and
     the action class alone, and the function never sees w, so two weights
     with the same action class cannot get different answers.
     """
-    level = _level_data(p, a, t, _colimit_level(p, a, N), N, s_top)
-    return tuple(_image_order(level, p, N, s, N) for s in range(s_top + 1))
+    r = _colimit_level(p, a, N)
+    diffs = _level_complex_matrices(p, a, t, r, N, s_top)
+    for s, d in enumerate(diffs):  # row i: cyclic degree s + 1 - i, column j: s - j
+        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if (i >= s) != (j >= s - 1)):
+            raise AssertionError(f"inflation projection is not a chain map at level {r}, N={N}")
+    restricted = [[row[max(s - 1, 0):] for row in d[s:]] for s, d in enumerate(diffs)]
+    return _complex_orders(restricted, p, N, (1,) + (2,) * s_top)
 
 
 def _bar_crosscheck(p: int, w: int, s_top: int):
@@ -612,9 +599,9 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     when skipped; a disagreement raises AssertionError.  The model side is
     the level-r complex of ``_level_complex_matrices``, built as a
     CochainComplex, which checks its shapes and d d = 0, and read by
-    ``complex_cohomology``, the bar side's reader; ``_image_order`` at lag
-    0 on that level's ``_level_data``, the order reader the sweep runs,
-    must give each checked group's order.
+    ``complex_cohomology``, the bar side's reader; ``_complex_orders`` on
+    the same differentials, the order reader the sweep runs on PC (here at
+    lag 0, where P = 1), must give each checked group's order.
 
     ``units_group_data`` cannot refuse level r.  It asks that 1 + p^r act
     trivially, (1 + p^r)^w = 1 mod p^2, while r was chosen so that
@@ -644,10 +631,10 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     diffs = _level_complex_matrices(p, a, t, r, N, s_chk)
     sparse = tuple([{j: x for j, x in enumerate(row) if x} for row in d] for d in diffs)
     model = CochainComplex(BaseZMod(p, N), tuple(range(1, s_chk + 3)), sparse)
-    level = _level_data(p, a, t, r, N, s_chk)
+    orders = _complex_orders(diffs, p, N, model.ranks)
     for s in range(s_chk + 1):
         small = complex_cohomology(model, s)
-        if bar.group(s) != small or _image_order(level, p, N, s, 0) != small.torsion_length():
+        if bar.group(s) != small or orders[s] != small.torsion_length():
             raise AssertionError(
                 f"quotient model disagrees with the bar complex at level {r}, "
                 f"degree {s}"
@@ -663,8 +650,9 @@ def continuous_via_quotients(
     Per coefficient precision N = 1..n_top the orders log_p |A^s_N| of
     the inflation colimits come from ``_stable_colimit_orders`` at the
     derived level r* (N + 1, or N + 2 at p = 2) with lag N, each as
-    log|coker B| - log|coker(P Z + B)| over Z/p^N (B the boundaries, P Z
-    the pushed cocycles).  Across N they unfold as rho_s N + m_s(N) +
+    log|H^s(PC)|: from r* on the cyclic norm, the one entry that could
+    break dP = Pd for the lag-N inflation P, is 0 mod p^N (checked on every
+    entry), so P splits C.  Across N they unfold as rho_s N + m_s(N) +
     m_(s+1)(N) into the free ranks rho_s (order slopes, the Z_p detection
     rule) and the torsion partitions m_s, seeded by the torsion-free H^0.
 

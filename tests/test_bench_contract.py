@@ -9,6 +9,7 @@ which fails on an empty or ragged first argument."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -87,9 +88,11 @@ def test_apply_l_functors_calls_each_functor_once_per_cell(monkeypatch):
     assert seen["l0"] == exprs and seen["l1"] == exprs
 
 
-def _snf_mod_spy(monkeypatch):
+def _snf_mod_spy(monkeypatch, callers=None):
     """The first argument of every snf_mod call, through each module that
-    binds the name."""
+    binds the name; given a list, callers gets each call's caller, and for
+    the order reader ``_complex_orders`` that reader's caller (the sweep or
+    the bar check)."""
     from stabcoh import cohomology, exact_linalg
 
     seen = []
@@ -97,6 +100,11 @@ def _snf_mod_spy(monkeypatch):
 
     def spy(A, *args, **kwargs):
         seen.append(A)
+        if callers is not None:
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "_complex_orders":
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
         return real(A, *args, **kwargs)
 
     for module in (exact_linalg, cohomology):
@@ -105,9 +113,14 @@ def _snf_mod_spy(monkeypatch):
 
 
 def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
+    # every caller must show up with many calls, so that the shape check
+    # covers each: the sweep (one restricted differential per degree and
+    # miss, 2 x 1 or 2 x 2), the bar check's model orders, the bar probes
+    # and the group reader
     from stabcoh import cli, cohomology
 
-    seen = _snf_mod_spy(monkeypatch)
+    callers = []
+    seen = _snf_mod_spy(monkeypatch, callers)
     # the memos are exact; emptied, every Smith form runs again
     cohomology._stable_colimit_orders.cache_clear()
     cohomology._bar_crosscheck_class.cache_clear()
@@ -120,7 +133,17 @@ def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
         A for A in seen
         if not (isinstance(A, list) and A and all(isinstance(r, list) and len(r) == len(A[0]) for r in A))
     ]
-    assert len(seen) > 1000 and not bad, bad[:3]
+    assert not bad, bad[:3]
+    counts = Counter(callers)
+    floors = {
+        "_stable_colimit_orders": 400,
+        "_bar_crosscheck_class": 50,
+        "_cohomology_mod": 100,
+        "lattice_quotient_exponents": 140,
+    }
+    assert set(counts) == set(floors) and all(counts[c] >= f for c, f in floors.items()), counts
+    sweep = [A for A, c in zip(seen, callers) if c == "_stable_colimit_orders"]
+    assert all(len(A) == 2 and len(A[0]) <= 2 for A in sweep)
 
 
 def test_no_live_generator_skips_the_relation_smith_form(monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    _image_order,
+    _level_data,
     bar_cohomology_by_enumeration,
     cohomology_by_full_elimination,
     cyclic_cohomology,
@@ -36,10 +38,9 @@ from stabcoh.cohomology import (
     _bar_differential,
     _check_table,
     _colimit_level,
+    _complex_orders,
     _geometric_sum,
-    _image_order,
     _level_complex_matrices,
-    _level_data,
     _min_level,
     _stable_colimit_orders,
     _torsion_scalars,
@@ -209,6 +210,22 @@ def test_weights_of_one_quotient_share_one_table_check():
     with pytest.raises(ValueError, match="not multiplicative"):
         FiniteGroupData(7, 2, g1.table, (1,) + g1.action[2:] + g1.action[1:2])
     assert _check_table.cache_info().hits == 2
+
+
+def test_weights_of_one_quotient_share_one_units_table():
+    # the table of (Z/p^r)^x depends on (p, r) alone: two weights at one
+    # level get the same table object, equal to one built here from the
+    # units, and the bar groups are the periodic model's raw groups
+    for p, r, weights in ((2, 3, (1, 2)), (3, 2, (1, 2)), (7, 2, (1, 3))):
+        g1, g2 = (units_group_data(p, r, w, 2) for w in weights)
+        assert g1.table is g2.table and g1.action != g2.action, (p, r)
+        units = [u for u in range(1, p**r) if u % p]
+        fresh = tuple(tuple(units.index(u * v % p**r) for v in units) for u in units)
+        assert g1.table == fresh and g1.table is not fresh, (p, r)
+        for w, g in zip(weights, (g1, g2)):
+            assert g.action == tuple(pow(u, w, p**2) for u in units), (p, r, w)
+            want = tuple(enumerate(quotient_level_cohomology(p, w, r, 2, 1)))
+            assert bar_cohomology_finite(g, 1).groups == want, (p, r, w)
 
 
 def _symmetric_group_table(k):
@@ -493,17 +510,42 @@ def test_bar_crosscheck_reads_the_sweeps_reader(monkeypatch):
 
 
 def test_bar_crosscheck_reads_the_sweeps_order_reader(monkeypatch):
-    # the sweep reads orders through _image_order, not exponents; a fault
-    # there, one more than the true order, must trip the bar cross-check
-    # before the sweep reads a single colimit
-    original = cohomology._image_order
-    monkeypatch.setattr(cohomology, "_image_order", lambda *args: original(*args) + 1)
+    # the sweep reads orders through _complex_orders, not exponents; a
+    # fault there, one more than the true order in every degree, must trip
+    # the bar cross-check before the sweep reads a single colimit
+    original = cohomology._complex_orders
+    monkeypatch.setattr(
+        cohomology, "_complex_orders", lambda *args: tuple(x + 1 for x in original(*args))
+    )
     _clear_brute_memos()
     try:
         with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
             continuous_via_quotients(3, 0, 2)
+        assert _stable_colimit_orders.cache_info().currsize == 0
     finally:
         _clear_brute_memos()
+
+
+def test_sweep_refuses_a_level_where_the_projection_is_no_chain_map(monkeypatch, capsys):
+    # one level below r* the cyclic norm, the entry of d^1 from cyclic
+    # degree 1 to 2, is nonzero mod p^N, so the lag-N projection P is not a
+    # chain map there; the sweep must refuse to read H(PC), and the CLI
+    # must exit 4 without printing a table
+    real = cohomology._colimit_level
+    monkeypatch.setattr(cohomology, "_colimit_level", lambda p, a, N: real(p, a, N) - 1)
+    _clear_brute_memos()
+    try:
+        for p, w, N in ((2, 1, 2), (2, 0, 3), (3, 0, 2), (5, 2, 1), (7, 3, 4)):
+            a, t = _action_class(p, w, N)
+            assert _level_complex_matrices(p, a, t, real(p, a, N) - 1, N, 1)[1][0][0], (p, w, N)
+            with pytest.raises(AssertionError, match="projection is not a chain map"):
+                _stable_colimit_orders(p, a, t, N, 1)
+        code = cli.main(["cohomology", "--t=-8:8", "--smax", "2", "--route", "brute"])
+    finally:
+        _clear_brute_memos()
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "", out
+    assert "internal error: AssertionError" in err and "projection is not a chain map" in err
 
 
 def _fault_on_model(monkeypatch, fault):
@@ -863,7 +905,7 @@ def test_derived_colimit_matches_search(p, N, u, k, s_top):
     lag=st.sampled_from([0, 1, "N"]),
 )
 def test_image_order_is_the_sum_of_the_image_exponents(p, N, u, k, s_top, lag):
-    # the sweep's order reader (one diagonal-only Smith form against the
+    # the image order reader (one diagonal-only Smith form against the
     # cokernel of d^(s-1)) and the exponent reader (two Smith forms and a
     # transform) agree on every degree, at r* and at the lowest level
     w = u * p**k
@@ -874,6 +916,33 @@ def test_image_order_is_the_sum_of_the_image_exponents(p, N, u, k, s_top, lag):
         for s in range(s_top + 1):
             want = sum(image_exponents(level, p, N, s, lag))
             assert _image_order(level, p, N, s, lag) == want, (p, w, N, r, s, lag)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    N=st.integers(1, 20),
+    u=st.integers(-30, 30),
+    k=st.integers(0, 12),
+    s_top=st.sampled_from([0, 1, 4, 5]),
+)
+def test_projected_orders_are_the_sums_of_the_image_exponents(p, N, u, k, s_top):
+    # the sweep reads H^s(PC), one Smith form of a <= 2 x 2 block per
+    # degree; the oracle reads the image of H^s(P) on the whole level
+    # complex as a group, from kernel generators and boundaries.  P splits
+    # the complex at r*, so the orders agree.  On the whole complex, at r*
+    # and at the lowest level, the same reader gives the raw orders (lag 0)
+    w = u * p**k
+    a, t = _action_class(p, w, N)
+    r = _colimit_level(p, a, N)
+    level = _level_data(p, a, t, r, N, s_top)
+    want = tuple(sum(image_exponents(level, p, N, s, N)) for s in range(s_top + 1))
+    assert _stable_colimit_orders.__wrapped__(p, a, t, N, s_top) == want, (p, w, N)
+    for r in (r, _min_level(p, a, N)):
+        level = _level_data(p, a, t, r, N, s_top)
+        raw = tuple(sum(image_exponents(level, p, N, s, 0)) for s in range(s_top + 1))
+        diffs = _level_complex_matrices(p, a, t, r, N, s_top)
+        assert _complex_orders(diffs, p, N, tuple(range(1, s_top + 2))) == raw, (p, w, N, r)
 
 
 @pytest.mark.parametrize(
