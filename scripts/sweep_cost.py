@@ -11,8 +11,11 @@ it times the uncached function (``__wrapped__``) over all those keys, once
 per repeat, and prints JSON, in milliseconds: per workload the key count,
 the median and quartiles of the whole sweep's time over the repeats, and
 the median per key of the five dearest keys.  odd-deep reads the seed (the
-signs of its deep weights).  Standard library only; run from the
-repository root or anywhere, the package is read from this tree's src/.
+signs of its deep weights).  Next to the sweep's key count it reports
+``brute_keys``, the entries of the brute route's memo of whole answers
+(``_brute_groups``, one per n_top and action class at n_top) after the
+same cold run.  Standard library only; run from the repository root or
+anywhere, the package is read from this tree's src/.
 """
 
 import argparse
@@ -32,8 +35,9 @@ from stabcoh import cohomology as C  # noqa: E402
 from workloads import WORKLOADS, inputs_for  # noqa: E402
 
 
-def reached_keys(workload: str, seed: int) -> list:
-    """The distinct arguments of ``_stable_colimit_orders`` in one cold run."""
+def reached_keys(workload: str, seed: int) -> tuple:
+    """The distinct arguments of ``_stable_colimit_orders`` in one cold run,
+    and the number of entries that run puts in ``_brute_groups``."""
     cached = C._stable_colimit_orders
     keys = set()
 
@@ -42,6 +46,7 @@ def reached_keys(workload: str, seed: int) -> list:
         return cached(*key)
 
     cached.cache_clear()
+    C._brute_groups.cache_clear()
     C._stable_colimit_orders = spy
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -50,7 +55,7 @@ def reached_keys(workload: str, seed: int) -> list:
         C._stable_colimit_orders = cached
     if tally.failures or tally.problems:
         raise SystemExit(f"{workload}: {tally.failures[:2]} {tally.problems[:2]}")
-    return sorted(keys)
+    return sorted(keys), C._brute_groups.cache_info().currsize
 
 
 def sweep_cost(keys: list, repeat: int) -> dict:
@@ -83,7 +88,8 @@ def main() -> int:
         ap.error("--repeat must be at least 2")
     out = {"python": platform.python_version(), "seed": args.seed, "repeat": args.repeat}
     for workload in args.workload.split(","):
-        out[workload] = sweep_cost(reached_keys(workload, args.seed), args.repeat)
+        keys, brute_keys = reached_keys(workload, args.seed)
+        out[workload] = {"brute_keys": brute_keys, **sweep_cost(keys, args.repeat)}
     print(json.dumps(out, indent=1))
     return 0
 

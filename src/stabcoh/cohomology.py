@@ -27,6 +27,7 @@ Two independent computational routes live here.
   commutes with d (checked entry by entry) and so splits the complex C:
   the colimit is H^s(PC), one Smith form of at most 2 x 2 per degree; the
   unfolding at n_top = max(4, v + 2) from the torsion bound max(v, 1).
+  Both run once per n_top and action class (gamma^w, omega^w) mod p^n_top.
 
 Raw finite-level cohomology does *not* equal the continuous answer (for
 instance H^2((Z/2^r)^x, Z/2) has rank 3 for every r >= 4 while the
@@ -140,12 +141,6 @@ class CohomologyResult(Value):
             if deg == s:
                 return expr
         return zero_module()
-
-
-def _result(p, w, exprs: dict[int, ModuleExpr], route, certificate) -> CohomologyResult:
-    return CohomologyResult(
-        p, w, tuple(sorted(exprs.items())), route, certificate
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +443,8 @@ def bar_cohomology_finite(
     ranks = tuple(n**k for k in range(s_max + 2))
     diffs = tuple(_bar_differential(g, k) for k in range(s_max + 1))
     cx = CochainComplex(BaseZMod(g.p, g.N), ranks, diffs)
-    groups = {s: complex_cohomology(cx, s) for s in range(s_max + 1)}
-    return _result(g.p, None, groups, "bar", {"precision": g.N, "order": len(g)})
+    groups = tuple((s, complex_cohomology(cx, s)) for s in range(s_max + 1))
+    return CohomologyResult(g.p, None, groups, "bar", {"precision": g.N, "order": len(g)})
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +637,36 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     return r, s_chk, bar.groups
 
 
+@lru_cache(maxsize=4096)
+def _brute_groups(p, a, t, n_top, s_max):
+    """(((s, H^s), ...), max_level) of the brute route for the action class
+    (a, t) = (gamma^w, omega^w) mod p^n_top: the colimit orders of
+    ``_stable_colimit_orders`` for N = 1..n_top, unfolded by
+    ``_unfold_orders``, and max_level = r* at n_top (r* grows with N, since
+    a norm that is 0 mod p^N is 0 mod p^(N-1), so the top precision needs
+    the highest level).  Orders that do not unfold raise AssertionError,
+    and lru_cache stores no exception, so the failure surfaces on every call.
+
+    The cache is exact.  The sweep, the unfolding and max_level read w only
+    through n_top and the classes (gamma^w, omega^w) mod p^N, N <= n_top,
+    and each of those is the class at n_top reduced mod p^N: gamma^w
+    reduces so for any integer w, and the Teichmueller lift mod p^N is the
+    reduction of the lift mod p^n_top, because both are the one (p-1)-st
+    root of unity congruent to the primitive root mod p (at p = 2, omega =
+    -1 at every N).  The function never sees w, so weights with the same
+    n_top and class at n_top share the groups, immutable module
+    expressions that callers wrap in a fresh CohomologyResult."""
+    orders = [_stable_colimit_orders(p, a % p**N, t % p**N, N, s_max) for N in range(1, n_top + 1)]
+    unfolded = _unfold_orders(orders, s_max, n_top)
+    if unfolded is None:
+        raise AssertionError(
+            f"brute orders do not unfold for p={p}, action class ({a}, {t}) at n_top={n_top}"
+        )
+    rho, tau = unfolded
+    groups = tuple((s, ModuleExpr(p, padics=rho[s], cyclics=tau[s])) for s in range(s_max + 1))
+    return groups, _colimit_level(p, a, n_top)
+
+
 def continuous_via_quotients(
     p: int, w: int, s_max: int, precision_ceiling: int = PRECISION_CEILING
 ) -> CohomologyResult:
@@ -655,6 +680,8 @@ def continuous_via_quotients(
     entry), so P splits C.  Across N they unfold as rho_s N + m_s(N) +
     m_(s+1)(N) into the free ranks rho_s (order slopes, the Z_p detection
     rule) and the torsion partitions m_s, seeded by the torsion-free H^0.
+    The sweep and the unfolding run once per n_top and action class at
+    n_top (``_brute_groups``); each call gets its own certificate.
 
     n_top is derived as well.  The structured complex of Z_p(w) has
     differentials [[h_s, 0], [+-p^v, h_(s-1)]] with h in {0, 1, -2, m}
@@ -682,83 +709,53 @@ def continuous_via_quotients(
             f"precision ceiling {precision_ceiling} hit for w={w}: "
             f"the torsion bound needs coefficient precision {n_top}"
         )
-    # r* grows with N (a norm that is 0 mod p^N is 0 mod p^(N-1)), so the
-    # top precision needs the highest level
-    max_level = _colimit_level(p, _action_class(p, w, n_top)[0], n_top)
     bar = _bar_crosscheck(p, w, s_max)
-    orders: dict[int, tuple[int, ...]] = {}
-    for N in range(1, n_top + 1):
-        orders[N] = _stable_colimit_orders(p, *_action_class(p, w, N), N, s_max)
-    unfolded = _unfold_orders(orders, s_max, n_top)
-    if unfolded is None:
-        raise AssertionError(
-            f"brute orders do not unfold for p={p}, w={w} at n_top={n_top}"
-        )
-    rho, tau = unfolded
-    groups = {
-        s: ModuleExpr(p, padics=rho[s], cyclics=tuple(tau[s]))
-        for s in range(s_max + 1)
-    }
-    return _result(
-        p,
-        w,
-        groups,
-        "brute",
-        {
-            "precision": n_top,
-            "max_level": max_level,
-            "lag": n_top,
-            "precision_ceiling": precision_ceiling,
-            "bar_check": None if bar is None else list(bar[:2]),
-        },
-    )
+    groups, max_level = _brute_groups(p, *_action_class(p, w, n_top), n_top, s_max)
+    bar_check = None if bar is None else list(bar[:2])
+    certificate = {"precision": n_top, "max_level": max_level, "lag": n_top,
+                   "precision_ceiling": precision_ceiling, "bar_check": bar_check}
+    return CohomologyResult(p, w, groups, "brute", certificate)
 
 
-def _unfold_orders(orders: dict[int, tuple[int, ...]], s_top: int, n_top: int):
-    """Resolve a_s(N) = rho_s N + m_s(N) + m_(s+1)(N) with m_0 = 0.
+def _unfold_orders(orders, s_top: int, n_top: int):
+    """Resolve a_s(N) = rho_s N + m_s(N) + m_(s+1)(N) with m_0 = 0, where
+    orders[N - 1][s] = a_s(N) for N = 1..n_top.
 
     Returns (rho, tau), or None when the data contradicts saturation:
     slopes must repeat over the top two increments and each torsion count
     must be flat at the top, non-negative, monotone, with non-increasing
-    increments (a partition's counting function).
-    """
-    a = {s: {N: orders[N][s] for N in orders} for s in range(s_top + 1)}
-    rho = []
+    increments (a partition's counting function)."""
+    rho, tau = [], []
+    m = [0] * (n_top + 1)  # m_s(N) for N = 0..n_top, starting from m_0 = 0
     for s in range(s_top + 1):
-        d1 = a[s][n_top] - a[s][n_top - 1]
-        d2 = a[s][n_top - 1] - a[s][n_top - 2]
-        if d1 != d2 or d1 < 0:
+        a = [0] + [row[s] for row in orders]
+        slope = a[n_top] - a[n_top - 1]
+        if slope != a[n_top - 1] - a[n_top - 2] or slope < 0:
             return None
-        rho.append(d1)
-    m_prev = {N: 0 for N in range(0, n_top + 1)}
-    tau = []
-    for s in range(s_top + 1):
-        tau.append(_partition_from_counts(m_prev, n_top))
-        if tau[-1] is None:
+        parts = _partition_from_counts(m)
+        if parts is None:
             return None
-        m_next = {0: 0}
-        for N in range(1, n_top + 1):
-            m_next[N] = a[s][N] - rho[s] * N - m_prev[N]
-            if m_next[N] < 0:
-                return None
-        if m_next[n_top] != m_next[n_top - 1]:
+        m = [a[N] - slope * N - m[N] for N in range(n_top + 1)]
+        if min(m) < 0 or m[n_top] != m[n_top - 1]:
             return None
-        m_prev = m_next
+        rho.append(slope)
+        tau.append(parts)
     return rho, tau
 
 
-def _partition_from_counts(m: dict[int, int], n_top: int):
-    """Partition with sum-of-min profile m(N) = sum_j min(e_j, N)."""
-    counts = [m[k] - m[k - 1] for k in range(1, n_top + 1)]
-    if any(c < 0 for c in counts):
-        return None
-    if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
-        return None
-    if counts and counts[-1] != 0:
+def _partition_from_counts(m):
+    """The partition, in decreasing order, with sum-of-min profile m(N) =
+    sum_j min(e_j, N) for N = 0..len(m) - 1, read in one pass from the top:
+    c_k = m(k) - m(k - 1) counts the parts >= k, so c_k - c_(k+1) parts
+    equal k.  None unless the counts are 0 at the top (saturated) and
+    non-increasing, which makes them non-negative too."""
+    if m[-1] != m[-2]:
         return None  # not saturated
-    parts = []
-    for k in range(1, len(counts) + 1):
-        nxt = counts[k] if k < len(counts) else 0
-        parts.extend([k] * (counts[k - 1] - nxt))
-    return tuple(sorted(parts, reverse=True))
-
+    parts, above = [], 0  # above = c_(k+1)
+    for k in range(len(m) - 1, 0, -1):
+        c = m[k] - m[k - 1]
+        if c < above:
+            return None
+        parts += [k] * (c - above)
+        above = c
+    return tuple(parts)

@@ -296,11 +296,14 @@ def derived_ss_table(
 
 def compare_tables(a: BigradedTable, b: BigradedTable) -> list[tuple[int, int, ModuleExpr, ModuleExpr]]:
     """Cells where the two tables differ; empty iff identical on the
-    shared window.  Raises WindowMismatch when the windows differ."""
+    shared window.  Raises WindowMismatch when the windows differ.  Equal
+    indexes mean no difference: each holds every nonzero cell of its table."""
     if not a.same_window(b):
         raise WindowMismatch(
             f"windows differ: {a.t_window}x{a.s_window} vs {b.t_window}x{b.s_window}"
         )
+    if a._by_key == b._by_key:
+        return []
     diffs = []
     keys = sorted(a._by_key.keys() | b._by_key.keys())
     for s, t in keys:

@@ -42,6 +42,7 @@ def test_tracer_sees_every_layer_of_verify(capsys):
         cohomology._units_precision,
         cohomology._units_groups,
         cohomology._stable_colimit_orders,
+        cohomology._brute_groups,
         cohomology._bar_crosscheck_class,
     ):
         memo.cache_clear()
@@ -123,6 +124,7 @@ def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
     seen = _snf_mod_spy(monkeypatch, callers)
     # the memos are exact; emptied, every Smith form runs again
     cohomology._stable_colimit_orders.cache_clear()
+    cohomology._brute_groups.cache_clear()
     cohomology._bar_crosscheck_class.cache_clear()
     assert cli.main(["verify"]) == 0
     for p in (3, 5, 7):

@@ -36,14 +36,17 @@ from stabcoh.cohomology import (
     _bar_crosscheck,
     _bar_crosscheck_class,
     _bar_differential,
+    _brute_groups,
     _check_table,
     _colimit_level,
     _complex_orders,
     _geometric_sum,
     _level_complex_matrices,
     _min_level,
+    _partition_from_counts,
     _stable_colimit_orders,
     _torsion_scalars,
+    _unfold_orders,
     _units_groups,
     _units_precision,
     _units_total_complex,
@@ -487,7 +490,7 @@ def test_bar_crosscheck_level_always_descends(p):
 
 
 def _clear_brute_memos():
-    for memo in (_units_groups, _stable_colimit_orders, _bar_crosscheck_class):
+    for memo in (_units_groups, _stable_colimit_orders, _brute_groups, _bar_crosscheck_class):
         memo.cache_clear()
 
 
@@ -522,6 +525,7 @@ def test_bar_crosscheck_reads_the_sweeps_order_reader(monkeypatch):
         with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
             continuous_via_quotients(3, 0, 2)
         assert _stable_colimit_orders.cache_info().currsize == 0
+        assert _brute_groups.cache_info().currsize == 0
     finally:
         _clear_brute_memos()
 
@@ -789,17 +793,132 @@ def test_brute_agrees_with_structured(p, weights):
 def test_brute_colimit_memo_is_exact(p, weights):
     # the weights share action classes at small N, so later weights read
     # colimits that earlier ones put in the cache; fresh recomputation,
-    # with the cache emptied first, must give the same groups
+    # with the cache emptied first, must give the same groups.  The memo of
+    # whole answers is emptied too, or the colimits would never be read
     _stable_colimit_orders.cache_clear()
+    _brute_groups.cache_clear()
     warm = [continuous_via_quotients(p, w, 3) for w in weights]
     assert _stable_colimit_orders.cache_info().hits > 0
     classes = {_action_class(p, w, 2) for w in weights}
     assert len(classes) < len(weights)
     for w, res in zip(weights, warm):
         _stable_colimit_orders.cache_clear()
+        _brute_groups.cache_clear()
         cold = continuous_via_quotients(p, w, 3)
         assert cold.groups == res.groups, (p, w)
         assert cold.certificate == res.certificate, (p, w)
+
+
+@pytest.mark.parametrize(
+    "p,weights",
+    [
+        (2, (1, 3, -5, 2, 6, -10, 4, 12, 20, 64, -192, 0, 9, 17)),
+        (3, (1, 55, -53, 2, 56, 4, -50, 0, 54, 3, 57, -1, 18, 72)),
+        (5, (1, 501, -499, 2, 502, 4, 0, 500, 3, -497, 20, 520)),
+    ],
+)
+def test_brute_memo_is_exact(p, weights):
+    # weights with the same n_top and the same action class at n_top share
+    # one sweep and unfolding (at n_top = 4: w mod 4 at p = 2, w mod
+    # p^3 (p - 1) at odd p); fresh recomputation, with every brute memo
+    # emptied first, must give the same groups and certificates
+    _clear_brute_memos()
+    warm = [continuous_via_quotients(p, w, 3) for w in weights]
+    assert _brute_groups.cache_info().hits > 0
+    for w, res in zip(weights, warm):
+        _clear_brute_memos()
+        cold = continuous_via_quotients(p, w, 3)
+        assert cold == res and cold.w == w, (p, w)
+        assert cold.certificate == res.certificate, (p, w)
+    # two weights that share a key get results that differ only in w, and
+    # no certificate dict is shared between them
+    n_top = {w: res.certificate["precision"] for w, res in zip(weights, warm)}
+    key = {w: (n_top[w], _action_class(p, w, n_top[w])) for w in weights}
+    a, b = next(
+        (a, b) for i, a in enumerate(weights) for b in weights[i + 1 :] if key[a] == key[b]
+    )
+    ra, rb = continuous_via_quotients(p, a, 3), continuous_via_quotients(p, b, 3)
+    assert ra != rb and CohomologyResult(ra.p, b, ra.groups, ra.route, ra.certificate) == rb
+    assert ra.certificate == rb.certificate and ra.certificate is not rb.certificate
+
+
+@st.composite
+def _class_cases(draw):
+    """(p, w, n): |w| <= 10^6, or w = u p^k, deep in the valuation."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    deep = st.builds(lambda u, k: u * p**k, st.integers(-60, 60), st.integers(0, 20))
+    return p, draw(st.integers(-(10**6), 10**6) | deep), draw(st.integers(1, 40))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=_class_cases())
+@example(case=(2, -1, 30))
+@example(case=(11, -7 * 11**5, 40))
+def test_action_class_reduces_from_the_top_precision(case):
+    # the brute memo reads the class at every N <= n_top off the class at
+    # n_top: gamma^w and the Teichmueller power omega^w mod p^N are the
+    # reductions mod p^N of the same powers mod p^n
+    p, w, n = case
+    a, t = _action_class(p, w, n)
+    for N in range(1, n + 1):
+        assert _action_class(p, w, N) == (a % p**N, t % p**N), (p, w, n, N)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    parts=st.lists(st.integers(1, 8), max_size=6),
+    n_top=st.integers(9, 12),
+    at=st.integers(1, 12),
+    bump=st.integers(-2, 2),
+)
+@example(parts=[8], n_top=9, at=9, bump=1)  # not saturated
+@example(parts=[2], n_top=9, at=2, bump=1)  # counts increase
+@example(parts=[1], n_top=9, at=2, bump=-2)  # a negative count
+def test_partition_from_counts_reads_profiles_and_refuses_the_rest(parts, n_top, at, bump):
+    # the profile m(N) = sum_j min(e_j, N) gives back its partition; moved
+    # at one N, it is read iff its counts m(k) - m(k - 1) stay a partition's
+    # counting function (non-negative, non-increasing, 0 at the top), and
+    # then the partition read has that profile
+    def profile(es):
+        return [sum(min(e, N) for e in es) for N in range(n_top + 1)]
+
+    m = profile(parts)
+    assert _partition_from_counts(m) == tuple(sorted(parts, reverse=True))
+    m[min(at, n_top)] += bump
+    counts = [m[k] - m[k - 1] for k in range(1, n_top + 1)]
+    valid = min(counts) >= 0 and counts == sorted(counts, reverse=True) and counts[-1] == 0
+    got = _partition_from_counts(m)
+    assert (got is not None) == valid, (parts, m)
+    assert got is None or (profile(got) == m and list(got) == sorted(got, reverse=True))
+
+
+def test_unfold_orders_reads_groups_and_refuses_the_rest():
+    # a_s(N) = rho_s N + m_s(N) + m_(s+1)(N) for H^0 = Z_p, H^1 = Z_p + Z/p^2
+    # and torsion Z/p in degree 2, at n_top = 5
+    orders = [(N + min(2, N), N + min(2, N) + min(1, N)) for N in range(1, 6)]
+    assert _unfold_orders(orders, 1, 5) == ([1, 1], [(), (2,)])
+    steep = orders[:4] + [(orders[4][0] + 1, orders[4][1])]  # slopes differ at the top
+    assert _unfold_orders(steep, 1, 5) is None
+    # a torsion exponent of n_top - 1 bends the top two increments apart,
+    # and only the slope rule refuses it
+    assert _unfold_orders([(N + min(4, N),) for N in range(1, 6)], 0, 5) is None
+    # in the last degree only the remainder's sign can refuse: m_2(1) = -1
+    negative = [(orders[0][0], orders[0][1] - 2)] + orders[1:]
+    assert _unfold_orders(negative, 1, 5) is None
+
+
+def test_brute_unfolding_failure_is_never_cached(monkeypatch):
+    # orders that do not unfold are an internal error on every call, and
+    # no failure enters the memo of whole answers
+    monkeypatch.setattr(cohomology, "_unfold_orders", lambda *args: None)
+    _clear_brute_memos()
+    try:
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="brute orders do not unfold"):
+                continuous_via_quotients(2, 3, 2)
+        assert _brute_groups.cache_info().currsize == 0
+    finally:
+        _clear_brute_memos()
 
 
 def _pushed_image(source, target, p, N, s, lag):

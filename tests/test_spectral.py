@@ -196,6 +196,26 @@ def test_compare_tables_reports_cells():
         compare_tables(a, golden_table(t_window=(0, 6), s_max=2))
 
 
+def test_compare_tables_of_differing_tables_walks_every_key():
+    # equal indexes return at once; tables that differ still get the walk
+    # over the sorted union of both tables' keys: a changed cell, a cell
+    # on one side only, and one on the other side only
+    a = golden_table(t_window=(-16, 16), s_max=3)
+    cells = dict(a.cells)
+    cells[(1, 8)] = cyclic(2, 3)
+    del cells[(0, 0)]
+    assert a.get(1, 7) == zero_module()
+    cells[(1, 7)] = padic(2)
+    b = BigradedTable(a.p, a.t_window, a.s_window, "ss", tuple(sorted(cells.items())))
+    keys = sorted(a._by_key.keys() | b._by_key.keys())
+    walk = [(s, t, a.get(s, t), b.get(s, t)) for s, t in keys if a.get(s, t) != b.get(s, t)]
+    assert [d[:2] for d in walk] == [(0, 0), (1, 7), (1, 8)]
+    assert compare_tables(a, b) == walk
+    assert compare_tables(b, a) == [(s, t, y, x) for s, t, x, y in walk]
+    twin = BigradedTable(a.p, a.t_window, a.s_window, "ss", a.cells)
+    assert compare_tables(a, twin) == [] and a != twin
+
+
 def test_cell_index_takes_no_part_in_equality_or_hash():
     a = golden_table(t_window=(-16, 16), s_max=3)
     b = BigradedTable(a.p, a.t_window, a.s_window, a.route, a.cells)
