@@ -37,9 +37,11 @@ from level r = N + 2 on, so levels grow with the coefficient precision.
 Finite quotients are realized through the standard splitting
 (Z/p^r)^x = (torsion) x (cyclic).  Every brute call checks this model
 against the bar complex of the same quotient, ``bar_cohomology_finite``,
-once per weight class and whenever the budget affords it: the model's
-groups are read with ``complex_cohomology``, as the bar groups are, and
-their orders through the sweep's own order reader, ``_complex_orders``.
+once per weight class and whenever the budget affords it (the bar complex
+once per orbit of classes under the power automorphisms of the quotient):
+the model's groups are read with ``complex_cohomology``, as the bar groups
+are, and their orders through the sweep's own order reader,
+``_complex_orders``.
 """
 
 from __future__ import annotations
@@ -355,11 +357,15 @@ def _generators(table) -> list[int]:
 @lru_cache(maxsize=64)
 def _units_table(p: int, r: int):
     """(units, table) of (Z/p^r)^x, 1 first as the identity; an exact cache
-    on (p, r), so the weight classes of one quotient share one table."""
+    on (p, r), so the weight classes of one quotient share one table, which
+    the bar cross-check needs abelian: AssertionError unless symmetric."""
     pr = p**r
     units = tuple(u for u in range(1, pr) if u % p != 0)
     index = {u: i for i, u in enumerate(units)}
-    return units, tuple(tuple(index[(u * v) % pr] for v in units) for u in units)
+    table = tuple(tuple(index[(u * v) % pr] for v in units) for u in units)
+    if tuple(zip(*table)) != table:
+        raise AssertionError(f"(Z/{p}^{r})^x table is not commutative")
+    return units, table
 
 
 def units_group_data(p: int, r: int, w: int, N: int) -> FiniteGroupData:
@@ -581,10 +587,26 @@ def _bar_crosscheck(p: int, w: int, s_top: int):
     return _bar_crosscheck_class(p, w % e, s_top)
 
 
+def _orbit_representative(p: int, w: int) -> tuple[int, int]:
+    """(w0, k): w0 = gcd(w, e) mod e, e as in ``_bar_crosscheck``, and the least unit
+    k mod e with k w0 = w mod e, which exists: in Z/e, equal gcds mean associates."""
+    e = 2 if p == 2 else p * (p - 1)
+    w0 = gcd(w, e) % e
+    return w0, next(k for k in range(1, e + 1) if gcd(k, e) == 1 and (k * w0 - w) % e == 0)
+
+
+@lru_cache(maxsize=256)
+def _bar_groups(p: int, r: int, w0: int, s_chk: int):
+    """(``bar_cohomology_finite`` of (Z/p^r)^x on Z/p^2(w0) to degree s_chk, the
+    action vector u -> u^w0 mod p^2); an exact cache, both built from the key alone."""
+    g = units_group_data(p, r, w0, 2)
+    return bar_cohomology_finite(g, s_chk), g.action
+
+
 @lru_cache(maxsize=4096)
 def _bar_crosscheck_class(p: int, w: int, s_top: int):
     """The bar cross-check at coefficient precision N = 2: the bar
-    cohomology of (Z/p^r)^x on Z/p^2(w), r the smallest level the action
+    cohomology of G = (Z/p^r)^x on Z/p^2(w), r the smallest level the action
     factors through, must equal the periodic model's raw groups in degrees
     s <= s_chk = min(s_top, 2), lowered until DEFAULT_BAR_BUDGET affords
     the differentials.  The check is skipped before anything is built once
@@ -598,31 +620,44 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     the same differentials, the order reader the sweep runs on PC (here at
     lag 0, where P = 1), must give each checked group's order.
 
-    ``units_group_data`` cannot refuse level r.  It asks that 1 + p^r act
-    trivially, (1 + p^r)^w = 1 mod p^2, while r was chosen so that
-    gamma^(w q_r) = 1 mod p^2, q_r the order of the cyclic factor at level
-    r.  Both 1 + p^r and gamma^(q_r) generate 1 + p^r Z_p (r >= 2 at
-    p = 2), so the two conditions are the same.
+    The bar side comes from ``_bar_groups`` once per orbit of classes under
+    the power automorphisms of G, at (w0, k) = ``_orbit_representative``
+    (Brown, *Cohomology of Groups*, III.8).  |G| divides e, so gcd(k, |G|)
+    = 1; G is abelian (``_units_table``), so phi_k: u -> u^k is an
+    automorphism of G.  The action descends to level r, so act_w(u) = u^w
+    mod p^2 = act_w0(phi_k(u)), and f -> f o phi_k^(x s) carries the
+    normalized bar complex of (G, Z/p^2(w0)) isomorphically onto that of
+    (G, Z/p^2(w)).  That phi_k permutes the table indices and that act_w =
+    act_w0 o phi_k (so act_w is multiplicative) are checked on every call,
+    in O(|G|).  r is also w0's level: at odd p, r = 1 exactly when p | w,
+    that is when p | w0.  ``units_group_data`` cannot refuse it, since
+    1 + p^r and gamma^(q_r), q_r the cyclic order at level r, both generate
+    1 + p^r Z_p (r >= 2 at p = 2).
 
     The cache is exact.  Everything the check reads of w is a power of a
     unit mod p^2: the action class (gamma^w, omega^w) mod p^2 that fixes r
-    and builds the level, and the descent test and the action u -> u^w
-    mod p^2 in ``units_group_data``.  Each depends only on w mod e, the
-    exponent of (Z/p^2)^x (negative w too: a negative power mod p^2 is the
-    inverse power), so the check of w mod e is the check of w.  A failing
-    check raises, and lru_cache stores no exception, so a disagreement
-    surfaces on every call."""
+    and builds the level, and the action u -> u^w mod p^2 of the transport
+    check.  Each depends only on w mod e, the exponent of (Z/p^2)^x
+    (negative w too: a negative power mod p^2 is the inverse power), as do
+    w0 and k, so the check of w mod e is the check of w.  A failing check
+    raises, and lru_cache stores no exception, so a disagreement surfaces
+    on every call."""
     N = 2
-    r = _min_level(p, _action_class(p, w, N)[0], N)
-    if (p ** (r - 1) * (p - 1)) ** 3 > DEFAULT_BAR_BUDGET:
+    a, t = _action_class(p, w, N)
+    r = _min_level(p, a, N)
+    n = p ** (r - 1) * (p - 1) - 1
+    if (n + 1) ** 3 > DEFAULT_BAR_BUDGET:
         return None
-    g = units_group_data(p, r, w, N)
-    n = len(g) - 1
     s_chk = min(s_top, 2)
     while n ** (2 * s_chk + 1) > DEFAULT_BAR_BUDGET:  # ends by 0: n < |G| <= budget^(1/3)
         s_chk -= 1
-    bar = bar_cohomology_finite(g, s_chk)
-    a, t = _action_class(p, w, N)
+    w0, k = _orbit_representative(p, w)
+    bar, act0 = _bar_groups(p, r, w0, s_chk)
+    units = _units_table(p, r)[0]
+    index = {u: i for i, u in enumerate(units)}
+    phi = [index[pow(u, k, p**r)] for u in units]
+    if len(set(phi)) != len(units) or [pow(u, w, p**N) for u in units] != [act0[i] for i in phi]:
+        raise AssertionError(f"u -> u^{k} does not carry weight {w0} to weight {w} at level {r}")
     diffs = _level_complex_matrices(p, a, t, r, N, s_chk)
     sparse = tuple([{j: x for j, x in enumerate(row) if x} for row in d] for d in diffs)
     model = CochainComplex(BaseZMod(p, N), tuple(range(1, s_chk + 3)), sparse)
@@ -697,8 +732,10 @@ def continuous_via_quotients(
 
     Finite levels run on the periodic product model of (Z/p^r)^x; before
     the sweep the model is cross-checked against the bar complex of the
-    smallest usable quotient whenever that fits in DEFAULT_BAR_BUDGET,
-    once per class of w mod the exponent of (Z/p^2)^x; the certificate's
+    smallest usable quotient whenever that fits in DEFAULT_BAR_BUDGET: the
+    model once per class of w mod the exponent e of (Z/p^2)^x, the bar
+    complex once per orbit of those classes under u -> u^k, k a unit mod
+    e, carried to each class by a checked transport; the certificate's
     bar_check is the [level, top degree] checked, or None when skipped.
     """
     if s_max < 0:

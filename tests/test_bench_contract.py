@@ -44,6 +44,7 @@ def test_tracer_sees_every_layer_of_verify(capsys):
         cohomology._stable_colimit_orders,
         cohomology._brute_groups,
         cohomology._bar_crosscheck_class,
+        cohomology._bar_groups,
     ):
         memo.cache_clear()
     tracer = Tracer()
@@ -126,9 +127,10 @@ def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
     cohomology._stable_colimit_orders.cache_clear()
     cohomology._brute_groups.cache_clear()
     cohomology._bar_crosscheck_class.cache_clear()
+    cohomology._bar_groups.cache_clear()
     assert cli.main(["verify"]) == 0
     for p in (3, 5, 7):
-        for w in (0, 1, 2, 3, -1, p - 1, p, -p * (p - 1)):
+        for w in (0, 1, 2, 3, -1, p - 1, p, 2 * p, p * (p - 1) // 2, -p * (p - 1)):
             cohomology.continuous_via_quotients(p, w, 3)
     capsys.readouterr()
     bad = [

@@ -3,6 +3,7 @@
 import math
 import random
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from stabcoh.cohomology import (
     _bar_crosscheck,
     _bar_crosscheck_class,
     _bar_differential,
+    _bar_groups,
     _brute_groups,
     _check_table,
     _colimit_level,
@@ -43,6 +45,7 @@ from stabcoh.cohomology import (
     _geometric_sum,
     _level_complex_matrices,
     _min_level,
+    _orbit_representative,
     _partition_from_counts,
     _stable_colimit_orders,
     _torsion_scalars,
@@ -401,14 +404,15 @@ def test_zmod_complex_refuses_a_column_out_of_range():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_crosscheck_bar_differentials_match_full_row_elimination(p):
-    # every bar differential the cross-check builds at p, one weight per
-    # class mod e: complex_cohomology, which eliminates a tall one on a
+    # every bar differential of every class mod e, built from the class's
+    # own action: complex_cohomology, which eliminates a tall one on a
     # checked probe of its rows, equals the oracle's elimination of every
-    # row and, within the budget, the full bar complex's groups
+    # row and, within the budget, the full bar complex's groups; and they
+    # are the groups the cross-check shares across the class's orbit
     e = p * (p - 1)
     tall = 0
     for w in range(e):
-        r, s_chk, _ = _bar_crosscheck_class(p, w, 2)
+        r, s_chk, shared = _bar_crosscheck_class(p, w, 2)
         g = units_group_data(p, r, w, 2)
         n = len(g) - 1
         diffs = [_bar_differential(g, k) for k in range(s_chk + 1)]
@@ -423,6 +427,7 @@ def test_crosscheck_bar_differentials_match_full_row_elimination(p):
             din = dense_array(diffs[s - 1], n ** (s - 1)) if s else None
             assert got == cohomology_by_full_elimination(dout, din, n**s, p, 2), (w, s)
             assert full is None or got == full[s], (w, s)
+            assert got == shared[s][1], (w, s)
     assert tall
 
 
@@ -490,7 +495,7 @@ def test_bar_crosscheck_level_always_descends(p):
 
 
 def _clear_brute_memos():
-    for memo in (_units_groups, _stable_colimit_orders, _brute_groups, _bar_crosscheck_class):
+    for memo in (_units_groups, _stable_colimit_orders, _brute_groups, _bar_crosscheck_class, _bar_groups):
         memo.cache_clear()
 
 
@@ -617,6 +622,117 @@ def test_bar_crosscheck_refuses_a_model_that_is_not_a_complex(monkeypatch, capsy
         argv = ["cohomology", "--p", "3", "--t", "0", "--smax", "3", "--route", "brute"]
         assert cli.main(argv) == cli.EXIT_INTERNAL
         assert "did not square to zero" in capsys.readouterr().err
+    finally:
+        _clear_brute_memos()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orbit_representative_is_an_associate(p):
+    # w0 = gcd(w, e) mod e, and k a unit mod e with k w0 = w mod e, for
+    # every w, negative ones too; the representative is its own, with k = 1
+    e = 2 if p == 2 else p * (p - 1)
+    for w in range(-2 * e, 2 * e):
+        w0, k = _orbit_representative(p, w)
+        assert w0 == math.gcd(w, e) % e and math.gcd(k, e) == 1 and (k * w0 - w) % e == 0, (w, w0, k)
+        assert _orbit_representative(p, w0) == (w0, 1)
+
+
+def _fault_on_transport(monkeypatch, fault):
+    """Break the transport of the shared bar groups: "identity" takes
+    phi_k to be the identity, "non-unit" takes k = 2, and "action" changes
+    one entry of the representative's action vector as
+    ``_bar_crosscheck_class`` reads it."""
+    if fault != "action":
+        real = cohomology._orbit_representative
+        k = 1 if fault == "identity" else 2
+        monkeypatch.setattr(cohomology, "_orbit_representative", lambda p, w: (real(p, w)[0], k))
+    else:
+        real = cohomology._bar_groups
+
+        def perturbed(p, r, w0, s_chk):
+            bar, act = real(p, r, w0, s_chk)
+            return bar, act[:-1] + ((act[-1] + p) % p**2,)
+
+        monkeypatch.setattr(cohomology, "_bar_groups", perturbed)
+
+
+@pytest.mark.parametrize(
+    "fault, w, w0, k", [("identity", 41, 1, 41), ("action", 41, 1, 41), ("non-unit", 4, 2, 23)]
+)
+def test_bar_crosscheck_refuses_a_wrong_transport(monkeypatch, capsys, fault, w, w0, k):
+    # at p = 7, classes 41 = -1 and 4 mod 42 are not their orbit's
+    # representative; phi_k taken as the identity or the representative's
+    # action with one entry changed breaks act_w = act_w0 o phi_k, and
+    # u -> u^2 (2 w0 = w, but 2 is no unit mod 42) does not permute the
+    # table.  The check must raise on every call, the brute CLI (t = 2w)
+    # must exit 4 without a table, and no failure may enter a memo: the
+    # cross-check and sweep memos stay empty, and the shared memo holds
+    # only the representative's honest groups
+    assert _orbit_representative(7, w) == (w0, k)
+    _fault_on_transport(monkeypatch, fault)
+    _clear_brute_memos()
+    try:
+        for _ in range(2):
+            with pytest.raises(AssertionError, match=f"does not carry weight {w0} to weight {w} at level 2"):
+                _bar_crosscheck_class(7, w, 2)
+        argv = ["cohomology", "--p", "7", "--t", str(2 * w), "--smax", "2", "--route", "brute"]
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and "internal error: AssertionError" in err and "does not carry" in err
+        for memo in (_bar_crosscheck_class, _stable_colimit_orders, _brute_groups):
+            assert memo.cache_info().currsize == 0, memo
+        assert _bar_groups.cache_info().currsize == 1
+        assert _bar_groups(7, 2, w0, 1)[0].groups == _bar_groups.__wrapped__(7, 2, w0, 1)[0].groups
+    finally:
+        _clear_brute_memos()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bar_crosscheck_reads_the_model_at_every_class_of_an_orbit(monkeypatch, p):
+    # the bar groups are shared across an orbit, the model is built for
+    # each class: a model fault that fires only at the classes that are
+    # not their orbit's representative must still trip the check there
+    e = p * (p - 1)
+    current = []
+
+    def fault(got):
+        return got if _orbit_representative(p, current[-1])[0] == current[-1] else cyclic(p, 5)
+
+    _fault_on_model(monkeypatch, fault)
+    _clear_brute_memos()
+    try:
+        for w in range(e):
+            current.append(w)
+            if _orbit_representative(p, w)[0] == w:
+                continuous_via_quotients(p, w, 2)
+                continue
+            with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
+                continuous_via_quotients(p, w, 2)
+        assert _bar_crosscheck_class.cache_info().currsize == len({math.gcd(w, e) for w in range(e)})
+    finally:
+        _clear_brute_memos()
+
+
+def test_bar_crosscheck_builds_one_bar_complex_per_orbit(monkeypatch, capsys):
+    # odd-deep's weights (seed 1) reach 20 classes mod e and 11 orbits
+    # (4 of 6 at p = 3, 3 of 7 at p = 5, 4 of 7 at p = 7); verify's p = 2
+    # classes 0 and 1 are 2 orbits
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    calls = []
+    real = cohomology.bar_cohomology_finite
+    monkeypatch.setattr(cohomology, "bar_cohomology_finite", lambda *a: calls.append(a) or real(*a))
+    _clear_brute_memos()
+    try:
+        for p, w in workloads.odd_deep_inputs(1):
+            continuous_via_quotients(p, w, workloads.S_MAX_ODD)
+        assert (_bar_crosscheck_class.cache_info().currsize, len(calls)) == (20, 11)
+        _clear_brute_memos()
+        calls.clear()
+        assert cli.main(["verify"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert (_bar_crosscheck_class.cache_info().currsize, len(calls)) == (2, 2)
     finally:
         _clear_brute_memos()
 
