@@ -257,6 +257,12 @@ def cmd_verify(args) -> int:
     if cfg.p != 2:
         print("verify needs p = 2 (the reference table)", file=sys.stderr)
         return EXIT_USAGE
+    if args.inject_fault:
+        s, t = args.inject_fault
+        if not (0 <= s <= cfg.s_max and cfg.t_lo <= t <= cfg.t_hi):
+            window = f"s in [0, {cfg.s_max}], t in [{cfg.t_lo}, {cfg.t_hi}]"
+            print(f"bad configuration: --inject-fault {s},{t} outside {window}", file=sys.stderr)
+            return EXIT_USAGE
     tables = {}
     for route in ("ss", "structured", "brute", "golden"):
         try:
@@ -265,7 +271,6 @@ def cmd_verify(args) -> int:
             print(f"route {route} failed: {e}", file=sys.stderr)
             return EXIT_PRECISION
     if args.inject_fault:
-        s, t = args.inject_fault
         tables["golden"] = _inject_fault(tables["golden"], (s, t))
         print(f"injected fault at (s={s}, t={t})", file=sys.stderr)
     names = ["ss", "structured", "brute", "golden"]

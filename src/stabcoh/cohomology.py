@@ -227,8 +227,8 @@ def _units_precision(p: int, h: tuple[int, int], c: int, s_max: int) -> int:
     """N = 1 + max v_p(g), g the gcd of the entries of d^s for s <= s_max
     (g = 0 skipped): gcd(h_even, c) for d^0, gcd(h_even, h_odd, c) above.
     h_even h_odd = 0, so each d^s has rank <= 1 and one invariant factor,
-    g, and the relations d^(s-1) gives on the saturated kernel of d^s have
-    that same one.  Every valuation ``snf_trunc`` inspects is thus some
+    g, read once for the rank of d^s and once for the torsion of H^(s+1)
+    (``_cohomology_int``).  Every valuation ``snf_trunc`` inspects is some
     v_p(g): N certifies every degree <= s_max, and N - 1 does not.  Cached
     (a pure function of its arguments) because every call of the route
     reads it, memo hit or not."""

@@ -16,16 +16,19 @@ modulus or size can overflow.
 * ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
   Differentials are exact integer matrices held as rows of Python ints
   and eliminate over Z, whose Smith form has the p-adic valuations of the
-  one over Z_p.  Any rank or torsion decision that rests on an invariant
-  factor of valuation N or more aborts with PrecisionExhausted.  Callers
-  derive N from the complex before eliminating (the structured route reads
-  it off the gcd of each rank-one differential's entries), so the check is
-  a safety net; an answer certified at N is the same at every larger N.
+  one over Z_p; each group is read off two Smith diagonals, of the map
+  out and of the map in (``_cohomology_int``).  Any rank or torsion
+  decision that rests on an invariant factor of valuation N or more
+  aborts with PrecisionExhausted.  Callers derive N from the complex
+  before eliminating (the structured route reads it off the gcd of each
+  rank-one differential's entries), so the check is a safety net; an
+  answer certified at N is the same at every larger N.
 
-``snf_mod`` and ``snf_int`` build only the transforms their caller names.
-``snf_mod`` eliminates dense lists of rows; ``_cohomology_mod`` densifies
-only the rows it eliminates, and it and ``lattice_quotient_exponents``
-leave out the kernel generators and vectors that are 0 mod p^N.
+``snf_mod`` builds only the transforms its caller names; ``snf_int``
+builds none.  ``snf_mod`` eliminates dense lists of rows;
+``_cohomology_mod`` densifies only the rows it eliminates, and it and
+``lattice_quotient_exponents`` leave out the kernel generators and
+vectors that are 0 mod p^N.
 """
 
 from __future__ import annotations
@@ -85,68 +88,22 @@ Base = Union[BaseZMod, BaseZpTrunc]
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z (pure python, with transforms and inverses)
+# Smith normal form over Z (pure python, diagonal only)
 
 
 def _identity_ll(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _transforms(want, m: int, n: int):
-    """(U, Ui, V, Vi): an identity for each name in want, else None."""
-    sizes = (("U", m), ("Ui", m), ("V", n), ("Vi", n))
-    return [_identity_ll(k) if name in want else None for name, k in sizes]
-
-
-def snf_int(rows, want=("U", "Ui", "V", "Vi")):
-    """Integer Smith form.
-
-    Returns (diag, U, V, Uinv, Vinv) as lists with U @ A @ V diagonal,
-    every d_i >= 0 and d_i | d_{i+1}.  Pivots are globally minimal in
+def snf_int(rows):
+    """Integer Smith form: the diagonal, a list with every d_i >= 0 and
+    d_i | d_{i+1}, of length min(m, n).  Pivots are globally minimal in
     absolute value; once a pivot divides the remaining block, the chain
-    condition holds by construction.  Only the transforms named in want
-    are built, the others are None; diag does not depend on want.
-    """
+    condition holds by construction.  No transform is built: every caller
+    reads the invariant factors alone."""
     A = [list(map(int, r)) for r in rows]
     m = len(A)
     n = len(A[0]) if m else 0
-    # Ui and V are held transposed, so that every transform update is a row operation
-    U, Uit, Vt, Vi = _transforms(want, m, n)
-
-    def add(X, i, j, q):  # row_i += q * row_j, if X is built
-        if X is not None:
-            X[i] = [x + q * y for x, y in zip(X[i], X[j])]
-
-    def swap(X, i, j):
-        if X is not None:
-            X[i], X[j] = X[j], X[i]
-
-    def swap_rows(i, j):
-        for X in (A, U, Uit):
-            swap(X, i, j)
-
-    def add_row(i, j, q):  # row_i += q * row_j
-        add(A, i, j, q)
-        add(U, i, j, q)
-        add(Uit, j, i, -q)
-
-    def negate_row(i):
-        for X in (A, U, Uit):
-            if X is not None:
-                X[i] = [-x for x in X[i]]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        swap(Vt, i, j)
-        swap(Vi, i, j)
-
-    def add_col(j, i, q):  # col_j += q * col_i
-        for r in A:
-            r[j] += q * r[i]
-        add(Vt, j, i, q)
-        add(Vi, i, j, -q)
-
     t = 0
     rmax = min(m, n)
     while t < rmax:
@@ -161,22 +118,22 @@ def snf_int(rows, want=("U", "Ui", "V", "Vi")):
                     piv = (i, j)
         if piv is None:
             break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
-        if piv[1] != t:
-            swap_cols(t, piv[1])
+        i0, j0 = piv
+        A[t], A[i0] = A[i0], A[t]
+        for r in A:
+            r[t], r[j0] = r[j0], r[t]
         if A[t][t] < 0:
-            negate_row(t)
+            A[t] = [-x for x in A[t]]
         while True:
             restart = False
             for i in range(m):
                 if i != t and A[i][t]:
                     q = A[i][t] // A[t][t]
-                    add_row(i, t, -q)
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
                     if A[i][t]:
-                        swap_rows(i, t)
+                        A[i], A[t] = A[t], A[i]
                         if A[t][t] < 0:
-                            negate_row(t)
+                            A[t] = [-x for x in A[t]]
                         restart = True
                         break
             if restart:
@@ -184,9 +141,11 @@ def snf_int(rows, want=("U", "Ui", "V", "Vi")):
             for j in range(n):
                 if j != t and A[t][j]:
                     q = A[t][j] // A[t][t]
-                    add_col(j, t, -q)
+                    for r in A:
+                        r[j] -= q * r[t]
                     if A[t][j]:
-                        swap_cols(j, t)
+                        for r in A:
+                            r[j], r[t] = r[t], r[j]
                         restart = True
                         break
             if restart:
@@ -203,32 +162,33 @@ def snf_int(rows, want=("U", "Ui", "V", "Vi")):
                     break
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            A[t] = [x + y for x, y in zip(A[t], A[offender])]
         t += 1
-    diag = [A[i][i] for i in range(rmax)]
-    Ui, V = (None if X is None else [list(c) for c in zip(*X)] for X in (Uit, Vt))
-    return diag, U, V, Ui, Vi
+    return [A[i][i] for i in range(rmax)]
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form over Z/p^L (minimal-valuation pivoting)
 
 def snf_mod(A, p: int, L: int, want=()):
-    """Diagonalize a list of rows over Z/p^L.  Returns (vals, U, Ui, V, Vi).
+    """Diagonalize a list of rows over Z/p^L.  Returns (vals, U, V, Vi).
 
     vals has length min(m, n); an entry equal to L means zero in the ring.
     The valuation chain is non-decreasing because pivots are globally
     minimal: step t takes the first entry, in row-major order, of minimal
     valuation in the live block (rows and columns t and up).  Transforms
     are unimodular mod p^L, lists of rows, built only when named in want
-    ("U", "Ui", "V", "Vi"), else None.  Python ints throughout, at any size
+    ("U", "V", "Vi"), else None.  Python ints throughout, at any size
     and modulus; A is not modified.
     """
     M = p**L
     A = [[x % M for x in row] for row in A]
     m = len(A)
     n = len(A[0]) if m else 0
-    U, Ui, V, Vi = _transforms(want, m, n) if want else (None,) * 4
+    U, V, Vi = (
+        _identity_ll(k) if name in want else None
+        for name, k in (("U", m), ("V", n), ("Vi", n))
+    )
     ones = list(range(n))  # rows t and up of Vi are still unit vectors e_ones[j]
     vals: list[int] = []
     for t in range(min(m, n)):
@@ -256,9 +216,6 @@ def snf_mod(A, p: int, L: int, want=()):
             A[t], A[i0] = A[i0], A[t]
             if U is not None:
                 U[t], U[i0] = U[i0], U[t]
-            if Ui is not None:
-                for r in Ui:
-                    r[t], r[i0] = r[i0], r[t]
         if j0 != t:
             for r in A:
                 r[t], r[j0] = r[j0], r[t]
@@ -279,9 +236,6 @@ def snf_mod(A, p: int, L: int, want=()):
             At[t:] = [(x * uinv) % M for x in At[t:]]
             if U is not None:
                 U[t] = [(x * uinv) % M for x in U[t]]
-            if Ui is not None:
-                for r in Ui:
-                    r[t] = (r[t] * u) % M
         nz = [(j, y) for j, y in enumerate(At[t:], t) if y]
         for i in range(t + 1, m):
             Ai = A[i]
@@ -291,9 +245,6 @@ def snf_mod(A, p: int, L: int, want=()):
                     Ai[j] = (Ai[j] - f * y) % M
                 if U is not None:
                     U[i] = [(x - f * y) % M for x, y in zip(U[i], U[t])]
-                if Ui is not None:
-                    for r in Ui:
-                        r[t] = (r[t] + r[i] * f) % M
         # column t is now clear away from row t, so clearing row t touches
         # nothing below it: column j -= g_j column t, for each nonzero g_j
         gs = [(j, y // pa) for j, y in nz[1:]]
@@ -310,26 +261,26 @@ def snf_mod(A, p: int, L: int, want=()):
                 Vi[t][ones[j]] = g
         vals.append(a)
     vals.extend([L] * (min(m, n) - len(vals)))
-    return vals, U, Ui, V, Vi
+    return vals, U, V, Vi
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form over Z_p at working precision N
 
 
-def snf_trunc(rows, p: int, N: int, want=("U", "Ui", "V", "Vi")):
-    """Smith form over Z_p at working precision N, for an exact integer
+def snf_trunc(rows, p: int, N: int):
+    """Smith diagonal over Z_p at working precision N, for an exact integer
     matrix: ``snf_int``, whose invariant factors have the p-adic
     valuations of the Z_p Smith form.  Raises PrecisionExhausted when a
     nonzero invariant factor has valuation N or more, so every decision a
     caller reads off the result is certified below the precision."""
-    diag, *T = snf_int(rows, want)
+    diag = snf_int(rows)
     for d in diag:
         if d and vp(d, p) >= N:
             raise PrecisionExhausted(
                 f"invariant factor valuation {vp(d, p)} not separated below precision {N}"
             )
-    return (diag, *T)
+    return diag
 
 # ---------------------------------------------------------------------------
 # cochain complexes
@@ -423,36 +374,23 @@ def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
 
 
 def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
-    """Exact kernel-mod-image of an integer complex, read over Z_p at
-    working precision N: both eliminations go through ``snf_trunc``, so a
-    kernel or torsion decision at or beyond the precision raises
-    PrecisionExhausted even though the arithmetic itself is exact."""
+    """H = ker(dout)/im(din) of an integer complex, read over Z_p at working
+    precision N from two Smith diagonals.  ker(dout) is saturated, so
+    Z^n/ker(dout) = im(dout) is free and Z^n/im(din) = H + Z^rank(dout);
+    din maps into ker(dout) because d d = 0 is checked on construction.  So
+    H has free rank n - rank(dout) - rank(din), and its torsion is the
+    p-part of the invariant factors of din.  Both diagonals go through
+    ``snf_trunc``, dout's first and din's only when the kernel is nonzero,
+    so a decision at or beyond the precision raises PrecisionExhausted."""
     if n == 0:
         return zero_module()
-    if not dout:
-        rank = 0
-        vi = _identity_ll(n)
-    else:
-        diag, _, _, _, vi = snf_trunc(dout, p, N, want=("Vi",))
-        rank = sum(1 for d in diag if d != 0)
+    rank = sum(1 for d in snf_trunc(dout, p, N) if d) if dout else 0
     kdim = n - rank
     if kdim == 0:
         return zero_module()
-    rel = []
-    if din and din[0]:
-        y = [[sum(x * z for x, z in zip(row, col)) for col in zip(*din)] for row in vi]
-        if any(any(row) for row in y[:rank]):
-            raise ValueError("boundaries do not lie in the kernel")
-        rel = y[rank:]
-    if not rel:
-        free = kdim
-        cyc: tuple[int, ...] = ()
-    else:
-        diag2, *_ = snf_trunc(rel, p, N, want=())
-        nonzero = [d for d in diag2 if d != 0]
-        free = kdim - len(nonzero)
-        cyc = tuple(v for v in (vp(d, p) for d in nonzero) if v >= 1)
-    return ModuleExpr(p, padics=free, cyclics=cyc)
+    nonzero = [d for d in snf_trunc(din, p, N) if d] if din and din[0] else []
+    cyc = tuple(v for v in (vp(d, p) for d in nonzero) if v >= 1)
+    return ModuleExpr(p, padics=kdim - len(nonzero), cyclics=cyc)
 
 
 def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
@@ -495,7 +433,7 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
         vi = _identity_ll(n)
     else:
         rows = dense(dout[: 2 * n])
-        vals, _, _, v, vi = snf_mod(rows, p, N, want=("V", "Vi"))
+        vals, _, v, vi = snf_mod(rows, p, N, want=("V", "Vi"))
         if len(dout) > 2 * n:
             checks = [(p**a, [r[i] for r in v]) for i, a in enumerate(vals) if a]
             bad = []
@@ -508,7 +446,7 @@ def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
                         bad.append(row)
                         break
             if bad:
-                vals, _, _, _, vi = snf_mod(rows + dense(bad), p, N, want=("Vi",))
+                vals, _, _, vi = snf_mod(rows + dense(bad), p, N, want=("Vi",))
         avals = [min(a, N) for a in vals] + [N] * (n - len(vals))
     live = [i for i in range(n) if avals[i]]
     if not live:
@@ -551,7 +489,7 @@ def lattice_quotient_exponents(num, den, ambient: int, p: int, N: int) -> tuple[
     g1 = live(num) + g2
     a1 = [[v[i] % L1 for v in g1] for i in range(ambient)]
     a2 = [[v[i] % L1 for v in g2] for i in range(ambient)]
-    vals1, u1, _, _, _ = snf_mod(a1, p, N + 1, want=("U",))
+    vals1, u1, _, _ = snf_mod(a1, p, N + 1, want=("U",))
     vals1 = [min(v, N) for v in vals1]
     if len(vals1) < ambient:
         raise AssertionError("numerator lattice is not full rank")

@@ -25,12 +25,10 @@ d^(s-1); ``_pushed_cocycles`` pushes those generators along phi^lag.
 ``image_exponents`` reads the image of inflation on one level as a group,
 with ``lattice_quotient_exponents`` on ``_level_data``; it is the
 reference for the sweep's order reader ``_complex_orders``, which reads
-H^s of the projected complex PC instead.  ``_image_order`` reads the
-same image's order as log|coker B| - log|coker(P Z + B)|, with one Smith
-form.  ``quotient_level_cohomology`` is ``image_exponents``
-at lag 0, the periodic model's raw groups.  None is an oracle for the
-code it calls; tests compare them with the bar complex, with enumeration
-and with each other.
+H^s of the projected complex PC instead.  ``quotient_level_cohomology``
+is ``image_exponents`` at lag 0, the periodic model's raw groups.  None
+is an oracle for the code it calls; tests compare them with the bar
+complex, with enumeration and with each other.
 """
 
 import json
@@ -467,28 +465,25 @@ def abutment_by_cells(page, s_max=None):
 
 
 class _LevelData:
-    """Per degree s: kernel generators of d^s, the columns B of d^(s-1) and
-    log_p |coker B| over Z/p^N (the Smith valuations of d^(s-1), plus N)."""
+    """Per degree s: kernel generators of d^s and the columns B of d^(s-1)."""
 
-    __slots__ = ("cocycles", "boundaries", "coker_orders")
+    __slots__ = ("cocycles", "boundaries")
 
-    def __init__(self, cocycles, boundaries, coker_orders):
-        self.cocycles, self.boundaries, self.coker_orders = cocycles, boundaries, coker_orders
+    def __init__(self, cocycles, boundaries):
+        self.cocycles, self.boundaries = cocycles, boundaries
 
 
 def _level_data(p: int, a: int, t: int, r: int, N: int, s_top: int) -> _LevelData:
     """Per degree s, the kernel generators p^(N - a_i) V e_i of d^s with
-    a_i >= 1 (the others are 0 mod p^N), the columns of d^(s-1) and the
-    order of their cokernel (N at s = 0)."""
+    a_i >= 1 (the others are 0 mod p^N) and the columns of d^(s-1)."""
     diffs = _level_complex_matrices(p, a, t, r, N, s_top)
     M = p**N
-    cocycles, boundaries, coker_orders = [], [], [N]
+    cocycles, boundaries = [], []
     for s in range(s_top + 1):
-        vals, _, _, V, _ = snf_mod(diffs[s], p, N, want=("V",))
+        vals, _, V, _ = snf_mod(diffs[s], p, N, want=("V",))
         cocycles.append([[row[i] * p ** (N - a) % M for row in V] for i, a in enumerate(vals) if a])
         boundaries.append([list(col) for col in zip(*diffs[s - 1])] if s else [])
-        coker_orders.append(sum(vals) + N)  # d^s has s + 2 rows, s + 1 pivots
-    return _LevelData(cocycles, boundaries, coker_orders)
+    return _LevelData(cocycles, boundaries)
 
 
 def _pushed_cocycles(level: _LevelData, p: int, N: int, s: int, lag: int):
@@ -497,22 +492,6 @@ def _pushed_cocycles(level: _LevelData, p: int, N: int, s: int, lag: int):
     M = p**N
     scalar = [pow(p, ((s - i) // 2) * lag, M) for i in range(s + 1)]
     return [[(x * c) % M for x, c in zip(z, scalar)] for z in level.cocycles[s]]
-
-
-def _image_order(level: _LevelData, p: int, N: int, s: int, lag: int) -> int:
-    """log_p |(span(P Z) + D)/D|, D = span(B) + p^N Z^(s+1): log|coker B| -
-    log|coker(P Z + B)| over Z/p^N, one diagonal-only Smith form with a
-    pivot in each of its s + 1 rows (a zero pivot counts N)."""
-    live = [z for z in _pushed_cocycles(level, p, N, s, lag) if any(z)]
-    if not live:
-        return 0
-    vals = snf_mod([list(row) for row in zip(*live, *level.boundaries[s])], p, N)[0]
-    order = level.coker_orders[s] - sum(vals)
-    if not 0 <= order <= N * (s + 1):
-        raise AssertionError(f"image order {order} outside [0, {N * (s + 1)}] in degree {s}")
-    return order
-
-
 
 
 def image_exponents(level, p, N, s, lag):

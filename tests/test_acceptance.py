@@ -183,7 +183,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
         for n in range(1, 4):
             for _ in range(10):
                 dout = rng.integers(0, M, size=(int(rng.integers(1, 3)), n))
-                vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
+                vals, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
                 V = np.array(V, dtype=np.int64)
                 avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
                 gens = [(V[:, i] * p ** (N - avals[i])) % M for i in range(n)]

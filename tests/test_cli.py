@@ -129,6 +129,28 @@ def test_malformed_arguments_exit_2_before_any_route(capsys, monkeypatch, argv):
     assert "error: argument" in out.err
 
 
+@pytest.mark.parametrize(
+    "cell,window",
+    [
+        ("2,1000", []),
+        ("9,2", []),
+        ("-1,2", []),
+        ("1,9", ["--t", "0:8", "--smax", "2"]),
+        ("3,8", ["--t", "0:8", "--smax", "2"]),
+    ],
+)
+def test_inject_fault_outside_window_exit_2_before_any_route(capsys, monkeypatch, cell, window):
+    # the cell is checked against the configured window (s in [0, smax],
+    # t in the --t window) before any route runs
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route ran before the fault cell was checked")
+
+    monkeypatch.setattr(cli, "compute_route_table", no_route)
+    code, out, err = run_cli(capsys, "verify", *window, f"--inject-fault={cell}")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"--inject-fault {cell} outside" in err
+
+
 @pytest.mark.parametrize("flag", ["--quotient-max", "--bar-budget"])
 def test_removed_options_exit_2(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
-    _image_order,
     _level_data,
     bar_cohomology_by_enumeration,
     cohomology_by_full_elimination,
@@ -1128,29 +1127,6 @@ def test_derived_colimit_matches_search(p, N, u, k, s_top):
     target = _level_data(p, a, t, r + 1 + N + 1, N, s_top)
     later = tuple(_pushed_image(source, target, p, N, s, N + 1) for s in range(s_top + 1))
     assert later == exps, (p, w, N)
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(
-    p=st.sampled_from([2, 3, 5, 7]),
-    N=st.integers(1, 7),
-    u=st.integers(-24, 24),
-    k=st.integers(0, 8),
-    s_top=st.sampled_from([3, 5]),
-    lag=st.sampled_from([0, 1, "N"]),
-)
-def test_image_order_is_the_sum_of_the_image_exponents(p, N, u, k, s_top, lag):
-    # the image order reader (one diagonal-only Smith form against the
-    # cokernel of d^(s-1)) and the exponent reader (two Smith forms and a
-    # transform) agree on every degree, at r* and at the lowest level
-    w = u * p**k
-    a, t = _action_class(p, w, N)
-    lag = N if lag == "N" else lag
-    for r in (_colimit_level(p, a, N), _min_level(p, a, N)):
-        level = _level_data(p, a, t, r, N, s_top)
-        for s in range(s_top + 1):
-            want = sum(image_exponents(level, p, N, s, lag))
-            assert _image_order(level, p, N, s, lag) == want, (p, w, N, r, s, lag)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

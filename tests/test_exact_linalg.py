@@ -31,7 +31,7 @@ from stabcoh.exact_linalg import (
 )
 from stabcoh.modules import ModuleExpr, cyclic, padic, zero_module
 
-ALL_TRANSFORMS = ("U", "Ui", "V", "Vi")
+ALL_TRANSFORMS = ("U", "V", "Vi")
 
 small_matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda m: st.integers(min_value=1, max_value=4).flatmap(
@@ -44,48 +44,22 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
-def _check_int_transforms(A, diag, U, V, Ui, Vi):
-    """U A V is the diagonal matrix of diag, exactly, and Ui, Vi invert
-    U, V over Z."""
-    m, n = len(A), len(A[0])
-
-    def mul(X, Y):
-        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
-
-    def eye(k):
-        return [[int(i == j) for j in range(k)] for i in range(k)]
-
-    D = mul(mul(U, A), V)
-    assert D == [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
-    assert mul(U, Ui) == eye(m)
-    assert mul(V, Vi) == eye(n)
-
-
 def test_snf_gcd_elimination_oracle_diag_2_3():
     A = [[2, 0], [0, 3]]
     assert smith_diagonal_by_minor_gcds(A) == [1, 6]
-    diag, *T = snf_int(A)
-    assert diag == [1, 6]
-    _check_int_transforms(A, diag, *T)
+    assert snf_int(A) == [1, 6]
 
 
 def test_snf_identity_and_zero():
-    I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    diag, *T = snf_int(I3)
-    assert diag == [1, 1, 1]
-    _check_int_transforms(I3, diag, *T)
-    Z = [[0, 0, 0], [0, 0, 0]]
-    diag, *T = snf_int(Z)
-    assert diag == [0, 0]
-    _check_int_transforms(Z, diag, *T)
+    assert snf_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
+    assert snf_int([[0, 0, 0], [0, 0, 0]]) == [0, 0]
 
 
 @given(small_matrices)
 @settings(max_examples=150)
-def test_snf_transform_identity_and_divisibility(rows):
-    diag, *T = snf_int(rows)
-    _check_int_transforms(rows, diag, *T)
-    d = list(diag)
+def test_snf_int_divisibility_and_minor_gcds(rows):
+    # the diagonal alone: snf_int builds no transform
+    d = snf_int(rows)
     for a, b in zip(d, d[1:]):
         if a:
             assert b % a == 0
@@ -99,7 +73,7 @@ def test_snf_transform_identity_and_divisibility(rows):
 def test_snf_mod_agrees_with_integer_p_parts(rows, p, N):
     A = np.array(rows, dtype=np.int64)
     vals, *T = snf_mod(rows, p, N, want=ALL_TRANSFORMS)
-    U, Ui, V, Vi = (np.array(X, dtype=np.int64) for X in T)
+    U, V, Vi = (np.array(X, dtype=np.int64) for X in T)
     M = p**N
     D = (U @ A @ V) % M
     off = D.copy()
@@ -111,15 +85,16 @@ def test_snf_mod_agrees_with_integer_p_parts(rows, p, N):
         min(vp(d, p), N) if d else N for d in smith_diagonal_by_minor_gcds(rows)
     ]
     assert got == expected
-    assert not ((U @ Ui) % M - np.eye(A.shape[0], dtype=np.int64) % M).any()
+    assert all(d % p for d in snf_int(T[0]))  # U is invertible mod p^N
     assert not ((V @ Vi) % M - np.eye(A.shape[1], dtype=np.int64) % M).any()
     for i in range(min(D.shape)):
         assert (D[i, i] - (p ** vals[i] if vals[i] < N else 0)) % M == 0
 
 
-def _check_mod_transforms(A, vals, U, Ui, V, Vi, p, L):
-    """U A V is diagonal with p^vals on the diagonal, and Ui, Vi are the
-    inverses of U, V, all mod p^L; exact Python-int arithmetic."""
+def _check_mod_transforms(A, vals, U, V, Vi, p, L):
+    """U A V is diagonal with p^vals on the diagonal, U is invertible (no
+    integer invariant factor of U is divisible by p) and Vi is the inverse
+    of V, all mod p^L; exact Python-int arithmetic."""
     M = p**L
     m, n = len(A), len(A[0])
 
@@ -134,7 +109,7 @@ def _check_mod_transforms(A, vals, U, Ui, V, Vi, p, L):
         for j in range(n):
             want = p ** vals[i] % M if i == j and vals[i] < L else 0
             assert D[i][j] == want, (i, j)
-    assert mul(U, Ui) == eye(m)
+    assert all(d % p for d in snf_int(U))
     assert mul(V, Vi) == eye(n)
 
 
@@ -153,10 +128,10 @@ def _check_mod_transforms(A, vals, U, Ui, V, Vi, p, L):
 def test_snf_mod_past_int64_matches_integer_p_parts(rows):
     # 3^40 > 2^63: these residues do not fit a machine word
     p, L = 3, 40
-    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
-    diag, *_ = snf_int(rows, want=())
+    vals, U, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
+    diag = snf_int(rows)
     assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
-    _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
+    _check_mod_transforms(rows, vals, U, V, Vi, p, L)
 
 
 @given(
@@ -180,22 +155,22 @@ def test_snf_mod_past_int64_matches_integer_p_parts(rows):
 def test_snf_mod_sparse_rows_match_integer_p_parts(rows, p, L):
     # mostly-zero rows, as the bar complexes give: elimination skips the
     # zeros of the pivot row, and the transforms must still be exact
-    vals, U, Ui, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
-    diag, *_ = snf_int(rows, want=())
+    vals, U, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
+    diag = snf_int(rows)
     assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
-    _check_mod_transforms(rows, vals, U, Ui, V, Vi, p, L)
+    _check_mod_transforms(rows, vals, U, V, Vi, p, L)
 
 
 def test_snf_mod_container_follows_input():
     # lists of rows in, lists of rows out, whatever their size
     rows = [[2, 4, 6], [1, 3, 5]]
-    vals, U, Ui, V, Vi = snf_mod(rows, 2, 3, want=ALL_TRANSFORMS)
-    assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
-    _check_mod_transforms(rows, vals, U, Ui, V, Vi, 2, 3)
+    vals, U, V, Vi = snf_mod(rows, 2, 3, want=ALL_TRANSFORMS)
+    assert all(isinstance(T, list) for T in (U, V, Vi))
+    _check_mod_transforms(rows, vals, U, V, Vi, 2, 3)
     big = [[(i * j) % 7 for j in range(20)] for i in range(20)]
-    vals, U, Ui, V, Vi = snf_mod(big, 7, 2, want=ALL_TRANSFORMS)
-    assert all(isinstance(T, list) for T in (U, Ui, V, Vi))
-    _check_mod_transforms(big, vals, U, Ui, V, Vi, 7, 2)
+    vals, U, V, Vi = snf_mod(big, 7, 2, want=ALL_TRANSFORMS)
+    assert all(isinstance(T, list) for T in (U, V, Vi))
+    _check_mod_transforms(big, vals, U, V, Vi, 7, 2)
 
 
 @given(small_matrices, st.sampled_from([2, 3, 5]), st.integers(min_value=1, max_value=4))
@@ -204,37 +179,30 @@ def test_transforms_are_built_only_on_request(rows, p, L):
     # every request gives the same diagonal; each transform asked for is
     # the one the full request builds, which satisfies its identity, and
     # each other one is None
-    full_mod = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
-    _check_mod_transforms(rows, *full_mod, p, L)
-    full_int = snf_int(rows, want=ALL_TRANSFORMS)
-    _check_int_transforms(rows, *full_int)
+    full = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
+    _check_mod_transforms(rows, *full, p, L)
     for k in range(len(ALL_TRANSFORMS) + 1):
         for want in combinations(ALL_TRANSFORMS, k):
-            for got, full, order in (
-                (snf_mod(rows, p, L, want=want), full_mod, ("U", "Ui", "V", "Vi")),
-                (snf_int(rows, want=want), full_int, ("U", "V", "Ui", "Vi")),
-                (snf_trunc(rows, p, 64, want=want), full_int, ("U", "V", "Ui", "Vi")),
-            ):
-                assert got[0] == full[0], want
-                for name, T, F in zip(order, got[1:], full[1:]):
-                    assert T == (F if name in want else None), (want, name)
+            got = snf_mod(rows, p, L, want=want)
+            assert got[0] == full[0], want
+            for name, T, F in zip(ALL_TRANSFORMS, got[1:], full[1:]):
+                assert T == (F if name in want else None), (want, name)
 
 
 def test_snf_truncated_base_and_precision_exhaustion():
     with pytest.raises(PrecisionExhausted):
         snf_trunc([[16]], 2, 3)
-    diag, *T = snf_trunc([[16]], 2, 8)
+    diag = snf_trunc([[16]], 2, 8)
     assert diag == [16] and vp(diag[0], 2) == 4
-    _check_int_transforms([[16]], diag, *T)
 
 
 def test_snf_truncated_stability_under_refinement():
     A = [[12, 4], [8, 24]]  # invariant factors 4, 64
     with pytest.raises(PrecisionExhausted):
         snf_trunc(A, 2, 6)
-    first, *_ = snf_trunc(A, 2, 8)
-    second, *_ = snf_trunc(A, 2, 16)
-    assert [vp(d, 2) for d in first] == [vp(d, 2) for d in second] == [2, 6]
+    first = snf_trunc(A, 2, 8)
+    second = snf_trunc(A, 2, 16)
+    assert first == second == snf_int(A) == [4, 64]
 
 
 def test_complex_left_kernel_of_doubling_on_z8():
@@ -298,6 +266,97 @@ def test_d_squared_is_checked_on_construction():
             (1, 1, 1),
             ([{0: 2}], [{0: 3}]),
         )
+    # over the integer base the composite must vanish exactly: the group
+    # reader rests on boundaries being cocycles, and checks nothing itself;
+    # 16 * 16 = 2^8 is 0 mod 2^8 and still refused at N = 8
+    for d0, d1 in (([[2]], [[4]]), ([[16]], [[16]]), ([[1, 0], [0, 1]], [[0, 1]])):
+        with pytest.raises(ValueError):
+            CochainComplex(BaseZpTrunc(2, 8), (len(d0[0]), len(d0), len(d1)), (d0, d1))
+
+
+@st.composite
+def _planted_integer_complexes(draw):
+    """(p, N, complex, groups, refusals): C^0 -> C^1 -> C^2 over
+    BaseZpTrunc(p, N), built in diagonal form and conjugated by unimodular
+    integer matrices.  C^1 = Z^(a + f + b): d^0 sends e_j to alpha_j e_j
+    for j < a, d^1 sends e_(a+f+i) to beta_i e_i, so d d = 0 and f is the
+    free block.  groups[s] is the planted H^s over Z_p; refusals[s] says
+    whether reading degree s must raise PrecisionExhausted: a planted factor
+    of the map out or of the map in, of valuation N or more.  (A nonzero
+    map in implies a nonzero kernel, since d d = 0.)"""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.integers(min_value=1, max_value=5))
+    # a unit of Z_p, +-(p q + r) with 0 < r < p, times p^v, v up to N + 1
+    factor = st.tuples(
+        st.sampled_from([1, -1]), st.integers(0, 3), st.integers(1, p - 1), st.integers(0, N + 1)
+    ).map(lambda x: x[0] * (p * x[1] + x[2]) * p ** x[3])
+    alphas = draw(st.lists(factor, max_size=3))
+    betas = draw(st.lists(factor, max_size=3))
+    a, b = len(alphas), len(betas)
+    f = draw(st.integers(min_value=0, max_value=2))
+    k = a + draw(st.integers(min_value=0, max_value=2))
+    m = b + draw(st.integers(min_value=0, max_value=2))
+    n = a + f + b
+    d0 = [[alphas[i] if i == j and i < a else 0 for j in range(k)] for i in range(n)]
+    d1 = [[betas[i] if j == a + f + i and i < b else 0 for j in range(n)] for i in range(m)]
+
+    def unimodular(size):
+        """(P, P^-1) from a drawn run of elementary row operations."""
+        P = [[int(i == j) for j in range(size)] for i in range(size)]
+        Pi = [row[:] for row in P]
+        if size < 2:
+            return P, Pi
+        ops = st.tuples(st.integers(0, size - 1), st.integers(0, size - 2), st.integers(-3, 3))
+        for i, j, q in draw(st.lists(ops, max_size=2 * size)):
+            j += j >= i  # j != i
+            P[i] = [x + q * y for x, y in zip(P[i], P[j])]  # row_i += q row_j
+            for row in Pi:  # col_j -= q col_i
+                row[j] -= q * row[i]
+        return P, Pi
+
+    def mul(X, Y):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] for row in X]
+
+    (_, P0i), (P1, P1i), (P2, _) = unimodular(k), unimodular(n), unimodular(m)
+    d0, d1 = mul(mul(P1, d0), P0i), mul(mul(P2, d1), P1i)
+    cx = CochainComplex(BaseZpTrunc(p, N), (k, n, m), (d0, d1))
+
+    def torsion(factors):
+        return [vp(x, p) for x in factors if vp(x, p) >= 1]
+
+    def deep(factors):
+        return any(vp(x, p) >= N for x in factors)
+
+    groups = [
+        ModuleExpr(p, padics=k - a),
+        ModuleExpr(p, padics=f, cyclics=torsion(alphas)),
+        ModuleExpr(p, padics=m - b, cyclics=torsion(betas)),
+    ]
+    refusals = [deep(alphas), deep(alphas) or deep(betas), deep(betas)]
+    return p, N, cx, groups, refusals
+
+
+@given(_planted_integer_complexes())
+@example(
+    (
+        2,
+        3,
+        CochainComplex(BaseZpTrunc(2, 3), (1, 1, 1), ([[8]], [[0]])),
+        [zero_module(), cyclic(2, 3), padic(2, 1)],
+        [True, True, False],
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_integer_cohomology_returns_the_planted_group(planted):
+    # the group of every degree, or PrecisionExhausted exactly where a
+    # planted factor that the reader must decide has valuation >= N
+    p, N, cx, groups, refusals = planted
+    for s in range(3):
+        if refusals[s]:
+            with pytest.raises(PrecisionExhausted):
+                complex_cohomology(cx, s)
+        else:
+            assert complex_cohomology(cx, s) == groups[s], (s, cx.differentials)
 
 
 def _random_mod_complex(rng, p, N, n, dout=None):
@@ -307,7 +366,7 @@ def _random_mod_complex(rng, p, N, n, dout=None):
     M = p**N
     if dout is None:
         dout = rng.integers(0, M, size=(rng.integers(1, 4), n))
-    vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
+    vals, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
     V = np.array(V, dtype=np.int64)
     gens = []
     avals = [min(v, N) for v in vals] + [N] * (n - len(vals))
@@ -365,7 +424,7 @@ def test_tall_mod_cohomology_matches_full_elimination_and_enumeration(p, N):
             coeffs[rng.random(m) < 0.7] = 0
             dout = coeffs @ basis % M
             # din: random combinations of the kernel generators of dout
-            vals, _, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
+            vals, _, V, _ = snf_mod(dout.tolist(), p, N, want=("V",))
             gens = np.array(V, dtype=np.int64) * p ** (N - np.array(vals)) % M
             din = gens @ rng.integers(0, M, size=(n, int(rng.integers(1, 4)))) % M
             c = CochainComplex(
