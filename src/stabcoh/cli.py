@@ -14,6 +14,7 @@ go to stderr; stdout stays machine-parseable in json/csv modes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .cohomology import continuous_via_quotients, units_cohomology
@@ -128,23 +129,16 @@ def compute_route_table(route: str, cfg: RunConfig) -> BigradedTable:
     if route == "golden":
         return golden_table(cfg.p, (cfg.t_lo, cfg.t_hi), cfg.s_max, cfg.t0_even_row)
     fn = _route_cell_fn(route, cfg)
-    weights = sorted({t // 2 for t in range(cfg.t_lo, cfg.t_hi + 1) if t % 2 == 0})
-    cells = []
-    for w in weights:
-        res = fn(w)
+    rows = [[] for _ in range(cfg.s_max + 1)]
+    for t in range(cfg.t_lo + cfg.t_lo % 2, cfg.t_hi + 1, 2):
+        res = fn(t // 2)
         if cfg.verbose:
-            sys.stderr.write(f"[{route}] w={w}: certificate {res.certificate}\n")
-        t = 2 * w
-        if not (cfg.t_lo <= t <= cfg.t_hi):
-            continue
-        for s in range(cfg.s_max + 1):
-            expr = res.group(s)
-            if not expr.is_zero:
-                cells.append(((s, t), expr))
-    cells.sort(key=lambda it: it[0])
-    return BigradedTable(
-        cfg.p, (cfg.t_lo, cfg.t_hi), (0, cfg.s_max), route, tuple(cells)
-    )
+            sys.stderr.write(f"[{route}] w={res.w}: certificate {res.certificate}\n")
+        for s, expr in res.groups:
+            if expr.p is not None:
+                rows[s].append(((s, t), expr))
+    cells = tuple(cell for row in rows for cell in row)
+    return BigradedTable(cfg.p, (cfg.t_lo, cfg.t_hi), (0, cfg.s_max), route, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +361,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream with a closed pipe at os.devnull, so its flush at exit succeeds."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not at exit
+        return code
     except Exception as e:
+        if isinstance(e, BrokenPipeError):
+            _to_devnull(sys.stdout)
         message = " ".join(str(e).split())
-        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        try:
+            print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr, flush=True)
+        except BrokenPipeError:
+            _to_devnull(sys.stderr)
         return EXIT_INTERNAL
 
 

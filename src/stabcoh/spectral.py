@@ -11,9 +11,13 @@ instead of guessing extensions.
 
 The target table (continuous cohomology of the height-1 stabilizer group)
 is transcribed as ``golden_table``; ``compare_tables`` closes the loop.
-Cell lookups on tables and pages are dict lookups; assembly visits only
-the page's nonzero cells and comparison only the two tables' cells, so
-both cost time linear in those cells.
+Each table is built in one pass, in key order: the transcribed tables
+row by row in s over even t only (E(1)_* and pi_*E_1 live in even
+degrees, so both tables vanish at odd t), the page column by column.
+Cell checks run over the whole table at once.  Cell lookups on tables
+and pages are dict lookups; assembly visits only the page's nonzero cells
+and comparison only the two tables' cells, so both cost time linear in
+those cells.
 
 Row-overlap convention: both tables have a "t even, s >= 2" line next to
 dedicated t = 0 entries, and t = 0 is itself even.  Whether t = 0 belongs
@@ -29,6 +33,7 @@ part is what the s = 1 row here means.
 from __future__ import annotations
 
 import io
+from operator import itemgetter
 
 from .errors import UnsupportedPrime, WindowMismatch
 from .modules import (
@@ -92,33 +97,47 @@ class BigradedTable(Value):
 
 
 def _index_cells(table) -> None:
-    """Store ``table._by_key``, the dict of ``table.cells``, after refusing
-    a zero cell, a cell outside the window and a key that occurs twice.
-    A key ends in (s, t)."""
-    index = {}
-    for key, expr in table.cells:
-        s, t = key[-2:]
-        if not (table.s_window[0] <= s <= table.s_window[1]):
-            raise ValueError(f"cell s={s} outside window {table.s_window}")
-        if not (table.t_window[0] <= t <= table.t_window[1]):
-            raise ValueError(f"cell t={t} outside window {table.t_window}")
-        if expr.is_zero:
-            raise ValueError("zero cells must be omitted")
-        if key in index:
-            raise ValueError(f"duplicate cell {key}")
-        index[key] = expr
+    """Store ``table._by_key``, the dict of ``table.cells``, after refusing a
+    column i of an (i, s, t) key other than 0 or 1, a cell outside the
+    window, a zero cell (``p`` is None) and a key that occurs twice.  The
+    checks read the whole table; when one fails, the first bad cell is found."""
+    index = dict(table.cells)
+    if isinstance(table, SSPage) and not set(map(itemgetter(0), index)) <= {0, 1}:
+        raise ValueError("derived index must be 0 or 1")
+    ss, ts = set(map(itemgetter(-2), index)), set(map(itemgetter(-1), index))
+    (s_lo, s_hi), (t_lo, t_hi) = table.s_window, table.t_window
+    if index and not (
+        len(index) == len(table.cells)
+        and s_lo <= min(ss) and max(ss) <= s_hi
+        and t_lo <= min(ts) and max(ts) <= t_hi
+        and None not in {expr.p for expr in index.values()}
+    ):
+        seen = set()
+        for key, expr in table.cells:
+            s, t = key[-2:]
+            if not (s_lo <= s <= s_hi):
+                raise ValueError(f"cell s={s} outside window {table.s_window}")
+            if not (t_lo <= t <= t_hi):
+                raise ValueError(f"cell t={t} outside window {table.t_window}")
+            if expr.is_zero:
+                raise ValueError("zero cells must be omitted")
+            if key in seen:
+                raise ValueError(f"duplicate cell {key}")
+            seen.add(key)
     object.__setattr__(table, "_by_key", index)
 
 
 def _build_table(p, t_window, s_window, route, cell_fn) -> BigradedTable:
-    cells = []
-    for t in range(t_window[0], t_window[1] + 1):
-        for s in range(s_window[0], s_window[1] + 1):
-            expr = cell_fn(s, t)
-            if not expr.is_zero:
-                cells.append(((s, t), expr))
-    cells.sort(key=lambda it: it[0])
-    return BigradedTable(p, tuple(t_window), tuple(s_window), route, tuple(cells))
+    """cell_fn on the window, row by row in s over even t only, so in key
+    order; cell_fn must vanish at odd t, as both transcribed tables do."""
+    evens = tuple(range(t_window[0] + t_window[0] % 2, t_window[1] + 1, 2))  # one int per t
+    cells = tuple(
+        ((s, t), expr)
+        for s in range(s_window[0], s_window[1] + 1)
+        for t in evens
+        if (expr := cell_fn(s, t)).p is not None
+    )
+    return BigradedTable(p, tuple(t_window), tuple(s_window), route, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +220,16 @@ def golden_table(
 
 
 class SSPage(Value):
-    """E_2 = E_infinity page: (i, s, t) -> module, i in {0, 1} only; its
-    cells obey the rules of ``BigradedTable`` cells, and ``get`` reads the
-    same kind of dict index, which equality and hashing never read."""
+    """E_2 = E_infinity page: (i, s, t) -> module, i in {0, 1} only, which
+    construction enforces and which makes the collapse structural: d_r
+    (r >= 2) moves i by r, so it never joins two nonzero cells.  The cells
+    obey the rules of ``BigradedTable`` cells, and ``get`` reads the same
+    kind of dict index, which equality and hashing never read."""
 
     __slots__ = ("p", "t_window", "s_window", "cells", "_by_key")
 
     def __init__(self, p, t_window, s_window, cells):
         self._set(p, t_window, s_window, cells)
-        for (i, _, _), _expr in self.cells:
-            if i not in (0, 1):
-                raise ValueError("derived index must be 0 or 1")
         _index_cells(self)
 
     def _key(self):
@@ -223,30 +241,17 @@ class SSPage(Value):
 
 
 def apply_l_functors(table: BigradedTable) -> SSPage:
-    """Cellwise L0 and L1 of the input Ext table."""
-    cells = []
+    """Cellwise L0 and L1 of the input Ext table, one call of each per
+    cell: the column-0 cells, then the column-1 cells, each in the input's
+    key order, so the page's cells come out in key order."""
+    col0, col1 = [], []
     for (s, t), expr in table.cells:
         e0, e1 = l0(expr), l1(expr)
-        if not e0.is_zero:
-            cells.append(((0, s, t), e0))
-        if not e1.is_zero:
-            cells.append(((1, s, t), e1))
-    cells.sort(key=lambda it: it[0])
-    return SSPage(table.p, table.t_window, table.s_window, tuple(cells))
-
-
-def _collapse_is_structural(page: SSPage) -> None:
-    """d_r : (i, s) -> (i + r, s + r - 1) for r >= 2; with entries only in
-    columns 0 and 1 no differential can connect two nonzero cells.  The
-    assertion is real but can never fire once the page invariant holds."""
-    occupied = {i for i, _, _ in page._by_key}
-    span = (max(occupied) - min(occupied) + 1) if occupied else 0
-    for i in occupied:
-        for r in range(2, span + 3):
-            if i + r in occupied:
-                raise AssertionError(
-                    f"d_{r} would connect nonzero columns {i} and {i + r}"
-                )
+        if e0.p is not None:
+            col0.append(((0, s, t), e0))
+        if e1.p is not None:
+            col1.append(((1, s, t), e1))
+    return SSPage(table.p, table.t_window, table.s_window, tuple(col0 + col1))
 
 
 def assemble_abutment(page: SSPage, s_max: int | None = None) -> BigradedTable:
@@ -255,7 +260,6 @@ def assemble_abutment(page: SSPage, s_max: int | None = None) -> BigradedTable:
     whenever both are nonzero (extension ambiguity in the associated
     graded).  Each nonzero cell (i, s, t) lands in degree n = s - i, so
     the page's cells are visited once and the rest of the window never."""
-    _collapse_is_structural(page)
     if s_max is None:
         s_max = page.s_window[1]
     sums = {}

@@ -375,6 +375,35 @@ def test_python_dash_m_stabcoh():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, stderr_on_pipe",
+    [(["verify"], False), (["verify", "--verbose"], True), (["cohomology", "--t=-400:400"], False)],
+)
+def test_closed_output_pipe_exits_4_never_1(argv, stderr_on_pipe, buffered):
+    # a reader that went away is an internal error (exit 4), not a
+    # disagreement; with stderr on the same dead pipe nothing can be said
+    # and the run must still exit 4, not die in a traceback (exit 1)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabcoh", *argv],
+            stdout=write_end,
+            stderr=write_end if stderr_on_pipe else subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_INTERNAL
+    if not stderr_on_pipe:
+        assert proc.stderr == b"internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 def _imports(*argv):
     """(completed process, names of the modules it imported) of a child
     run with -X importtime, which names every module imported, on stderr."""

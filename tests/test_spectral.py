@@ -6,11 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import abutment_by_cells, abutment_cell, table_from_json
+from stabcoh.cli import compute_route_table
+from stabcoh.cohomology import continuous_via_quotients, units_cohomology
+from stabcoh.config import RunConfig
 from stabcoh.errors import UnsupportedPrime, WindowMismatch
-from stabcoh.modules import ModuleExpr, cyclic, local_free, padic, prufer, zero_module
+from stabcoh.modules import ModuleExpr, cyclic, l0, l1, local_free, padic, prufer, zero_module
 from stabcoh.spectral import (
     BigradedTable,
     SSPage,
+    _golden_cell,
+    _uncompleted_ext_cell,
     apply_l_functors,
     assemble_abutment,
     compare_tables,
@@ -341,3 +346,194 @@ def test_duplicate_cells_are_refused():
     doc["cells"].append({"s": 1, "t": 2, "module": "Z/2^3", "collision": False})
     with pytest.raises(ValueError, match="duplicate"):
         table_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# builders emit cells in key order; bulk cell checks
+
+
+def _table_by_cells(p, t_window, s_max, route, cell):
+    """The table of cell(s, t) built one cell at a time over every (s, t)
+    of the window, odd t included, then sorted by key."""
+    cells = []
+    for t in range(t_window[0], t_window[1] + 1):
+        for s in range(s_max + 1):
+            expr = cell(s, t)
+            if not expr.is_zero:
+                cells.append(((s, t), expr))
+    return BigradedTable(p, t_window, (0, s_max), route, tuple(sorted(cells, key=lambda it: it[0])))
+
+
+def _page_by_cells(source):
+    """L0 and L1 of source, one (i, s, t) of the window at a time."""
+    cells = []
+    for i, functor in ((0, l0), (1, l1)):
+        for s in range(source.s_window[0], source.s_window[1] + 1):
+            for t in range(source.t_window[0], source.t_window[1] + 1):
+                expr = functor(source.get(s, t))
+                if not expr.is_zero:
+                    cells.append(((i, s, t), expr))
+    return SSPage(source.p, source.t_window, source.s_window, tuple(cells))
+
+
+def _assert_keys_increase(record):
+    keys = [key for key, _ in record.cells]
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
+
+
+@st.composite
+def table_windows(draw, reach=60, width=40):
+    """A t window with odd, negative or single-point bounds, an s_max from 0
+    to 6 and a t0_even_row value."""
+    t_lo = draw(st.integers(min_value=-reach, max_value=reach))
+    t_hi = t_lo + draw(st.integers(min_value=0, max_value=width))
+    return (t_lo, t_hi), draw(st.integers(min_value=0, max_value=6)), draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(table_windows())
+@example(((-7, 13), 5, True))
+@example(((-1, -1), 0, False))
+@example(((0, 0), 6, True))
+@example(((3, 3), 2, True))
+def test_transcribed_tables_and_ss_route_equal_per_cell_oracles(window):
+    # equality reads cells, so a builder that emitted them out of key order
+    # would make equal tables compare unequal; the oracles evaluate every
+    # (s, t), odd t included, where the builders read even t only
+    t_window, s_max, t0 = window
+    source = hovey_sadofsky_table(2, t_window, s_max + 1, t0)
+    want_source = _table_by_cells(
+        2, t_window, s_max + 1, "hovey-sadofsky", lambda s, t: _uncompleted_ext_cell(s, t, t0)
+    )
+    page = apply_l_functors(source)
+    want_page = _page_by_cells(want_source)
+    ss = derived_ss_table(2, t_window, s_max, t0)
+    golden = golden_table(2, t_window, s_max, t0)
+    want_golden = _table_by_cells(2, t_window, s_max, "golden", lambda s, t: _golden_cell(s, t, t0))
+    for record in (source, page, ss, golden):
+        _assert_keys_increase(record)
+    assert source == want_source
+    assert page == want_page
+    assert ss == abutment_by_cells(want_page, s_max)
+    assert golden == want_golden
+    cfg = RunConfig(p=2, t_lo=t_window[0], t_hi=t_window[1], s_max=s_max, t0_even_row=t0)
+    assert compute_route_table("ss", cfg) == ss
+    assert compute_route_table("golden", cfg) == golden
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), table_windows(reach=40, width=24), st.booleans())
+@example(2, ((-7, 13), 5, True), True)
+@example(3, ((-1, -1), 0, True), True)
+def test_route_tables_equal_per_cell_oracles(p, window, with_brute):
+    # structured on every window, brute too on windows cut to at most 9
+    # degrees within |t| <= 32 (its cost grows with the weights' depth,
+    # not with the table layer under test)
+    (t_lo, t_hi), s_max, _ = window
+    routes = {"structured": units_cohomology}
+    if with_brute:
+        routes["brute"] = continuous_via_quotients
+        width = min(t_hi - t_lo, 8)
+        t_lo = max(-24, min(t_lo, 24))
+        t_hi = t_lo + width
+    cfg = RunConfig(p=p, t_lo=t_lo, t_hi=t_hi, s_max=s_max)
+    for route, fn in routes.items():
+        table = compute_route_table(route, cfg)
+        _assert_keys_increase(table)
+        want = _table_by_cells(
+            p, (t_lo, t_hi), s_max, route,
+            lambda s, t: zero_module() if t % 2 else fn(p, t // 2, s_max).group(s),
+        )
+        assert table == want
+
+
+def _first_refusal(cells, s_window, t_window, page):
+    """The message of the per-cell checks on cells, in order, or None: a
+    page's column other than 0 or 1 anywhere first, then per cell s
+    outside the window, t outside it, a zero cell, a key seen before."""
+    if page and any(key[0] not in (0, 1) for key, _ in cells):
+        return "derived index must be 0 or 1"
+    seen = set()
+    for key, expr in cells:
+        s, t = key[-2:]
+        if not s_window[0] <= s <= s_window[1]:
+            return f"cell s={s} outside window {s_window}"
+        if not t_window[0] <= t <= t_window[1]:
+            return f"cell t={t} outside window {t_window}"
+        if expr.is_zero:
+            return "zero cells must be omitted"
+        if key in seen:
+            return f"duplicate cell {key}"
+        seen.add(key)
+    return None
+
+
+# "duplicate" twice: it is dropped while the list is still empty
+_FAULTS = ("duplicate", "zero", "s", "t", "duplicate", "column")
+_CELL_EXPRS = st.sampled_from([cyclic(2, 1), cyclic(2, 3), padic(2), prufer(2), local_free(2) + cyclic(2, 2)])
+
+
+@st.composite
+def planted_cells(draw):
+    """(page?, s_window, t_window, cells): distinct in-window keys with
+    nonzero cells, then up to three planted faults, each a zero cell, an s
+    or a t outside the window, a repeated key, or (for a page) a column
+    other than 0 or 1, at random places; the list may stay sorted or not."""
+    page = draw(st.booleans())
+    s_window = (0, draw(st.integers(min_value=0, max_value=4)))
+    t_lo = draw(st.integers(min_value=-6, max_value=6))
+    t_window = (t_lo, t_lo + draw(st.integers(min_value=0, max_value=6)))
+    heads = [(0,), (1,)] if page else [()]
+    keys = [
+        head + (s, t)
+        for head in heads
+        for s in range(s_window[0], s_window[1] + 1)
+        for t in range(t_window[0], t_window[1] + 1)
+    ]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=12))
+    cells = [(key, draw(_CELL_EXPRS)) for key in chosen]
+    if draw(st.booleans()):
+        cells.sort(key=lambda it: it[0])
+    for fault in draw(st.lists(st.sampled_from(_FAULTS if page else _FAULTS[:5]), max_size=3)):
+        head = draw(st.sampled_from(heads))
+        s = draw(st.integers(*s_window))
+        t = draw(st.integers(*t_window))
+        expr = draw(_CELL_EXPRS | st.just(zero_module()))  # a cell may carry two faults
+        if fault == "zero":
+            key, expr = head + (s, t), zero_module()
+        elif fault == "s":
+            key = head + (draw(st.sampled_from([s_window[0] - 1, s_window[1] + 1, -5, 9])), t)
+        elif fault == "t":
+            key = head + (s, draw(st.sampled_from([t_window[0] - 1, t_window[1] + 1, -40, 40])))
+        elif fault == "column":
+            key = (draw(st.sampled_from([-1, 2, 3])), s, t)
+        elif cells:
+            key = draw(st.sampled_from(cells))[0]
+        else:
+            continue
+        cells.insert(draw(st.integers(0, len(cells))), (key, expr))
+    return page, s_window, t_window, tuple(cells)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(planted_cells())
+@example((False, (0, 2), (0, 4), (((1, 2), cyclic(2, 1)), ((1, 2), zero_module()))))
+@example((True, (0, 1), (0, 0), (((0, 2, 0), padic(2)), ((2, 0, 0), padic(2)))))
+@example((False, (0, 0), (-1, 1), ()))
+def test_bulk_cell_checks_refuse_as_per_cell_checks_would(planted):
+    # the whole-table checks find every fault the per-cell checks find, and
+    # name the same cell: the first one a per-cell walk would refuse
+    page, s_window, t_window, cells = planted
+    want = _first_refusal(cells, s_window, t_window, page)
+
+    def build():
+        if page:
+            return SSPage(2, t_window, s_window, cells)
+        return BigradedTable(2, t_window, s_window, "golden", cells)
+
+    if want is None:
+        assert build()._by_key == dict(cells)
+    else:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == want
