@@ -5,17 +5,16 @@
         [--seed 1] [--repeat 15]
 
 Runs each named benchmark workload once in process (the calls of
-``perfbench/workloads.py``), with a spy on ``_stable_colimit_orders`` that
-records the distinct keys (p, a, t, N, s_top) the workload reaches.  Then
-it times the uncached function (``__wrapped__``) over all those keys, once
-per repeat, and prints JSON, in milliseconds: per workload the key count,
-the median and quartiles of the whole sweep's time over the repeats, and
-the median per key of the five dearest keys.  odd-deep reads the seed (the
-signs of its deep weights).  Next to the sweep's key count it reports
-``brute_keys``, the entries of the brute route's memo of whole answers
-(``_brute_groups``, one per n_top and action class at n_top) after the
-same cold run.  Standard library only; run from the repository root or
-anywhere, the package is read from this tree's src/.
+``perfbench/workloads.py``), with the brute route's memo of whole answers
+(``_brute_groups``) emptied first and a spy on ``_colimit_sweep``, which
+that memo calls once per miss, that records the distinct keys (p, a, t,
+n_top, s_top) the workload reaches.  Then it times the sweep over all
+those keys, once per repeat, and prints JSON, in milliseconds: per
+workload the key count, the median and quartiles of the whole sweep's time
+over the repeats, and the median per key of the five dearest keys.
+odd-deep reads the seed (the signs of its deep weights).  Standard library
+only; run from the repository root or anywhere, the package is read from
+this tree's src/.
 """
 
 import argparse
@@ -35,31 +34,29 @@ from stabcoh import cohomology as C  # noqa: E402
 from workloads import WORKLOADS, inputs_for  # noqa: E402
 
 
-def reached_keys(workload: str, seed: int) -> tuple:
-    """The distinct arguments of ``_stable_colimit_orders`` in one cold run,
-    and the number of entries that run puts in ``_brute_groups``."""
-    cached = C._stable_colimit_orders
+def reached_keys(workload: str, seed: int) -> list:
+    """The distinct arguments of ``_colimit_sweep`` in one cold run."""
+    sweep = C._colimit_sweep
     keys = set()
 
     def spy(*key):
         keys.add(key)
-        return cached(*key)
+        return sweep(*key)
 
-    cached.cache_clear()
     C._brute_groups.cache_clear()
-    C._stable_colimit_orders = spy
+    C._colimit_sweep = spy
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             tally = WORKLOADS[workload](inputs_for(workload, seed))
     finally:
-        C._stable_colimit_orders = cached
+        C._colimit_sweep = sweep
     if tally.failures or tally.problems:
         raise SystemExit(f"{workload}: {tally.failures[:2]} {tally.problems[:2]}")
-    return sorted(keys), C._brute_groups.cache_info().currsize
+    return sorted(keys)
 
 
 def sweep_cost(keys: list, repeat: int) -> dict:
-    sweep = C._stable_colimit_orders.__wrapped__
+    sweep = C._colimit_sweep
     totals, per_key = [], {key: [] for key in keys}
     for _ in range(repeat):
         start = time.perf_counter()
@@ -88,8 +85,7 @@ def main() -> int:
         ap.error("--repeat must be at least 2")
     out = {"python": platform.python_version(), "seed": args.seed, "repeat": args.repeat}
     for workload in args.workload.split(","):
-        keys, brute_keys = reached_keys(workload, args.seed)
-        out[workload] = {"brute_keys": brute_keys, **sweep_cost(keys, args.repeat)}
+        out[workload] = sweep_cost(reached_keys(workload, args.seed), args.repeat)
     print(json.dumps(out, indent=1))
     return 0
 

@@ -25,9 +25,10 @@ Two independent computational routes live here.
   Both limits are read at derived points: the colimit at level N + 1
   (N + 2 at p = 2) with lag N, where inflation is a projection P that
   commutes with d (checked entry by entry) and so splits the complex C:
-  the colimit is H^s(PC), one Smith form of at most 2 x 2 per degree; the
-  unfolding at n_top = max(4, v + 2) from the torsion bound max(v, 1).
-  Both run once per n_top and action class (gamma^w, omega^w) mod p^n_top.
+  the colimit is H^s(PC), read for every N off one Smith form of at most
+  2 x 2 per degree over Z/p^n_top; the unfolding at n_top = max(4, v + 2)
+  from the torsion bound max(v, 1).  Both run once per n_top and action
+  class (gamma^w, omega^w) mod p^n_top.
 
 Raw finite-level cohomology does *not* equal the continuous answer (for
 instance H^2((Z/2^r)^x, Z/2) has rank 3 for every r >= 4 while the
@@ -527,55 +528,55 @@ def _colimit_level(p: int, a: int, N: int) -> int:
     return r
 
 
-def _complex_orders(diffs, p: int, N: int, ranks) -> tuple[int, ...]:
-    """log_p |H^s| over Z/p^N for each degree s of a complex with d^s =
-    diffs[s] (dense rows) on C^s of rank ranks[s]: log|ker d^s| - log|im
-    d^(s-1)| from one transform-free Smith form per degree, a valuation v
-    (N for a missing pivot) giving p^v kernel and p^(N-v) image elements.
-    Each order must lie in [0, N ranks[s]]."""
-    orders, image = [], 0
-    for s, d in enumerate(diffs):
-        vals = snf_mod(d, p, N)[0]
-        order = sum(vals) + N * (ranks[s] - len(vals)) - image
-        if not 0 <= order <= N * ranks[s]:
-            raise AssertionError(f"order {order} outside [0, {N * ranks[s]}] in degree {s}")
-        orders.append(order)
-        image = N * len(vals) - sum(vals)
-    return tuple(orders)
+def _complex_orders(diffs, p: int, L: int, ranks) -> tuple[tuple[int, ...], ...]:
+    """Row N - 1, N = 1..L: log_p |H^s| = log|ker d^s| - log|im d^(s-1)|
+    over Z/p^N, per degree s, of a complex with d^s = diffs[s] (dense rows
+    over Z/p^L) on C^s of rank ranks[s].  A Smith form U d V = D over Z/p^L
+    stays one mod p^N (U, V stay invertible), so one transform-free Smith
+    form per degree serves every N: a valuation v (L for a missing pivot)
+    gives p^min(v, N) kernel and p^(N - min(v, N)) image elements, and each
+    order must lie in [0, N ranks[s]]."""
+    vals = [snf_mod(d, p, L)[0] for d in diffs]
+    rows = []
+    for N in range(1, L + 1):
+        row, image = [], 0
+        for v, n in zip(vals, ranks):
+            kept = sum([x if x < N else N for x in v])  # sum of min(x, N)
+            order = kept + N * (n - len(v)) - image
+            if not 0 <= order <= N * n:
+                raise AssertionError(f"order {order} outside [0, {N * n}] at N={N}, s={len(row)}")
+            row.append(order)
+            image = N * len(v) - kept
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-@lru_cache(maxsize=4096)
-def _stable_colimit_orders(p, a, t, N, s_top):
-    """For each degree s <= s_top, log_p of the order of the colimit of
-    H^s((Z/p^r)^x, Z/p^N(w)) along inflation, where (a, t) = (gamma^w,
-    omega^w) mod p^N is the action class of w.
+def _colimit_sweep(p, a, t, n_top, s_top):
+    """(orders, r*), r* = ``_colimit_level`` at n_top: orders[N - 1][s] =
+    log_p |colim_r H^s((Z/p^r)^x, Z/p^N(w))| along inflation for N <= n_top,
+    s <= s_top, (a, t) = (gamma^w, omega^w) mod p^n_top the class of w.
 
-    The colimit is derived, not searched for.  From r* = ``_colimit_level``
-    on every level is one complex C, and inflation between any two of them
-    is the chain map phi = diag(p^floor(j/2)), j the cyclic degree.  For a
-    lag of at least N, phi^lag is one fixed projection P of C (identity in
-    cyclic degrees 0 and 1, zero above), and phi P = P.  The colimit of
-    C -> C -> ... along phi is therefore im H(P).  Every lower level
-    inflates into r*, so its classes reach the colimit through r* and add
-    nothing.
-
-    P splits C: only the cyclic norm, 0 mod p^N from r* on, maps a kept
-    cell (cyclic degree 1) to a dropped one, so dP = Pd, C = PC + (1 - P)C
-    as complexes and im H^s(P) = H^s(PC), read by ``_complex_orders`` on
-    the <= 2 x 2 blocks of PC (torsion degrees s - 1 and s).  dP = Pd is
-    checked on every entry first; a failure raises AssertionError.
-
-    The cache is exact.  The complex at r* is built from p, N, s_top and
-    the action class alone, and the function never sees w, so two weights
-    with the same action class cannot get different answers.
-    """
-    r = _colimit_level(p, a, N)
-    diffs = _level_complex_matrices(p, a, t, r, N, s_top)
+    The colimit is derived, not searched for.  Mod p^N every level from
+    r*(N) on is one complex C, and inflation is phi = diag(p^floor(j/2)), j
+    the cyclic degree; for a lag of at least N, phi^lag is one projection P
+    (identity in cyclic degrees 0 and 1, zero above) with phi P = P, so the
+    colimit is im H(P), lower levels adding nothing.  Only the cyclic norm,
+    0 mod p^N from r*(N) on, maps a kept cell (cyclic degree 1) to a dropped
+    one, so dP = Pd, P splits C and im H^s(P) = H^s(PC): <= 2 x 2 blocks
+    (torsion degrees s - 1 and s) of a - 1, t - 1 and the torsion norm of t.
+    PC is free of the level, and the class at N is the class at n_top
+    reduced mod p^N (``_brute_groups``), so PC at N is PC at n_top reduced
+    mod p^N, and one Smith form per degree over Z/p^n_top gives every N.
+    dP = Pd is checked on every entry at r* >= r*(N), mod p^n_top, so it
+    holds mod p^N; a failure raises AssertionError."""
+    r = _colimit_level(p, a, n_top)
+    diffs = _level_complex_matrices(p, a, t, r, n_top, s_top)
     for s, d in enumerate(diffs):  # row i: cyclic degree s + 1 - i, column j: s - j
-        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if (i >= s) != (j >= s - 1)):
-            raise AssertionError(f"inflation projection is not a chain map at level {r}, N={N}")
+        k = max(s - 1, 0)  # P keeps rows i >= s and columns j >= k
+        if any(any(row[k:]) if i < s else any(row[:k]) for i, row in enumerate(d)):
+            raise AssertionError(f"inflation projection is not a chain map at level {r}, N={n_top}")
     restricted = [[row[max(s - 1, 0):] for row in d[s:]] for s, d in enumerate(diffs)]
-    return _complex_orders(restricted, p, N, (1,) + (2,) * s_top)
+    return _complex_orders(restricted, p, n_top, (1,) + (2,) * s_top), r
 
 
 def _bar_crosscheck(p: int, w: int, s_top: int):
@@ -616,9 +617,9 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     when skipped; a disagreement raises AssertionError.  The model side is
     the level-r complex of ``_level_complex_matrices``, built as a
     CochainComplex, which checks its shapes and d d = 0, and read by
-    ``complex_cohomology``, the bar side's reader; ``_complex_orders`` on
-    the same differentials, the order reader the sweep runs on PC (here at
-    lag 0, where P = 1), must give each checked group's order.
+    ``complex_cohomology``, the bar side's reader; row N = 2 of the sweep's
+    order reader ``_complex_orders`` on the same differentials (here at lag
+    0, where P = 1) must give each checked group's order.
 
     The bar side comes from ``_bar_groups`` once per orbit of classes under
     the power automorphisms of G, at (w0, k) = ``_orbit_representative``
@@ -661,7 +662,7 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
     diffs = _level_complex_matrices(p, a, t, r, N, s_chk)
     sparse = tuple([{j: x for j, x in enumerate(row) if x} for row in d] for d in diffs)
     model = CochainComplex(BaseZMod(p, N), tuple(range(1, s_chk + 3)), sparse)
-    orders = _complex_orders(diffs, p, N, model.ranks)
+    orders = _complex_orders(diffs, p, N, model.ranks)[N - 1]
     for s in range(s_chk + 1):
         small = complex_cohomology(model, s)
         if bar.group(s) != small or orders[s] != small.torsion_length():
@@ -676,22 +677,21 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
 def _brute_groups(p, a, t, n_top, s_max):
     """(((s, H^s), ...), max_level) of the brute route for the action class
     (a, t) = (gamma^w, omega^w) mod p^n_top: the colimit orders of
-    ``_stable_colimit_orders`` for N = 1..n_top, unfolded by
-    ``_unfold_orders``, and max_level = r* at n_top (r* grows with N, since
-    a norm that is 0 mod p^N is 0 mod p^(N-1), so the top precision needs
-    the highest level).  Orders that do not unfold raise AssertionError,
-    and lru_cache stores no exception, so the failure surfaces on every call.
+    ``_colimit_sweep`` for N = 1..n_top, unfolded by ``_unfold_orders``,
+    and max_level = r* at n_top (r* grows with N, since a norm that is 0
+    mod p^N is 0 mod p^(N-1), so the top precision needs the highest
+    level).  A failed check raises AssertionError, and lru_cache stores no
+    exception, so the failure surfaces on every call.
 
-    The cache is exact.  The sweep, the unfolding and max_level read w only
-    through n_top and the classes (gamma^w, omega^w) mod p^N, N <= n_top,
-    and each of those is the class at n_top reduced mod p^N: gamma^w
-    reduces so for any integer w, and the Teichmueller lift mod p^N is the
-    reduction of the lift mod p^n_top, because both are the one (p-1)-st
-    root of unity congruent to the primitive root mod p (at p = 2, omega =
-    -1 at every N).  The function never sees w, so weights with the same
-    n_top and class at n_top share the groups, immutable module
-    expressions that callers wrap in a fresh CohomologyResult."""
-    orders = [_stable_colimit_orders(p, a % p**N, t % p**N, N, s_max) for N in range(1, n_top + 1)]
+    The sweep reads the class at N as the class at n_top reduced mod p^N:
+    gamma^w reduces so for any integer w, and the Teichmueller lift mod p^N
+    is the reduction of the lift mod p^n_top, because both are the one
+    (p-1)-st root of unity congruent to the primitive root mod p (at p = 2,
+    omega = -1 at every N).  The cache, the only memo of the sweep, is
+    exact: the function never sees w, so weights with the same n_top and
+    class at n_top share the groups, immutable module expressions that
+    callers wrap in a fresh CohomologyResult."""
+    orders, max_level = _colimit_sweep(p, a, t, n_top, s_max)
     unfolded = _unfold_orders(orders, s_max, n_top)
     if unfolded is None:
         raise AssertionError(
@@ -699,7 +699,7 @@ def _brute_groups(p, a, t, n_top, s_max):
         )
     rho, tau = unfolded
     groups = tuple((s, ModuleExpr(p, padics=rho[s], cyclics=tau[s])) for s in range(s_max + 1))
-    return groups, _colimit_level(p, a, n_top)
+    return groups, max_level
 
 
 def continuous_via_quotients(
@@ -708,15 +708,15 @@ def continuous_via_quotients(
     """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by finite-quotient descent.
 
     Per coefficient precision N = 1..n_top the orders log_p |A^s_N| of
-    the inflation colimits come from ``_stable_colimit_orders`` at the
-    derived level r* (N + 1, or N + 2 at p = 2) with lag N, each as
-    log|H^s(PC)|: from r* on the cyclic norm, the one entry that could
-    break dP = Pd for the lag-N inflation P, is 0 mod p^N (checked on every
-    entry), so P splits C.  Across N they unfold as rho_s N + m_s(N) +
-    m_(s+1)(N) into the free ranks rho_s (order slopes, the Z_p detection
-    rule) and the torsion partitions m_s, seeded by the torsion-free H^0.
-    The sweep and the unfolding run once per n_top and action class at
-    n_top (``_brute_groups``); each call gets its own certificate.
+    the inflation colimits are log|H^s(PC)|, PC the complex at the derived
+    level r* (n_top + 1, or n_top + 2 at p = 2) cut by the lag-N inflation
+    P (dP = Pd checked on every entry), all read by ``_colimit_sweep`` off
+    one Smith form per degree over Z/p^n_top.  Across N they unfold as
+    rho_s N + m_s(N) + m_(s+1)(N) into the free ranks rho_s (order slopes,
+    the Z_p detection rule) and the torsion partitions m_s, seeded by the
+    torsion-free H^0.  The sweep and the unfolding run once per n_top and
+    action class at n_top (``_brute_groups``); each call gets its own
+    certificate.
 
     n_top is derived as well.  The structured complex of Z_p(w) has
     differentials [[h_s, 0], [+-p^v, h_(s-1)]] with h in {0, 1, -2, m}

@@ -26,9 +26,12 @@ d^(s-1); ``_pushed_cocycles`` pushes those generators along phi^lag.
 with ``lattice_quotient_exponents`` on ``_level_data``; it is the
 reference for the sweep's order reader ``_complex_orders``, which reads
 H^s of the projected complex PC instead.  ``quotient_level_cohomology``
-is ``image_exponents`` at lag 0, the periodic model's raw groups.  None
-is an oracle for the code it calls; tests compare them with the bar
-complex, with enumeration and with each other.
+is ``image_exponents`` at lag 0, the periodic model's raw groups.
+``colimit_orders_at`` reads PC one precision at a time, built at that
+precision's own level and read with ``snf_mod`` modulo that precision; it
+is the reference for the sweep, which reads every precision off one Smith
+form at the top one.  None is an oracle for the code it calls; tests
+compare them with the bar complex, with enumeration and with each other.
 """
 
 import json
@@ -38,7 +41,12 @@ from itertools import combinations, product
 
 import numpy as np
 
-from stabcoh.cohomology import FiniteGroupData, _action_class, _level_complex_matrices
+from stabcoh.cohomology import (
+    FiniteGroupData,
+    _action_class,
+    _colimit_level,
+    _level_complex_matrices,
+)
 from stabcoh.exact_linalg import lattice_quotient_exponents, snf_mod, vp
 from stabcoh.modules import ModuleExpr, cyclic, parse_module_expr, zero_module
 from stabcoh.spectral import BigradedTable
@@ -364,55 +372,83 @@ def primitive_root_by_orbit(p):
 
 
 def _smith_mod_full(A, p, L):
-    """Smith valuations of an int64 matrix over Z/p^L, every row
-    eliminated, and V^-1 for its column transform V.  Step t pivots on an
-    entry of minimal valuation, clears its column with row operations and
-    its row with column operations, which V^-1 records; A keeps only the
-    columns not yet pivoted and the rows still nonzero there."""
+    """Smith valuations of a matrix, a list of rows of ints, over Z/p^L,
+    every row eliminated, and V^-1 for its column transform V, both lists
+    of Python ints.  Step t pivots on the first entry, in row-major order,
+    of minimal valuation among the rows still nonzero and the columns not
+    yet pivoted (kept in ``cols``, in their current order), swaps that
+    column to the front of ``cols``, clears it with row operations and its
+    row with column operations, which V^-1 records; the pivot row and every
+    row that becomes zero leave the matrix."""
     M = p**L
-    A = np.array(A, dtype=np.int64) % M
-    n = A.shape[1]
-    Vi = np.eye(n, dtype=np.int64)
+    n = len(A[0])
+    A = [r for r in ([x % M for x in row] for row in A) if any(r)]
+    cols = list(range(n))
+    Vi = [[int(i == j) for j in range(n)] for i in range(n)]
     vals = []
     for t in range(n):
-        A = A[A.any(axis=1)]
-        if not len(A):
+        if not A:
             break
-        for a in range(L):
-            mask = A % p ** (a + 1) != 0
-            if mask.any():
+        a, i, j = L, -1, -1
+        for r, row in enumerate(A):
+            for k, c in enumerate(cols):
+                x = row[c]
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if v < a:
+                        a, i, j = v, r, k
+                        if not v:
+                            break
+            if not a:
                 break
-        i, j = np.unravel_index(mask.argmax(), mask.shape)
-        A[:, [0, j]] = A[:, [j, 0]]
-        Vi[[t, t + j]] = Vi[[t + j, t]]
-        pa = p**a
-        piv = A[i] * pow(int(A[i, 0]) // pa, -1, M) % M
-        A = (A[:, 1:] - np.outer(A[:, 0] // pa, piv[1:])) % M
-        Vi[t] = (Vi[t] + (piv[1:] // pa) @ Vi[t + 1 :]) % M
+        cols[0], cols[j] = cols[j], cols[0]
+        Vi[t], Vi[t + j] = Vi[t + j], Vi[t]
+        c0, pa = cols.pop(0), p**a
+        pivot = A.pop(i)
+        uinv = pow(pivot[c0] // pa, -1, M)
+        rest = [(k, c, pivot[c] * uinv % M) for k, c in enumerate(cols, 1) if pivot[c]]
+        kept = []
+        for row in A:  # a pivoted column is zero in every remaining row
+            if row[c0]:
+                f, row[c0] = row[c0] // pa, 0
+                for _, c, y in rest:
+                    row[c] = (row[c] - f * y) % M
+                if not any(row):
+                    continue
+            kept.append(row)
+        A = kept
+        for k, _, y in rest:
+            Vi[t] = [(x + y // pa * z) % M for x, z in zip(Vi[t], Vi[t + k])]
         vals.append(a)
     return vals + [L] * (n - len(vals)), Vi
 
 
 def cohomology_by_full_elimination(dout, din, n, p, N):
-    """ker(dout)/im(din) over Z/p^N for int64 differentials (None or empty
-    off the ends of the complex), eliminating every row of dout.  In the
-    coordinates z = V^-1 x the kernel is {z : p^(N - a_i) | z_i}, so the
-    image of din, divided coordinatewise, lies in sum Z/p^(a_i), and the
-    quotient's exponents are the Smith valuations of
-    [diag(p^(a_i)) | image] over Z/p^(N+1) between 1 and N."""
+    """ker(dout)/im(din) over Z/p^N for integer differentials (int64 arrays
+    or lists of rows; None or empty off the ends of the complex),
+    eliminating every row of dout, in Python ints.  In the coordinates z =
+    V^-1 x the kernel is {z : p^(N - a_i) | z_i}, so the image of din,
+    divided coordinatewise, lies in sum Z/p^(a_i), and the quotient's
+    exponents are the Smith valuations of [diag(p^(a_i)) | image] over
+    Z/p^(N+1) between 1 and N."""
     if n == 0:
         return zero_module()
     M = p**N
-    if dout is None or not len(dout):
-        a, Vi = [N] * n, np.eye(n, dtype=np.int64)
-    else:
+    dout = [] if dout is None else np.asarray(dout).tolist()
+    if dout:
         a, Vi = _smith_mod_full(dout, p, N)
-    rel = np.diag([p**x for x in a]).astype(np.int64)
-    if din is not None and din.size:
-        z = Vi @ (din % M) % M
-        gaps = np.array([p ** (N - x) for x in a], dtype=np.int64)[:, None]
-        assert not (z % gaps).any(), "boundaries do not lie in the kernel"
-        rel = np.hstack([rel, z // gaps])
+    else:
+        a, Vi = [N] * n, [[int(i == j) for j in range(n)] for i in range(n)]
+    rel = [[p**x if i == j else 0 for j in range(n)] for i, x in enumerate(a)]
+    image = list(zip(*np.asarray(din).tolist())) if din is not None and np.size(din) else []
+    for i, (x, v) in enumerate(zip(a, Vi)):
+        gap = p ** (N - x)
+        z = [sum(c * y for c, y in zip(v, col)) % M for col in image]
+        assert not any(y % gap for y in z), "boundaries do not lie in the kernel"
+        rel[i] += [y // gap for y in z]
     vals, _ = _smith_mod_full(rel, p, N + 1)
     return ModuleExpr(p, cyclics=tuple(v for v in vals if 1 <= v <= N))
 
@@ -499,6 +535,21 @@ def image_exponents(level, p, N, s, lag):
     brute route: the pushed cocycles modulo the boundaries."""
     pushed = _pushed_cocycles(level, p, N, s, lag)
     return lattice_quotient_exponents(pushed, level.boundaries[s], s + 1, p, N)
+
+
+def colimit_orders_at(p, a, t, N, s_top):
+    """log_p of the colimit orders at the one precision N, for the action
+    class (a, t) mod p^N: the projected complex PC (cyclic degrees 0 and 1)
+    of the level complex at r* = ``_colimit_level`` for N, built mod p^N, and
+    one Smith form mod p^N per degree, a valuation v (N for a missing pivot)
+    giving p^v kernel and p^(N - v) image elements."""
+    diffs = _level_complex_matrices(p, a, t, _colimit_level(p, a, N), N, s_top)
+    orders, image = [], 0
+    for s, d in enumerate(diffs):
+        vals = snf_mod([row[max(s - 1, 0):] for row in d[s:]], p, N)[0]
+        orders.append(sum(vals) + N * (min(s, 1) + 1 - len(vals)) - image)
+        image = N * len(vals) - sum(vals)
+    return tuple(orders)
 
 
 def quotient_level_cohomology(p, w, r, N, s_max):

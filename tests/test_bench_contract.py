@@ -41,7 +41,6 @@ def test_tracer_sees_every_layer_of_verify(capsys):
     for memo in (
         cohomology._units_precision,
         cohomology._units_groups,
-        cohomology._stable_colimit_orders,
         cohomology._brute_groups,
         cohomology._bar_crosscheck_class,
         cohomology._bar_groups,
@@ -94,7 +93,7 @@ def _snf_mod_spy(monkeypatch, callers=None):
     """The first argument of every snf_mod call, through each module that
     binds the name; given a list, callers gets each call's caller, and for
     the order reader ``_complex_orders`` that reader's caller (the sweep or
-    the bar check)."""
+    the bar check); a comprehension's frame counts as its function's."""
     from stabcoh import cohomology, exact_linalg
 
     seen = []
@@ -104,7 +103,7 @@ def _snf_mod_spy(monkeypatch, callers=None):
         seen.append(A)
         if callers is not None:
             frame = sys._getframe(1)
-            if frame.f_code.co_name == "_complex_orders":
+            while frame.f_code.co_name in ("<listcomp>", "_complex_orders"):
                 frame = frame.f_back
             callers.append(frame.f_code.co_name)
         return real(A, *args, **kwargs)
@@ -117,14 +116,13 @@ def _snf_mod_spy(monkeypatch, callers=None):
 def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
     # every caller must show up with many calls, so that the shape check
     # covers each: the sweep (one restricted differential per degree and
-    # miss, 2 x 1 or 2 x 2), the bar check's model orders, the bar probes
-    # and the group reader
+    # miss of the memo of whole answers, 2 x 1 or 2 x 2; 170 calls here),
+    # the bar check's model orders, the bar probes and the group reader
     from stabcoh import cli, cohomology
 
     callers = []
     seen = _snf_mod_spy(monkeypatch, callers)
     # the memos are exact; emptied, every Smith form runs again
-    cohomology._stable_colimit_orders.cache_clear()
     cohomology._brute_groups.cache_clear()
     cohomology._bar_crosscheck_class.cache_clear()
     cohomology._bar_groups.cache_clear()
@@ -140,13 +138,13 @@ def test_snf_mod_gets_nonempty_rectangular_rows(monkeypatch, capsys):
     assert not bad, bad[:3]
     counts = Counter(callers)
     floors = {
-        "_stable_colimit_orders": 400,
+        "_colimit_sweep": 170,
         "_bar_crosscheck_class": 50,
         "_cohomology_mod": 100,
         "lattice_quotient_exponents": 140,
     }
     assert set(counts) == set(floors) and all(counts[c] >= f for c, f in floors.items()), counts
-    sweep = [A for A, c in zip(seen, callers) if c == "_stable_colimit_orders"]
+    sweep = [A for A, c in zip(seen, callers) if c == "_colimit_sweep"]
     assert all(len(A) == 2 and len(A[0]) <= 2 for A in sweep)
 
 

@@ -13,6 +13,7 @@ from oracles import (
     _level_data,
     bar_cohomology_by_enumeration,
     cohomology_by_full_elimination,
+    colimit_orders_at,
     cyclic_cohomology,
     cyclic_group_data,
     dense_array,
@@ -40,13 +41,13 @@ from stabcoh.cohomology import (
     _brute_groups,
     _check_table,
     _colimit_level,
+    _colimit_sweep,
     _complex_orders,
     _geometric_sum,
     _level_complex_matrices,
     _min_level,
     _orbit_representative,
     _partition_from_counts,
-    _stable_colimit_orders,
     _torsion_scalars,
     _unfold_orders,
     _units_groups,
@@ -494,7 +495,7 @@ def test_bar_crosscheck_level_always_descends(p):
 
 
 def _clear_brute_memos():
-    for memo in (_units_groups, _stable_colimit_orders, _brute_groups, _bar_crosscheck_class, _bar_groups):
+    for memo in (_units_groups, _brute_groups, _bar_crosscheck_class, _bar_groups):
         memo.cache_clear()
 
 
@@ -518,17 +519,23 @@ def test_bar_crosscheck_reads_the_sweeps_reader(monkeypatch):
 
 def test_bar_crosscheck_reads_the_sweeps_order_reader(monkeypatch):
     # the sweep reads orders through _complex_orders, not exponents; a
-    # fault there, one more than the true order in every degree, must trip
-    # the bar cross-check before the sweep reads a single colimit
+    # fault there, one more than the true order in every degree of every
+    # row N, must trip the bar cross-check before the sweep reads a single
+    # colimit
     original = cohomology._complex_orders
     monkeypatch.setattr(
-        cohomology, "_complex_orders", lambda *args: tuple(x + 1 for x in original(*args))
+        cohomology,
+        "_complex_orders",
+        lambda *args: tuple(tuple(x + 1 for x in row) for row in original(*args)),
     )
+    sweeps = []
+    sweep = cohomology._colimit_sweep
+    monkeypatch.setattr(cohomology, "_colimit_sweep", lambda *args: sweeps.append(args) or sweep(*args))
     _clear_brute_memos()
     try:
         with pytest.raises(AssertionError, match="quotient model disagrees with the bar complex"):
             continuous_via_quotients(3, 0, 2)
-        assert _stable_colimit_orders.cache_info().currsize == 0
+        assert sweeps == []
         assert _brute_groups.cache_info().currsize == 0
     finally:
         _clear_brute_memos()
@@ -547,7 +554,7 @@ def test_sweep_refuses_a_level_where_the_projection_is_no_chain_map(monkeypatch,
             a, t = _action_class(p, w, N)
             assert _level_complex_matrices(p, a, t, real(p, a, N) - 1, N, 1)[1][0][0], (p, w, N)
             with pytest.raises(AssertionError, match="projection is not a chain map"):
-                _stable_colimit_orders(p, a, t, N, 1)
+                _colimit_sweep(p, a, t, N, 1)
         code = cli.main(["cohomology", "--t=-8:8", "--smax", "2", "--route", "brute"])
     finally:
         _clear_brute_memos()
@@ -678,7 +685,7 @@ def test_bar_crosscheck_refuses_a_wrong_transport(monkeypatch, capsys, fault, w,
         assert cli.main(argv) == cli.EXIT_INTERNAL
         out, err = capsys.readouterr()
         assert out == "" and "internal error: AssertionError" in err and "does not carry" in err
-        for memo in (_bar_crosscheck_class, _stable_colimit_orders, _brute_groups):
+        for memo in (_bar_crosscheck_class, _brute_groups):
             assert memo.cache_info().currsize == 0, memo
         assert _bar_groups.cache_info().currsize == 1
         assert _bar_groups(7, 2, w0, 1)[0].groups == _bar_groups.__wrapped__(7, 2, w0, 1)[0].groups
@@ -905,23 +912,37 @@ def test_brute_agrees_with_structured(p, weights):
     "p,weights",
     [(2, (1, 3, 5, 9, 17, -7, 4, 12, 20)), (3, (2, 4, 8, 20, -2, -16)), (5, (4, 24, 44, -16, 1, 21))],
 )
-def test_brute_colimit_memo_is_exact(p, weights):
-    # the weights share action classes at small N, so later weights read
-    # colimits that earlier ones put in the cache; fresh recomputation,
-    # with the cache emptied first, must give the same groups.  The memo of
-    # whole answers is emptied too, or the colimits would never be read
-    _stable_colimit_orders.cache_clear()
-    _brute_groups.cache_clear()
-    warm = [continuous_via_quotients(p, w, 3) for w in weights]
-    assert _stable_colimit_orders.cache_info().hits > 0
-    classes = {_action_class(p, w, 2) for w in weights}
-    assert len(classes) < len(weights)
-    for w, res in zip(weights, warm):
-        _stable_colimit_orders.cache_clear()
+def test_brute_colimit_memo_is_exact(monkeypatch, p, weights):
+    # the weights share action classes at small N, but the sweep reads
+    # every N off one Smith form per degree over Z/p^n_top, once per
+    # (n_top, class at n_top): with the bar checks already done, each miss
+    # of the memo of whole answers makes exactly s_max + 1 = 4 snf_mod
+    # calls, all at L = n_top; a fresh recomputation, with every brute memo
+    # emptied first, must give the same groups and certificates
+    assert len({_action_class(p, w, 2) for w in weights}) < len(weights)
+    _clear_brute_memos()
+    try:
+        warm = [continuous_via_quotients(p, w, 3) for w in weights]
+        calls = []
+        real = cohomology.snf_mod
+        monkeypatch.setattr(cohomology, "snf_mod", lambda *args: calls.append(args) or real(*args))
         _brute_groups.cache_clear()
-        cold = continuous_via_quotients(p, w, 3)
-        assert cold.groups == res.groups, (p, w)
-        assert cold.certificate == res.certificate, (p, w)
+        for w in weights:
+            continuous_via_quotients(p, w, 3)
+        n_top = [res.certificate["precision"] for res in warm]
+        misses = _brute_groups.cache_info().misses
+        assert misses == len({(n, _action_class(p, w, n)) for w, n in zip(weights, n_top)})
+        assert len(calls) == 4 * misses
+        for w, res in zip(weights, warm):
+            _clear_brute_memos()
+            calls.clear()
+            cold = continuous_via_quotients(p, w, 3)
+            assert cold.groups == res.groups, (p, w)
+            assert cold.certificate == res.certificate, (p, w)
+            sweep = [args for args in calls if args[2] == res.certificate["precision"]]
+            assert len(sweep) == 4 and all(len(args[0]) == 2 for args in sweep), (p, w)
+    finally:
+        _clear_brute_memos()
 
 
 @pytest.mark.parametrize(
@@ -1110,16 +1131,17 @@ def _search_colimit_exponents(p, a, t, N, s_top, level_ceiling):
 def test_derived_colimit_matches_search(p, N, u, k, s_top):
     # w = u p^k reaches the deep action classes a = 1 mod p^N as well as
     # the shallow ones; the derived level is N + 1 (N + 2 at p = 2), the
-    # search agrees with it (the sweep's orders with the sums of the
-    # searched exponents, the exponent reader at r* and lag N with the
-    # exponents themselves), and one more level and one more lag change
-    # nothing
+    # search agrees with it (the top row of the sweep at n_top = N, read at
+    # that level, with the sums of the searched exponents, the exponent
+    # reader at r* and lag N with the exponents themselves), and one more
+    # level and one more lag change nothing
     w = u * p**k
     a, t = _action_class(p, w, N)
     r = _colimit_level(p, a, N)
     assert r == N + (2 if p == 2 else 1), (p, w, N)
     searched = _search_colimit_exponents(p, a, t, N, s_top, 2 * N + 24)
-    assert _stable_colimit_orders(p, a, t, N, s_top) == tuple(map(sum, searched)), (p, w, N)
+    orders, level_read = _colimit_sweep(p, a, t, N, s_top)
+    assert level_read == r and orders[N - 1] == tuple(map(sum, searched)), (p, w, N)
     level = _level_data(p, a, t, r, N, s_top)
     exps = tuple(image_exponents(level, p, N, s, N) for s in range(s_top + 1))
     assert exps == searched, (p, w, N)
@@ -1138,22 +1160,58 @@ def test_derived_colimit_matches_search(p, N, u, k, s_top):
     s_top=st.sampled_from([0, 1, 4, 5]),
 )
 def test_projected_orders_are_the_sums_of_the_image_exponents(p, N, u, k, s_top):
-    # the sweep reads H^s(PC), one Smith form of a <= 2 x 2 block per
-    # degree; the oracle reads the image of H^s(P) on the whole level
-    # complex as a group, from kernel generators and boundaries.  P splits
-    # the complex at r*, so the orders agree.  On the whole complex, at r*
-    # and at the lowest level, the same reader gives the raw orders (lag 0)
+    # the sweep reads H^s(PC) at every precision M <= N off one Smith form
+    # of a <= 2 x 2 block per degree over Z/p^N; the oracle reads the image
+    # of H^s(P) on the whole level complex at M, built at r*(M) mod p^M, as
+    # a group, from kernel generators and boundaries.  P splits the complex
+    # at r*(M), so the orders agree row by row.  On the whole complex, at
+    # r* and at the lowest level, the same reader's top row gives the raw
+    # orders (lag 0), the row the bar check reads
     w = u * p**k
     a, t = _action_class(p, w, N)
-    r = _colimit_level(p, a, N)
-    level = _level_data(p, a, t, r, N, s_top)
-    want = tuple(sum(image_exponents(level, p, N, s, N)) for s in range(s_top + 1))
-    assert _stable_colimit_orders.__wrapped__(p, a, t, N, s_top) == want, (p, w, N)
+    orders, r = _colimit_sweep(p, a, t, N, s_top)
+    assert r == _colimit_level(p, a, N)
+    for M in range(1, N + 1):
+        aM, tM = a % p**M, t % p**M
+        level = _level_data(p, aM, tM, _colimit_level(p, aM, M), M, s_top)
+        want = tuple(sum(image_exponents(level, p, M, s, M)) for s in range(s_top + 1))
+        assert orders[M - 1] == want, (p, w, N, M)
     for r in (r, _min_level(p, a, N)):
         level = _level_data(p, a, t, r, N, s_top)
         raw = tuple(sum(image_exponents(level, p, N, s, 0)) for s in range(s_top + 1))
         diffs = _level_complex_matrices(p, a, t, r, N, s_top)
-        assert _complex_orders(diffs, p, N, tuple(range(1, s_top + 2))) == raw, (p, w, N, r)
+        assert _complex_orders(diffs, p, N, tuple(range(1, s_top + 2)))[N - 1] == raw, (p, w, N, r)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    u=st.integers(-30, 30),
+    k=st.integers(0, 12),
+    s_top=st.sampled_from([0, 1, 4, 5]),
+)
+@example(p=2, u=1, k=0, s_top=1)  # a - 1 = 4 has valuation 2, above N = 1
+@example(p=3, u=1, k=12, s_top=5)  # the deepest class: n_top = 15
+def test_sweep_rows_match_the_per_precision_reader(p, u, k, s_top):
+    # the sweep reads every N <= n_top off one Smith form per degree over
+    # Z/p^n_top, a valuation v read as min(v, N); each row must equal the
+    # per-precision reader, PC built at r*(N) from the class reduced mod p^N
+    # and read by a Smith form mod p^N, and the level read is r*(n_top)
+    w = u * p**k
+    n_top = max(4, _anchor_valuation(p, w) + 2)
+    a, t = _action_class(p, w, n_top)
+    orders, r = _colimit_sweep(p, a, t, n_top, s_top)
+    assert r == _colimit_level(p, a, n_top) and len(orders) == n_top, (p, w)
+    for N in range(1, n_top + 1):
+        assert orders[N - 1] == colimit_orders_at(p, a % p**N, t % p**N, N, s_top), (p, w, N)
+
+
+def test_order_reader_refuses_an_order_out_of_range():
+    # d^0 = d^1 = [1] is no complex: the image of d^0 is all of C^1 while
+    # ker d^1 is 0, so H^1 would have order p^-N; the reader refuses it at
+    # the first N
+    with pytest.raises(AssertionError, match=r"order -1 outside \[0, 1\] at N=1, s=1"):
+        _complex_orders([[[1]], [[1]]], 2, 3, (1, 1))
 
 
 @pytest.mark.parametrize(
