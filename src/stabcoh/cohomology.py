@@ -227,12 +227,12 @@ def _units_total_complex(
 def _units_precision(p: int, h: tuple[int, int], c: int, s_max: int) -> int:
     """N = 1 + max v_p(g), g the gcd of the entries of d^s for s <= s_max
     (g = 0 skipped): gcd(h_even, c) for d^0, gcd(h_even, h_odd, c) above.
-    h_even h_odd = 0, so each d^s has rank <= 1 and one invariant factor,
-    g, read once for the rank of d^s and once for the torsion of H^(s+1)
-    (``_cohomology_int``).  Every valuation ``snf_trunc`` inspects is some
-    v_p(g): N certifies every degree <= s_max, and N - 1 does not.  Cached
-    (a pure function of its arguments) because every call of the route
-    reads it, memo hit or not."""
+    h_even h_odd = 0, so each d^s has rank <= 1 and Smith diagonal [g, 0]
+    (``snf_int``), read once for the rank of d^s and once for the torsion
+    of H^(s+1) (``_cohomology_int``).  Every valuation ``snf_trunc``
+    inspects is some v_p(g): N certifies every degree <= s_max, and N - 1
+    does not.  Cached (a pure function of its arguments) because every
+    call of the route reads it, memo hit or not."""
     h_even, h_odd = h
     gs = [gcd(h_even, c)] + [gcd(h_even, h_odd, c)] * min(s_max, 1)
     return 1 + max((vp(g, p) for g in gs if g), default=0)
@@ -760,8 +760,10 @@ def _unfold_orders(orders, s_top: int, n_top: int):
 
     Returns (rho, tau), or None when the data contradicts saturation:
     slopes must repeat over the top two increments and each torsion count
-    must be flat at the top, non-negative, monotone, with non-increasing
-    increments (a partition's counting function)."""
+    must be non-negative, monotone, with non-increasing increments (a
+    partition's counting function).  Flatness at the top needs no test:
+    m_0 = 0 is flat, and slope is a_s's top increment, so the top increment
+    of m_(s+1) = a_s - slope N - m_s is minus that of m_s, 0 by induction."""
     rho, tau = [], []
     m = [0] * (n_top + 1)  # m_s(N) for N = 0..n_top, starting from m_0 = 0
     for s in range(s_top + 1):
@@ -773,7 +775,7 @@ def _unfold_orders(orders, s_top: int, n_top: int):
         if parts is None:
             return None
         m = [a[N] - slope * N - m[N] for N in range(n_top + 1)]
-        if min(m) < 0 or m[n_top] != m[n_top - 1]:
+        if min(m) < 0:
             return None
         rho.append(slope)
         tau.append(parts)
@@ -785,7 +787,8 @@ def _partition_from_counts(m):
     sum_j min(e_j, N) for N = 0..len(m) - 1, read in one pass from the top:
     c_k = m(k) - m(k - 1) counts the parts >= k, so c_k - c_(k+1) parts
     equal k.  None unless the counts are 0 at the top (saturated) and
-    non-increasing, which makes them non-negative too."""
+    non-increasing, which makes them non-negative too; ``_unfold_orders``,
+    the one caller, hands it only profiles flat at the top."""
     if m[-1] != m[-2]:
         return None  # not saturated
     parts, above = [], 0  # above = c_(k+1)

@@ -14,26 +14,26 @@ modulus or size can overflow.
   Their groups have one reader, ``lattice_quotient_exponents``, which
   ``_cohomology_mod`` calls in the live kernel coordinates.
 * ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
-  Differentials are exact integer matrices held as rows of Python ints
-  and eliminate over Z, whose Smith form has the p-adic valuations of the
-  one over Z_p; each group is read off two Smith diagonals, of the map
-  out and of the map in (``_cohomology_int``).  Any rank or torsion
-  decision that rests on an invariant factor of valuation N or more
-  aborts with PrecisionExhausted.  Callers derive N from the complex
-  before eliminating (the structured route reads it off the gcd of each
-  rank-one differential's entries), so the check is a safety net; an
-  answer certified at N is the same at every larger N.
+  Differentials are integer matrices of rank <= 1 (higher rank raises
+  ValueError), rows of Python ints, whose Smith diagonal over Z is [g, 0,
+  ..], g the gcd of the entries, with the p-adic valuations of the one
+  over Z_p; each group is read off two such diagonals, of the map out and
+  of the map in (``_cohomology_int``).  Any rank or torsion decision that
+  rests on an invariant factor of valuation N or more aborts with
+  PrecisionExhausted.  Callers derive N from the same gcds first, so the
+  check is a safety net; an answer certified at N holds at every larger N.
 
 ``snf_mod`` builds only the transforms its caller names; ``snf_int``
-builds none.  ``snf_mod`` eliminates dense lists of rows;
-``_cohomology_mod`` densifies only the rows it eliminates, and it and
-``lattice_quotient_exponents`` leave out the kernel generators and
-vectors that are 0 mod p^N.
+builds none and eliminates nothing.  ``snf_mod`` eliminates dense lists
+of rows; ``_cohomology_mod`` densifies only the rows it eliminates, and
+it and ``lattice_quotient_exponents`` leave out the kernel generators
+and vectors that are 0 mod p^N.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd
 from typing import Union
 
 from .errors import PrecisionExhausted
@@ -88,87 +88,33 @@ Base = Union[BaseZMod, BaseZpTrunc]
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z (pure python, diagonal only)
+# Smith diagonal over Z of a matrix of rank at most one
+
+
+def snf_int(rows):
+    """Integer Smith diagonal [g, 0, .., 0], of length min(m, n), of a
+    matrix of rank <= 1, as every structured differential is: g >= 0 is
+    the gcd of the entries, and every 2 x 2 minor is 0.  A nonzero minor
+    raises ValueError: each entry is tested against one nonzero pivot x_ab,
+    x_ij x_ab = x_ib x_aj, which puts every row in the span of row a."""
+    A = [list(map(int, r)) for r in rows]
+    diag = [0] * (min(len(A), len(A[0])) if A else 0)
+    top = next(filter(any, A), None)  # row a, the first nonzero one
+    if top is not None:
+        b = next(j for j, x in enumerate(top) if x)
+        if any(y * top[b] != row[b] * z for row in A for y, z in zip(row, top)):
+            raise ValueError("snf_int reads matrices of rank <= 1; a 2 x 2 minor is nonzero")
+        diag[0] = gcd(*chain.from_iterable(A))
+    return diag
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form over Z/p^L (minimal-valuation pivoting)
 
 
 def _identity_ll(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-
-def snf_int(rows):
-    """Integer Smith form: the diagonal, a list with every d_i >= 0 and
-    d_i | d_{i+1}, of length min(m, n).  Pivots are globally minimal in
-    absolute value; once a pivot divides the remaining block, the chain
-    condition holds by construction.  No transform is built: every caller
-    reads the invariant factors alone."""
-    A = [list(map(int, r)) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    t = 0
-    rmax = min(m, n)
-    while t < rmax:
-        piv = None
-        best = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                a = Ai[j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        A[t], A[i0] = A[i0], A[t]
-        for r in A:
-            r[t], r[j0] = r[j0], r[t]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-        while True:
-            restart = False
-            for i in range(m):
-                if i != t and A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[i], A[t] = A[t], A[i]
-                        if A[t][t] < 0:
-                            A[t] = [-x for x in A[t]]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(n):
-                if j != t and A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for r in A:
-                        r[j] -= q * r[t]
-                    if A[t][j]:
-                        for r in A:
-                            r[j], r[t] = r[t], r[j]
-                        restart = True
-                        break
-            if restart:
-                continue
-            d = A[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                Ai = A[i]
-                for j in range(t + 1, n):
-                    if Ai[j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[offender])]
-        t += 1
-    return [A[i][i] for i in range(rmax)]
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form over Z/p^L (minimal-valuation pivoting)
 
 def snf_mod(A, p: int, L: int, want=()):
     """Diagonalize a list of rows over Z/p^L.  Returns (vals, U, V, Vi).
@@ -269,11 +215,11 @@ def snf_mod(A, p: int, L: int, want=()):
 
 
 def snf_trunc(rows, p: int, N: int):
-    """Smith diagonal over Z_p at working precision N, for an exact integer
-    matrix: ``snf_int``, whose invariant factors have the p-adic
-    valuations of the Z_p Smith form.  Raises PrecisionExhausted when a
-    nonzero invariant factor has valuation N or more, so every decision a
-    caller reads off the result is certified below the precision."""
+    """Smith diagonal over Z_p at working precision N of an integer matrix
+    of rank <= 1: ``snf_int``'s [g, 0, ..], with the p-adic valuations of
+    the Z_p Smith form.  Raises PrecisionExhausted when g is nonzero of
+    valuation N or more, so every decision a caller reads off the result
+    is certified below the precision."""
     diag = snf_int(rows)
     for d in diag:
         if d and vp(d, p) >= N:
@@ -292,8 +238,8 @@ class CochainComplex(Frozen):
 
     One container per base: over BaseZMod the differentials are sparse
     rows, dicts {column: value}, over BaseZpTrunc tuples or lists of
-    integer rows.  Adjacent composites are checked to vanish in the base
-    ring on construction.
+    integer rows of rank <= 1 (``snf_int``).  Adjacent composites are
+    checked to vanish in the base ring on construction.
     """
 
     __slots__ = ("base", "ranks", "differentials")
@@ -359,8 +305,9 @@ def _composite_vanishes(dout, din, k: int, base: Base) -> bool:
 def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
     """ker(d^degree)/im(d^(degree-1)) as a module expression.
 
-    Over BaseZpTrunc free atoms are Z_p and uncertifiable decisions raise
-    PrecisionExhausted; over BaseZMod every summand is cyclic.
+    Over BaseZpTrunc free atoms are Z_p, uncertifiable decisions raise
+    PrecisionExhausted and a differential of rank 2 or more read here
+    raises ValueError; over BaseZMod every summand is cyclic.
     """
     if not (0 <= degree <= c.degree_hi):
         raise ValueError(f"degree {degree} outside [0, {c.degree_hi}]")

@@ -1,16 +1,19 @@
 """Smith forms, cokernels, and cochain cohomology against hand oracles."""
 
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    _smith_mod_full,
     cohomology_by_full_elimination,
     cyclic_cohomology,
     cyclic_group_data,
     dense_array,
+    det_int,
     enumerate_cohomology_type,
     lattice_quotient_by_enumeration,
     smith_diagonal_by_minor_gcds,
@@ -45,27 +48,52 @@ small_matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 
 def test_snf_gcd_elimination_oracle_diag_2_3():
+    # rank 2, second invariant factor 6: snf_int reads rank <= 1 only
     A = [[2, 0], [0, 3]]
     assert smith_diagonal_by_minor_gcds(A) == [1, 6]
-    assert snf_int(A) == [1, 6]
+    with pytest.raises(ValueError, match="rank <= 1"):
+        snf_int(A)
 
 
 def test_snf_identity_and_zero():
-    assert snf_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
+    with pytest.raises(ValueError, match="rank <= 1"):
+        snf_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert snf_int([[0, 0, 0], [0, 0, 0]]) == [0, 0]
 
 
 @given(small_matrices)
+@example([[2, 4], [3, 6]])
+@example([[0, -6, 0], [0, 9, 0], [0, 0, 0]])
+@example([[0, 0], [0, 0]])
 @settings(max_examples=150)
 def test_snf_int_divisibility_and_minor_gcds(rows):
-    # the diagonal alone: snf_int builds no transform
-    d = snf_int(rows)
-    for a, b in zip(d, d[1:]):
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
-    assert [abs(x) for x in d] == smith_diagonal_by_minor_gcds(rows)
+    # the determinant-divisor diagonal when its second factor is 0 (or it
+    # has none): [gcd of the entries, 0, ..]; a rank-2 matrix is refused
+    want = smith_diagonal_by_minor_gcds(rows)
+    if want[1:2] in ([], [0]):
+        assert snf_int(rows) == want
+    else:
+        with pytest.raises(ValueError, match="rank <= 1"):
+            snf_int(rows)
+
+
+wide_ints = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@given(st.lists(wide_ints, min_size=1, max_size=4), st.lists(wide_ints, min_size=1, max_size=4))
+@example([2**40 + 1, 0, -(2**65)], [3**30, 2**63])
+@settings(max_examples=100)
+def test_snf_int_reads_outer_products_past_int64(u, v):
+    # u v^T has rank <= 1 and entries up to 2^140: its one invariant factor
+    # is gcd(u) gcd(v).  +1 on entry (0, 0) moves the minor of rows 0, i and
+    # columns 0, j by u_i v_j, so a nonzero one there makes the rank 2
+    rows = [[x * y for y in v] for x in u]
+    want = [gcd(*u) * gcd(*v)] + [0] * (min(len(u), len(v)) - 1)
+    assert snf_int(rows) == want == smith_diagonal_by_minor_gcds(rows)
+    rows[0][0] += 1
+    if any(u[1:]) and any(v[1:]):
+        with pytest.raises(ValueError, match="rank <= 1"):
+            snf_int(rows)
 
 
 @given(small_matrices, st.sampled_from([2, 3]), st.integers(min_value=1, max_value=4))
@@ -85,16 +113,16 @@ def test_snf_mod_agrees_with_integer_p_parts(rows, p, N):
         min(vp(d, p), N) if d else N for d in smith_diagonal_by_minor_gcds(rows)
     ]
     assert got == expected
-    assert all(d % p for d in snf_int(T[0]))  # U is invertible mod p^N
+    assert det_int(T[0]) % p  # U is invertible mod p^N
     assert not ((V @ Vi) % M - np.eye(A.shape[1], dtype=np.int64) % M).any()
     for i in range(min(D.shape)):
         assert (D[i, i] - (p ** vals[i] if vals[i] < N else 0)) % M == 0
 
 
 def _check_mod_transforms(A, vals, U, V, Vi, p, L):
-    """U A V is diagonal with p^vals on the diagonal, U is invertible (no
-    integer invariant factor of U is divisible by p) and Vi is the inverse
-    of V, all mod p^L; exact Python-int arithmetic."""
+    """U A V is diagonal with p^vals on the diagonal, U is invertible (its
+    integer determinant is prime to p) and Vi is the inverse of V, all mod
+    p^L; exact Python-int arithmetic."""
     M = p**L
     m, n = len(A), len(A[0])
 
@@ -109,7 +137,7 @@ def _check_mod_transforms(A, vals, U, V, Vi, p, L):
         for j in range(n):
             want = p ** vals[i] % M if i == j and vals[i] < L else 0
             assert D[i][j] == want, (i, j)
-    assert all(d % p for d in snf_int(U))
+    assert det_int(U) % p
     assert mul(V, Vi) == eye(n)
 
 
@@ -129,7 +157,7 @@ def test_snf_mod_past_int64_matches_integer_p_parts(rows):
     # 3^40 > 2^63: these residues do not fit a machine word
     p, L = 3, 40
     vals, U, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
-    diag = snf_int(rows)
+    diag = smith_diagonal_by_minor_gcds(rows)
     assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
     _check_mod_transforms(rows, vals, U, V, Vi, p, L)
 
@@ -154,10 +182,11 @@ def test_snf_mod_past_int64_matches_integer_p_parts(rows):
 @settings(max_examples=150)
 def test_snf_mod_sparse_rows_match_integer_p_parts(rows, p, L):
     # mostly-zero rows, as the bar complexes give: elimination skips the
-    # zeros of the pivot row, and the transforms must still be exact
+    # zeros of the pivot row, and the transforms must still be exact; at
+    # up to 7 x 7 the integer p-parts come from the oracle's own elimination
+    # mod p^L, as minor gcds cost far more there
     vals, U, V, Vi = snf_mod(rows, p, L, want=ALL_TRANSFORMS)
-    diag = snf_int(rows)
-    assert [min(v, L) for v in vals] == [min(vp(d, p), L) if d else L for d in diag]
+    assert [min(v, L) for v in vals] == _smith_mod_full(rows, p, L)[0][: len(vals)]
     _check_mod_transforms(rows, vals, U, V, Vi, p, L)
 
 
@@ -197,12 +226,12 @@ def test_snf_truncated_base_and_precision_exhaustion():
 
 
 def test_snf_truncated_stability_under_refinement():
-    A = [[12, 4], [8, 24]]  # invariant factors 4, 64
+    A = [[64, 192], [128, 384]]  # rank 1, invariant factors 2^6, 0
     with pytest.raises(PrecisionExhausted):
         snf_trunc(A, 2, 6)
     first = snf_trunc(A, 2, 8)
     second = snf_trunc(A, 2, 16)
-    assert first == second == snf_int(A) == [4, 64]
+    assert first == second == snf_int(A) == [64, 0]
 
 
 def test_complex_left_kernel_of_doubling_on_z8():
@@ -280,18 +309,19 @@ def _planted_integer_complexes(draw):
     BaseZpTrunc(p, N), built in diagonal form and conjugated by unimodular
     integer matrices.  C^1 = Z^(a + f + b): d^0 sends e_j to alpha_j e_j
     for j < a, d^1 sends e_(a+f+i) to beta_i e_i, so d d = 0 and f is the
-    free block.  groups[s] is the planted H^s over Z_p; refusals[s] says
-    whether reading degree s must raise PrecisionExhausted: a planted factor
-    of the map out or of the map in, of valuation N or more.  (A nonzero
-    map in implies a nonzero kernel, since d d = 0.)"""
+    free block; a, b <= 1, as the integer base reads differentials of rank
+    <= 1 only.  groups[s] is the planted H^s over Z_p; refusals[s] says
+    whether reading degree s must raise PrecisionExhausted: a planted
+    factor of the map out or of the map in, of valuation N or more.  (A
+    nonzero map in implies a nonzero kernel, since d d = 0.)"""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     N = draw(st.integers(min_value=1, max_value=5))
     # a unit of Z_p, +-(p q + r) with 0 < r < p, times p^v, v up to N + 1
     factor = st.tuples(
         st.sampled_from([1, -1]), st.integers(0, 3), st.integers(1, p - 1), st.integers(0, N + 1)
     ).map(lambda x: x[0] * (p * x[1] + x[2]) * p ** x[3])
-    alphas = draw(st.lists(factor, max_size=3))
-    betas = draw(st.lists(factor, max_size=3))
+    alphas = draw(st.lists(factor, max_size=1))
+    betas = draw(st.lists(factor, max_size=1))
     a, b = len(alphas), len(betas)
     f = draw(st.integers(min_value=0, max_value=2))
     k = a + draw(st.integers(min_value=0, max_value=2))
@@ -357,6 +387,16 @@ def test_integer_cohomology_returns_the_planted_group(planted):
                 complex_cohomology(cx, s)
         else:
             assert complex_cohomology(cx, s) == groups[s], (s, cx.differentials)
+
+
+@pytest.mark.parametrize("d", [[[2, 0], [0, 4]], [[1, 2], [3, 4]]])
+def test_integer_base_refuses_a_differential_of_rank_two(d):
+    # rank 2, read as the map out (degree 0) or as the map in (degree 1):
+    # the integer base refuses it rather than answer
+    c = CochainComplex(BaseZpTrunc(2, 8), (2, 2), (d,))
+    for s in (0, 1):
+        with pytest.raises(ValueError, match="rank <= 1"):
+            complex_cohomology(c, s)
 
 
 def _random_mod_complex(rng, p, N, n, dout=None):
