@@ -16,9 +16,16 @@ in milliseconds:
   and the table's axioms are cached, as for every orbit after the first
   of its quotient; ``table_check``: those axioms, paid once per quotient
   (``_check_table``);
-* ``d0``, ``d1``, ...: each bar differential (``_bar_differential``);
-* ``complex``: the bar ``CochainComplex``, its shape and d d = 0 checks;
-* ``H0``, ``H1``, ...: ``complex_cohomology`` of each checked degree;
+* per checked degree s, the stages of ``bar_cohomology_finite``, mirrored
+  here: ``enc{s}``, building d^s's one encoding (``_BarCoboundary``);
+  ``dd{s}``, d d = 0, d^s applied to each column of d^(s-1);
+  ``rows{s}``, the probe's rows emitted and made dense; ``snf{s}``, the
+  probe's Smith form with both column transforms; ``cand{s}``, the
+  candidate check, d^s applied to each kernel generator of the probe
+  with a_i >= 1, plus the second elimination when it flags rows; ``H{s}``,
+  the group read by ``kernel_quotient``; ``cols{s}``, the columns of d^s
+  that degree s + 1 reads (not for the top degree); ``bar``, the whole
+  ``bar_cohomology_finite``;
 * ``model``: the quotient model's side of the check, mirrored from
   ``_bar_crosscheck_class``: its level complex read with
   ``complex_cohomology`` and with the sweep's order reader
@@ -46,7 +53,14 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from stabcoh import cohomology as C  # noqa: E402
-from stabcoh.exact_linalg import BaseZMod, CochainComplex, complex_cohomology  # noqa: E402
+from stabcoh.exact_linalg import (  # noqa: E402
+    BaseZMod,
+    CochainComplex,
+    complex_cohomology,
+    dense_rows,
+    kernel_quotient,
+    snf_mod,
+)
 
 
 def median_ms(fn, repeat: int, before=None) -> float:
@@ -70,6 +84,41 @@ def model_side(p: int, w: int, r: int, s_chk: int, N: int = 2) -> None:
         complex_cohomology(model, s)
 
 
+def bar_stages(g, s_chk: int, repeat: int) -> dict:
+    """The stages of ``bar_cohomology_finite`` on g, degree by degree."""
+    p, N, ms, cols = g.p, g.N, {}, []
+    for s in range(s_chk + 1):
+        ms[f"enc{s}"] = median_ms(lambda: C._BarCoboundary(g, s), repeat)
+        d = C._BarCoboundary(g, s)
+        m, c = d.shape
+        ms[f"dd{s}"] = median_ms(lambda: [any(d.apply(col)) for col in cols], repeat)
+        probe = range(min(2 * c, m))
+        ms[f"rows{s}"] = median_ms(lambda: dense_rows(d.rows(probe), c), repeat)
+        P = dense_rows(d.rows(probe), c)
+        if not P:
+            continue
+        ms[f"snf{s}"] = median_ms(lambda: snf_mod(P, p, N, want=("V", "Vi")), repeat)
+        avals, _, v, vi = snf_mod(P, p, N, want=("V", "Vi"))
+
+        def candidates():
+            bad = set()
+            for i, a in enumerate(avals):
+                if a and m > len(P) and any(dz := d.apply([p ** (N - a) * r[i] for r in v])):
+                    bad.update(R for R, y in enumerate(dz) if y)
+            if bad:
+                return snf_mod(dense_rows(d.rows(probe) + d.rows(sorted(bad)), c), p, N, want=("Vi",))
+            return avals, None, None, vi
+
+        ms[f"cand{s}"] = median_ms(candidates, repeat)
+        kernel = candidates()
+        ms[f"H{s}"] = median_ms(lambda: kernel_quotient(kernel[0], kernel[3], cols, p, N), repeat)
+        if s < s_chk:
+            units = [[0] * j + [1] + [0] * (c - j - 1) for j in range(c)]
+            ms[f"cols{s}"] = median_ms(lambda: [d.apply(e) for e in units], repeat)
+            cols = [d.apply(e) for e in units]
+    return ms
+
+
 def class_cost(p: int, w: int, s_top: int, repeat: int) -> dict:
     check = C._bar_crosscheck_class.__wrapped__
     found = check(p, w, s_top)
@@ -83,15 +132,8 @@ def class_cost(p: int, w: int, s_top: int, repeat: int) -> dict:
         "group": median_ms(lambda: C.units_group_data(p, r, w0, 2), repeat),
         "table_check": median_ms(lambda: C._check_table(g.table), repeat, C._check_table.cache_clear),
     }
-    diffs = []
-    for j in range(s_chk + 1):
-        ms[f"d{j}"] = median_ms(lambda: C._bar_differential(g, j), repeat)
-        diffs.append(C._bar_differential(g, j))
-    ranks = tuple(n**j for j in range(s_chk + 2))
-    ms["complex"] = median_ms(lambda: CochainComplex(BaseZMod(p, 2), ranks, tuple(diffs)), repeat)
-    cx = CochainComplex(BaseZMod(p, 2), ranks, tuple(diffs))
-    for s in range(s_chk + 1):
-        ms[f"H{s}"] = median_ms(lambda: complex_cohomology(cx, s), repeat)
+    ms.update(bar_stages(g, s_chk, repeat))
+    ms["bar"] = median_ms(lambda: C.bar_cohomology_finite(g, s_chk), repeat)
     ms["model"] = median_ms(lambda: model_side(p, w, r, s_chk), repeat)
     ms["class"] = median_ms(lambda: check(p, w, s_top), repeat, C._bar_groups.cache_clear)
     check(p, w, s_top)

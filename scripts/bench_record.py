@@ -3,7 +3,8 @@
 
     python3 scripts/bench_record.py --parent PARENT/perfbench/out \\
         --change CHANGE/perfbench/out --out BENCH_<n>.json \\
-        [--tier1-parent PARENT.json --tier1-change CHANGE.json]
+        [--tier1-parent PARENT.json --tier1-change CHANGE.json] \\
+        [--calibration CALIBRATION.jsonl]
 
 Each directory holds the records ``perfbench/run.py`` writes
 (``<workload>-seed<seed>-trace<0|1>.json``).  A parent record and a change
@@ -18,7 +19,10 @@ interquartile range.  Each end-to-end metric also carries ``regression``:
 the change's median is worse than the parent's by more than the metric's
 ``bound`` in BENCHMARK.json, read as a fraction of the parent's median.
 The optional ``--tier1-*`` files, written by ``scripts/tier1_time.py``,
-are copied under ``"tier1"``.  Standard library only.
+are copied under ``"tier1"``.  The optional ``--calibration`` file holds
+the lines ``scripts/calibrate.py`` wrote before each run; each workload
+gets the readings of its pairs, per side in seed order, under
+``calibration_s``, in the same sections as its metrics.  Standard library only.
 """
 
 import argparse
@@ -85,6 +89,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=pathlib.Path, required=True, help="BENCH_<n>.json to write")
     ap.add_argument("--tier1-parent", type=pathlib.Path, help="tier1_time.py output for the parent")
     ap.add_argument("--tier1-change", type=pathlib.Path, help="tier1_time.py output for the change")
+    ap.add_argument("--calibration", type=pathlib.Path, help="calibrate.py readings, JSON lines")
     args = ap.parse_args(argv)
     if (args.tier1_parent is None) != (args.tier1_change is None):
         ap.error("--tier1-parent and --tier1-change go together")
@@ -93,6 +98,11 @@ def main(argv=None) -> int:
     direction = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     parent, change = load_records(args.parent), load_records(args.change)
+    readings = {}
+    if args.calibration is not None:
+        for line in args.calibration.read_text().splitlines():
+            r = json.loads(line)
+            readings[(r["side"], r["workload"], r["seed"], r["trace"])] = r["calibration_s"]
     keys = sorted(parent.keys() & change.keys())
     if not keys:
         print("no parent/change pair shares a workload, seed and trace flag", file=sys.stderr)
@@ -112,6 +122,11 @@ def main(argv=None) -> int:
                 )
                 for n in names
             }
+            if readings:
+                entry.setdefault("calibration_s", {})[section] = {
+                    side: [readings.get((side, workload, seed, trace)) for seed, _, _ in pairs]
+                    for side in ("parent", "change")
+                }
         workloads[workload] = entry
 
     first = parent[keys[0]]

@@ -40,15 +40,15 @@ Finite quotients are realized through the standard splitting
 against the bar complex of the same quotient, ``bar_cohomology_finite``,
 once per weight class and whenever the budget affords it (the bar complex
 once per orbit of classes under the power automorphisms of the quotient):
-the model's groups are read with ``complex_cohomology``, as the bar groups
-are, and their orders through the sweep's own order reader,
-``_complex_orders``.
+the model's groups are read with ``complex_cohomology``, through the one
+Z/p^N group reader ``kernel_quotient`` that the bar groups share, and
+their orders through the sweep's own order reader, ``_complex_orders``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, repeat
 from math import gcd
 
 from .errors import BudgetExceeded, NoStabilization, PrecisionExhausted, UnsupportedPrime
@@ -57,7 +57,10 @@ from .exact_linalg import (
     BaseZMod,
     BaseZpTrunc,
     CochainComplex,
+    _identity_ll,
     complex_cohomology,
+    dense_rows,
+    kernel_quotient,
     snf_mod,
     vp,
 )
@@ -383,46 +386,73 @@ def units_group_data(p: int, r: int, w: int, N: int) -> FiniteGroupData:
     return FiniteGroupData(p, N, table, tuple(pow(u, w, M) for u in units))
 
 
-def _bar_differential(g: FiniteGroupData, k: int) -> list[dict[int, int]]:
-    """Sparse rows of d : C^k -> C^(k+1) on normalized inhomogeneous
-    cochains, the functions G^k -> M that vanish whenever an argument is
-    the identity, (df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum_j (-1)^j
-    f(.., g_j g_(j+1), ..) + (-1)^(k+1) f(g_1..g_k).  Rows and columns run
-    over the tuples with no identity entry, (|G|-1)^(k+1) and (|G|-1)^k of
-    them in lexicographic order; a term whose merged product g_j g_(j+1) is
-    the identity evaluates f there, at 0, and is dropped.  Each row is a
-    dict {column: value mod p^N} of at most k + 2 nonzero entries.
+class _BarCoboundary:
+    """d^k : C^k -> C^(k+1) on normalized inhomogeneous cochains, the
+    functions G^k -> M that vanish whenever an argument is the identity,
+    (df)(g_1..g_(k+1)) = g_1 f(g_2..) + sum_j (-1)^j f(.., g_j g_(j+1), ..)
+    + (-1)^(k+1) f(g_1..g_k).  Rows and columns run over the tuples with no
+    identity entry, m = n^(k+1) and c = n^k of them, n = |G|-1, in
+    lexicographic order; a term whose merged product is the identity
+    evaluates f there, at 0, and is dropped.  ``terms`` is the one
+    encoding: per term a coefficient (act(g_1) per row for the first, a
+    sign for the others) and the column + 1 it reads in each row, 0 where
+    dropped.  Row R's digits are (g_1..g_(k+1)): the first term reads
+    R mod c and the last R // n; merging g_j g_(j+1) = y puts y - 1 at
+    place value n^(k-j) between the digits above and below the pair.  d^0
+    gets a merge dropped in every row.  ``rows`` emits dict rows {column:
+    value mod p^N} from it, summing terms that share a column (first and
+    last, when all digits are equal); ``apply`` maps a whole cochain."""
 
-    For k >= 1, rows come in runs of n that share the head h = (g_1..g_k)
-    and vary x = g_(k+1): the first term's and each inner merge's column
-    end in x's digit and step by one, the last term's is h, and only h_k x
-    is read per row.  Digit by digit, two terms share a column only when
-    h = (a..a) and x = a (first and last), the one place an entry can cancel."""
-    n = len(g) - 1  # non-identity elements, indices 1..n; digit e names e + 1
-    M = g.p**g.N
-    tbl, act = g.table, [a % M for a in g.action]
-    if k == 0:
-        return [{0: y} if (y := (a - 1) % M) else {} for a in act[1:]]
-    last, sign_k = (-1) ** (k + 1) % M, (-1) ** k % M
-    # merging g_j g_(j+1) into m, j < k: the column keeps the digits above
-    # and below the pair, with m - 1 in between at place value n^(k-j)
-    inner = [(j, n ** (k - j), (-1) ** j % M) for j in range(1, k)]
-    d = []
-    for h, head in enumerate(product(range(1, n + 1), repeat=k)):
-        a, first, base = head[0], h % n ** (k - 1) * n, h // n * n - 1
-        run = [{c: act[a], h: last} for c in range(first, first + n)]
-        for j, place, sign in inner:
-            if merged := tbl[head[j - 1]][head[j]]:
-                c = h // (place * n) * place * n + (merged - 1) * place + h % (place // n) * n
-                for row, col in zip(run, range(c, c + n)):
-                    row[col] = sign
-        for row, merged in zip(run, tbl[head[-1]][1:]):
-            if merged:
-                row[base + merged] = sign_k
-        if head.count(a) == k:  # x = a: the first and last terms share column h
-            run[a - 1] = {c: y for c, y in {**run[a - 1], h: (act[a] + last) % M}.items() if y}
-        d += run
-    return d
+    __slots__ = ("shape", "M", "terms")
+
+    def __init__(self, g: FiniteGroupData, k: int):
+        n = len(g) - 1  # non-identity elements, indices 1..n; digit e names e + 1
+        M = self.M = g.p**g.N
+        m, c = self.shape = n ** (k + 1), n**k
+
+        def runs(values, length):  # each value, length times
+            return list(chain.from_iterable(map(repeat, values, repeat(length))))
+
+        merged = list(chain.from_iterable(row[1:] for row in g.table[1:])) if k else []  # 0: identity
+        self.terms = [(runs([a % M for a in g.action[1:]], c), list(range(1, c + 1)) * n)]
+        for j in range(1, k + 1):
+            q = n ** (k - j)
+            self.terms.append(((-1) ** j, merged if k == 1 else [
+                (h * n + y - 1) * q + lo + 1 if y else 0
+                for h in range(n ** (j - 1)) for y in merged for lo in range(q)
+            ]))
+        if not k:
+            self.terms.append((1, [0] * m))
+        self.terms.append(((-1) ** (k + 1), runs(range(1, c + 1), n)))
+        reads = [read for _, read in self.terms]
+        if any(len(read) != m for read in reads) or not set(range(c + 1)).issuperset(chain(*reads)):
+            raise ValueError(f"differential {k} does not have shape {self.shape}")
+
+    def rows(self, indices) -> list[dict[int, int]]:
+        """The sparse rows R of d^k, R in indices, in that order."""
+        M = self.M
+        (act, first), *rest = self.terms
+        out = []
+        for R in indices:
+            row = {first[R] - 1: act[R] % M}
+            for s, read in rest:
+                if j := read[R]:
+                    row[j - 1] = (row.get(j - 1, 0) + s) % M
+            out.append({j: y for j, y in row.items() if y} if 0 in row.values() else row)
+        return out
+
+    def apply(self, f: list[int]) -> list[int]:
+        """d^k f mod p^N for a cochain f, a list of c values: one pass over
+        the rows, and one more per inner merge; f is read with a 0 in front."""
+        M = self.M
+        fz = [0, *f]
+        (act, first), *inner, (s, merge), (t, last) = self.terms
+        fs, ft = [s * v for v in fz], [t * v for v in fz]
+        out = [(a * fz[x] + fs[y] + ft[z]) % M for a, x, y, z in zip(act, first, merge, last)]
+        for s, read in inner:
+            fs = [s * v for v in fz]
+            out = [(v + fs[y]) % M for v, y in zip(out, read)]
+        return out
 
 
 def bar_cohomology_finite(
@@ -438,8 +468,25 @@ def bar_cohomology_finite(
     are free resolutions of Z over ZG (Brown, *Cohomology of Groups*,
     ch. III).  So both complexes give the same groups; the full one is a
     test oracle.  The budget caps the differentials' entries counted as
-    dense matrices, (|G|-1)^(2k+1) for d^k, though they are built as
-    sparse rows."""
+    dense matrices, (|G|-1)^(2k+1) for d^k; none is built as a matrix.
+    Each is a ``_BarCoboundary``, whose rows are emitted only for the probe
+    and for the rows outside its span, and which is otherwise applied.
+
+    H^s = ker(d^s) modulo the columns d^(s-1) e_c, read by
+    ``kernel_quotient``.  ker(d^s) comes from the probe P, its first
+    min(2c, m) rows (c columns, m rows).  From P V = U^-1 D, ker(P) is
+    spanned by z_i = p^(N - a_i) V e_i, 0 mod p^N unless a_i >= 1, and the
+    span of P by p^(a_i) times row i of V^-1.  Entry r of d^s z_i is
+    p^(N - a_i) (r V)_i, which is 0 mod p^N exactly when (r V)_i = 0 mod
+    p^(a_i): the rows where some d^s z_i with a_i >= 1 is nonzero are
+    exactly the rows outside the span of P.  With none, ker(d^s) = ker(P),
+    as the rows of P are rows of d^s; otherwise those rows are added to P
+    and eliminated once more, and the rows left out lie in the span of P,
+    so that matrix has the row span of d^s.  d d = 0 is checked by
+    applying d^s to each column d^(s-1) e_c: entry r of the result is entry
+    (r, c) of the composite, so every composite entry is checked, and the
+    columns the group is read from are cocycles, as ``kernel_quotient``
+    needs."""
     n = len(g) - 1
     for k in range(s_max + 1):
         if n ** (2 * k + 1) > budget:
@@ -447,11 +494,27 @@ def bar_cohomology_finite(
                 f"bar differential d^{k} needs {n ** (2 * k + 1)} entries "
                 f"(budget {budget})"
             )
-    ranks = tuple(n**k for k in range(s_max + 2))
-    diffs = tuple(_bar_differential(g, k) for k in range(s_max + 1))
-    cx = CochainComplex(BaseZMod(g.p, g.N), ranks, diffs)
-    groups = tuple((s, complex_cohomology(cx, s)) for s in range(s_max + 1))
-    return CohomologyResult(g.p, None, groups, "bar", {"precision": g.N, "order": len(g)})
+    p, N = g.p, g.N
+    groups, cols = [], []  # cols: the columns d^(s-1) e_c of the previous differential
+    for s in range(s_max + 1):
+        d = _BarCoboundary(g, s)
+        if any(any(d.apply(col)) for col in cols):
+            raise ValueError(f"d did not square to zero at position {s - 1}")
+        m, c = d.shape
+        if not (probe := d.rows(range(min(2 * c, m)))):
+            avals, vi = [N] * c, _identity_ll(c)
+        else:
+            avals, _, v, vi = snf_mod(dense_rows(probe, c), p, N, want=("V", "Vi"))
+            bad = set()
+            for i, a in enumerate(avals):
+                if a and m > len(probe) and any(dz := d.apply([p ** (N - a) * r[i] for r in v])):
+                    bad.update(R for R, y in enumerate(dz) if y)
+            if bad:
+                avals, _, _, vi = snf_mod(dense_rows(probe + d.rows(sorted(bad)), c), p, N, want=("Vi",))
+        groups.append((s, kernel_quotient(avals, vi, cols, p, N)))
+        if s < s_max:
+            cols = [d.apply([0] * j + [1] + [0] * (c - j - 1)) for j in range(c)]
+    return CohomologyResult(p, None, tuple(groups), "bar", {"precision": N, "order": len(g)})
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,12 @@ Two base rings are supported; all arithmetic is on Python ints, so no
 modulus or size can overflow.
 
 * ``BaseZMod(p,N)`` -- the finite ring Z/p^N; every question is decidable
-  in-ring.  Complexes over it (the bar complexes, and the brute route's
-  model at the level its bar check reads) hold sparse rows, one dict
-  {column: value mod p^N} per row.  The Smith forms pivot on a
-  globally minimal valuation at every step, so the valuation chain is
-  non-decreasing.  A differential with n columns and more than 2n rows is
-  eliminated on its first 2n rows, whose span is checked to hold every
-  row, so the answer is that of the full matrix (``_cohomology_mod``).
-  Their groups have one reader, ``lattice_quotient_exponents``, which
-  ``_cohomology_mod`` calls in the live kernel coordinates.
+  in-ring.  Complexes over it (the brute route's model at the level its
+  bar check reads) hold sparse rows, one dict {column: value mod p^N} per
+  row, and ``_cohomology_mod`` eliminates every row.  The Smith forms
+  pivot on a globally minimal valuation at every step, so the valuation
+  chain is non-decreasing.  Every Z/p^N group, the bar complexes' too,
+  is read by ``kernel_quotient`` in the live kernel coordinates.
 * ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
   Differentials are integer matrices of rank <= 1 (higher rank raises
   ValueError), rows of Python ints, whose Smith diagonal over Z is [g, 0,
@@ -25,9 +22,9 @@ modulus or size can overflow.
 
 ``snf_mod`` builds only the transforms its caller names; ``snf_int``
 builds none and eliminates nothing.  ``snf_mod`` eliminates dense lists
-of rows; ``_cohomology_mod`` densifies only the rows it eliminates, and
-it and ``lattice_quotient_exponents`` leave out the kernel generators
-and vectors that are 0 mod p^N.
+of rows (``dense_rows``), and ``kernel_quotient`` and
+``lattice_quotient_exponents`` leave out the kernel generators and
+vectors that are 0 mod p^N.
 """
 
 from __future__ import annotations
@@ -48,6 +45,8 @@ __all__ = [
     "snf_trunc",
     "CochainComplex",
     "complex_cohomology",
+    "dense_rows",
+    "kernel_quotient",
     "lattice_quotient_exponents",
     "vp",
 ]
@@ -113,7 +112,7 @@ def snf_int(rows):
 
 
 def _identity_ll(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def snf_mod(A, p: int, L: int, want=()):
@@ -131,10 +130,9 @@ def snf_mod(A, p: int, L: int, want=()):
     A = [[x % M for x in row] for row in A]
     m = len(A)
     n = len(A[0]) if m else 0
-    U, V, Vi = (
-        _identity_ll(k) if name in want else None
-        for name, k in (("U", m), ("V", n), ("Vi", n))
-    )
+    U = _identity_ll(m) if "U" in want else None
+    V = _identity_ll(n) if "V" in want else None
+    Vi = _identity_ll(n) if "Vi" in want else None
     ones = list(range(n))  # rows t and up of Vi are still unit vectors e_ones[j]
     vals: list[int] = []
     for t in range(min(m, n)):
@@ -163,7 +161,7 @@ def snf_mod(A, p: int, L: int, want=()):
             if U is not None:
                 U[t], U[i0] = U[i0], U[t]
         if j0 != t:
-            for r in A:
+            for r in A[t:]:
                 r[t], r[j0] = r[j0], r[t]
             if V is not None:
                 for r in V:
@@ -173,33 +171,30 @@ def snf_mod(A, p: int, L: int, want=()):
                 ones[t], ones[j0] = ones[j0], ones[t]
         # rows t and below are 0 left of column t, and a zero of the pivot
         # row changes nothing, so row operations run on the pivot row's
-        # nonzero live entries only: nz, whose first is (t, p^a)
+        # nonzero live entries only, scaled to the pivot p^a: nz, whose
+        # first is (t, p^a).  Row t is finished and no step reads it again,
+        # as no step reads rows above its own (column swaps included)
         pa = p**a
-        u = A[t][t] // pa
-        At = A[t]
+        nz = [(j, y) for j, y in enumerate(A[t][t:], t) if y]
+        u = nz[0][1] // pa
         if u != 1:
             uinv = pow(u, -1, M)
-            At[t:] = [(x * uinv) % M for x in At[t:]]
+            nz = [(j, (y * uinv) % M) for j, y in nz]
             if U is not None:
                 U[t] = [(x * uinv) % M for x in U[t]]
-        nz = [(j, y) for j, y in enumerate(At[t:], t) if y]
-        for i in range(t + 1, m):
+        for i in [i for i in range(t + 1, m) if A[i][t]]:  # p^a divides each A[i][t]
             Ai = A[i]
             f = Ai[t] // pa
-            if f:
-                for j, y in nz:
-                    Ai[j] = (Ai[j] - f * y) % M
-                if U is not None:
-                    U[i] = [(x - f * y) % M for x, y in zip(U[i], U[t])]
+            for j, y in nz:
+                Ai[j] = (Ai[j] - f * y) % M
+            if U is not None:
+                U[i] = [(x - f * y) % M for x, y in zip(U[i], U[t])]
         # column t is now clear away from row t, so clearing row t touches
         # nothing below it: column j -= g_j column t, for each nonzero g_j
         gs = [(j, y // pa) for j, y in nz[1:]]
-        for j, _ in gs:
-            At[j] = 0
         if V is not None and gs:
             for r in V:
-                rt = r[t]
-                if rt:
+                if rt := r[t]:
                     for j, g in gs:
                         r[j] = (r[j] - rt * g) % M
         if Vi is not None:
@@ -257,9 +252,7 @@ class CochainComplex(Frozen):
             if not ok:
                 raise ValueError(f"differential {i} does not have shape {(m, n)}")
         for i in range(len(self.differentials) - 1):
-            if not _composite_vanishes(
-                self.differentials[i + 1], self.differentials[i], self.ranks[i], self.base
-            ):
+            if not _composite_vanishes(self.differentials[i + 1], self.differentials[i], self.base):
                 raise ValueError(f"d did not square to zero at position {i}")
 
     @property
@@ -276,19 +269,10 @@ class CochainComplex(Frozen):
         return self.ranks[degree] if 0 <= degree < len(self.ranks) else 0
 
 
-def _composite_vanishes(dout, din, k: int, base: Base) -> bool:
-    """dout din = 0 in the base ring, din with k columns."""
+def _composite_vanishes(dout, din, base: Base) -> bool:
+    """dout din = 0 in the base ring."""
     if isinstance(base, BaseZMod):
         M = base.p**base.N
-        if k == 1:  # one dot product per row of dout, as after a bar d^0
-            col = [row.get(0, 0) for row in din]
-            for row in dout:
-                acc = 0
-                for j, x in row.items():
-                    acc += x * col[j]
-                if acc % M:
-                    return False
-            return True
         din_items = [row.items() for row in din]
         for row in dout:
             acc: dict[int, int] = {}
@@ -340,76 +324,48 @@ def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
     return ModuleExpr(p, padics=kdim - len(nonzero), cyclics=cyc)
 
 
+def dense_rows(rows, n: int) -> list[list[int]]:
+    """Sparse rows {column: value} as dense lists of length n."""
+    out = [[0] * n for _ in rows]
+    for r, row in zip(out, rows):
+        for j, x in row.items():
+            r[j] = x
+    return out
+
+
 def _cohomology_mod(dout, din, n: int, k: int, p: int, N: int) -> ModuleExpr:
     """ker(dout)/im(din) over Z/p^N for sparse rows, din with k columns
-    (None off the ends); dout is eliminated with column transforms only,
-    and im(din) is read in the coordinates V^-1 gives.
-
-    A tall dout (more than 2n rows, n columns, as in the bar complexes) is
-    eliminated on its first 2n rows P, made dense.  From P V = U^-1 D, the
-    span of P is spanned by p^(a_i) times row i of V^-1, so a row r lies in
-    it iff (r V)_i = 0 mod p^(a_i) for every i; every row of dout past P
-    is checked, on the sparse row and only at the i with a_i > 0, where the
-    condition is not empty.  The span of P lies inside the row span of dout
-    and the check proves the reverse, so the two spans are equal, and with
-    them ker(dout), the invariant factors and the validity of V.  Rows
-    that fail are added to P and eliminated once more: the rows that passed
-    lie in the span of P, so that matrix has the row span of dout and needs
-    no second check.
-
-    In the coordinates z = V^-1 x the kernel is spanned by the generators
-    p^(N - a_i) e_i, of order p^(a_i).  A dead one, a_i = 0, is 0 mod p^N,
-    and so is coordinate i of every boundary, since the complex checked
-    d d = 0 on construction and boundaries are cocycles.  The group is
-    therefore ``lattice_quotient_exponents`` in the live coordinates alone:
-    numerator the live generators, denominator the columns of V^-1 din
-    restricted to the live rows.
-    """
+    (None off the ends): every row of dout is eliminated, with column
+    transforms only, and ``kernel_quotient`` reads the group off the
+    columns of din."""
     if n == 0:
         return zero_module()
-
-    def dense(rows):
-        out = [[0] * n for _ in rows]
-        for r, row in zip(out, rows):
-            for j, x in row.items():
-                r[j] = x
-        return out
-
-    if not dout:
-        avals = [N] * n
-        vi = _identity_ll(n)
-    else:
-        rows = dense(dout[: 2 * n])
-        vals, _, v, vi = snf_mod(rows, p, N, want=("V", "Vi"))
-        if len(dout) > 2 * n:
-            checks = [(p**a, [r[i] for r in v]) for i, a in enumerate(vals) if a]
-            bad = []
-            for row in dout[2 * n :]:
-                for gap, col in checks:
-                    acc = 0
-                    for j, x in row.items():
-                        acc += x * col[j]
-                    if acc % gap:
-                        bad.append(row)
-                        break
-            if bad:
-                vals, _, _, vi = snf_mod(rows + dense(bad), p, N, want=("Vi",))
+    if dout:
+        vals, _, _, vi = snf_mod(dense_rows(dout, n), p, N, want=("Vi",))
         avals = [min(a, N) for a in vals] + [N] * (n - len(vals))
-    live = [i for i in range(n) if avals[i]]
+    else:
+        avals, vi = [N] * n, _identity_ll(n)
+    return kernel_quotient(avals, vi, [[row.get(c, 0) for row in din] for c in range(k)], p, N)
+
+
+def kernel_quotient(avals, vi, cols, p: int, N: int) -> ModuleExpr:
+    """ker(dout)/span(cols) over Z/p^N from dout's Smith valuations avals
+    (N for a zero pivot, one per column) and inverse column transform vi;
+    cols are cocycles, such as the columns of din.  In the coordinates
+    z = V^-1 x the kernel is spanned by p^(N - a_i) e_i, of order p^(a_i).
+    A dead generator, a_i = 0, is 0 mod p^N, and so is coordinate i of
+    every cocycle, so the group is ``lattice_quotient_exponents`` in the
+    live coordinates alone: the live generators over the live rows of
+    V^-1 cols."""
+    live = [i for i, a in enumerate(avals) if a]
     if not live:
         return zero_module()
     gens = [
         [p ** (N - avals[i]) if c == e else 0 for e in range(len(live))] for c, i in enumerate(live)
     ]
-    image = [[0] * k for _ in live]  # live rows of V^-1 din
-    if k:
-        for y, i in zip(image, live):
-            for j, x in enumerate(vi[i]):
-                if x:
-                    for col, z in din[j].items():
-                        y[col] += x * z
-    exps = lattice_quotient_exponents(gens, zip(*image), len(live), p, N)
-    return ModuleExpr(p, cyclics=exps)
+    rows = [[(j, x) for j, x in enumerate(vi[i]) if x] for i in live]  # live rows of V^-1, sparse
+    image = ([sum(x * col[j] for j, x in row) for row in rows] for col in cols)
+    return ModuleExpr(p, cyclics=lattice_quotient_exponents(gens, image, len(live), p, N))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ enumeration, cohomology of cyclic groups from closed forms, and group
 structure from order statistics, associativity from every triple, lattice
 quotients from listing both subgroups.  The
 normalized bar differential is built one row at a time by
-``reference_bar_differential``, the reference for the package's builder,
-which builds its rows in runs.  The
+``reference_bar_differential``, the reference for the package's one
+encoding of it, which emits rows and applies itself to cochains.  The
 full bar complex is built one tuple at a time and returned as matrices;
 eliminating them is the caller's job, or that of
 ``cohomology_by_full_elimination``, a separate copy of the Z/p^N complex

@@ -35,8 +35,8 @@ from stabcoh.cohomology import (
     _action_class,
     _anchor_valuation,
     _bar_crosscheck,
+    _BarCoboundary,
     _bar_crosscheck_class,
-    _bar_differential,
     _bar_groups,
     _brute_groups,
     _check_table,
@@ -312,6 +312,13 @@ def _full_bar_groups(g, s_max):
     return [complex_cohomology(cx, s) for s in range(s_max + 1)]
 
 
+def _bar_rows(g, k):
+    """Every row of the normalized bar differential d^k, emitted from its
+    one encoding."""
+    d = _BarCoboundary(g, k)
+    return d.rows(range(d.shape[0]))
+
+
 def test_normalized_bar_equals_full_bar():
     # every group of acceptance 5's cyclic sweep with |G| <= 4 (s <= 3),
     # then the unit groups (Z/8)^x, (Z/16)^x and (Z/9)^x at the
@@ -330,7 +337,7 @@ def test_normalized_bar_equals_full_bar():
     for g, s_max in groups:
         n = len(g) - 1
         for k in range(s_max + 1):
-            d = _bar_differential(g, k)
+            d = _bar_rows(g, k)
             assert dense_array(d, n**k).shape == (n ** (k + 1), n**k)
             assert all(len(row) <= k + 2 for row in d)
         bar = bar_cohomology_finite(g, s_max, budget=10**7)
@@ -340,13 +347,16 @@ def test_normalized_bar_equals_full_bar():
 
 
 def test_bar_differential_matches_the_row_at_a_time_reference():
-    # the run builder against the row-at-a-time reference on (Z/p^r)^x,
-    # r <= 3, acting on Z/p^N, N <= 3, by each listed weight that descends,
-    # in degrees k <= 3 with at most 40,000 rows: the same rows, dict-equal
-    # and in the same order.  The weights give trivial actions and actions
-    # with -1 in their image, so rows whose first and last terms cancel
-    # (act = 1 at even k, act = -1 at odd k) occur; the last term's column
-    # R // n is then missing from row R
+    # the one encoding of each bar differential against the row-at-a-time
+    # reference on (Z/p^r)^x, r <= 3, acting on Z/p^N, N <= 3, by each
+    # listed weight that descends, in degrees k <= 3 with at most 40,000
+    # rows: the rows it emits for every head are the reference's, dict-equal
+    # and in the same order, and applying it to random cochains is the
+    # matrix product with those rows, taken row by row.  The weights give trivial actions and
+    # actions with -1 in their image, so rows whose first and last terms
+    # cancel (act = 1 at even k, act = -1 at odd k) occur; the last term's
+    # column R // n is then missing from row R
+    rng = np.random.default_rng(20261020)
     cases = cancelled = 0
     for p in (2, 3, 5, 7):
         for r in range(2 if p == 2 else 1, 4):
@@ -357,44 +367,79 @@ def test_bar_differential_matches_the_row_at_a_time_reference():
                     except ValueError:
                         continue
                     n = len(g) - 1
+                    M = p**N
                     for k in range(4):
                         if n ** (k + 1) > 40_000:
                             break
                         want = reference_bar_differential(g, k)
-                        assert _bar_differential(g, k) == want, (p, r, N, w, k)
+                        d = _BarCoboundary(g, k)
+                        assert d.shape == (n ** (k + 1), n**k)
+                        assert d.rows(range(n ** (k + 1))) == want, (p, r, N, w, k)
+                        for f in rng.integers(0, M, size=(2, n**k)).tolist():
+                            product = [sum(x * f[j] for j, x in row.items()) % M for row in want]
+                            assert d.apply(f) == product, (p, r, N, w, k)
                         cases += 1
                         cancelled += sum(R // n not in row for R, row in enumerate(want))
     assert cases >= 250 and cancelled
 
 
-def test_bar_complex_refuses_one_changed_entry():
-    # the d d = 0 check on construction, on both of its paths: d^1 after
-    # the one-column d^0 at p = 7, and d^2 after d^1 at p = 3.  Adding 1
-    # to entry (R, c) adds row c of the previous differential to row R of
-    # the composite, so any c whose row there is nonzero must be refused
+def _bump_encoding(monkeypatch, k, bump):
+    """Let bump edit the terms of every bar d^k that bar_cohomology_finite
+    builds, before any of it is read."""
+    real = cohomology._BarCoboundary
+
+    def build(g, j):
+        d = real(g, j)
+        if j == k:
+            bump(d.terms)
+        return d
+
+    monkeypatch.setattr(cohomology, "_BarCoboundary", build)
+
+
+def test_bar_complex_refuses_one_changed_entry(monkeypatch):
+    # d d = 0, checked by applying d^k to every column of d^(k-1): +1 on the
+    # first term's coefficient in one row R of d^1 at p = 7, and of d^2 at
+    # p = 3, adds row R mod c of d^(k-1) to row R of the composite, so every
+    # R whose row there is nonzero must be refused; so must +1 on the sign
+    # of any other term, which changes that term in every row.  Probe rows
+    # and the applied operator are read from the same edited terms
     rng = random.Random(20261019)
     for p, k in ((7, 1), (3, 2)):
         g = units_group_data(p, 2, 1, 2)
-        n = len(g) - 1
-        ranks = tuple(n**j for j in range(k + 2))
-        diffs = [_bar_differential(g, j) for j in range(k + 1)]
-        CochainComplex(BaseZMod(p, 2), ranks, tuple(diffs))
-        live = [c for c, row in enumerate(diffs[k - 1]) if row]
-        for R in rng.sample(range(len(diffs[k])), 8):
-            c = rng.choice(live)
-            broken = list(diffs[k])
-            broken[R] = {**broken[R], c: (broken[R].get(c, 0) + 1) % p**2}
-            with pytest.raises(ValueError, match="did not square to zero"):
-                CochainComplex(BaseZMod(p, 2), ranks, (*diffs[:k], broken))
+        bar_cohomology_finite(g, k)
+        c = (len(g) - 1) ** k  # the rows of d^(k-1), the columns of d^k
+        live = [R for R, row in enumerate(_bar_rows(g, k - 1)) if row]
+        rows = [R for R in range((len(g) - 1) ** (k + 1)) if R % c in live]
+        for R in rng.sample(rows, 8):
+
+            def bump_first(terms, R=R):
+                terms[0][0][R] += 1
+
+            with monkeypatch.context() as m:
+                _bump_encoding(m, k, bump_first)
+                with pytest.raises(ValueError, match="did not square to zero"):
+                    bar_cohomology_finite(g, k)
+        for t in range(1, k + 2):
+
+            def bump_sign(terms, t=t):
+                terms[t] = (terms[t][0] + 1, terms[t][1])
+
+            with monkeypatch.context() as m:
+                _bump_encoding(m, k, bump_sign)
+                with pytest.raises(ValueError, match="did not square to zero"):
+                    bar_cohomology_finite(g, k)
 
 
 def test_zmod_complex_refuses_a_column_out_of_range():
     # a row key n or -1 in a differential with n columns is a shape error,
-    # in the one-column d^0 and in d^1 alike
-    g = units_group_data(3, 2, 1, 2)
-    d0, d1 = _bar_differential(g, 0), _bar_differential(g, 1)
-    ranks = (1, 5, 25)
-    for k, n in ((0, 1), (1, 5)):
+    # in the one-column d^0 and in d^1 alike; the complex squares to zero
+    # over Z/9 before the bad key goes in
+    d0 = [{0: 3}, {0: 6}]
+    d1 = [{0: 2, 1: 8}, {}, {1: 3}]
+    ranks = (1, 2, 3)
+    CochainComplex(BaseZMod(3, 2), ranks, (d0, d1))
+    for k, n in ((0, 1), (1, 2)):
         for bad in (n, -1):
             diffs = [d0, d1]
             diffs[k] = [{**diffs[k][0], bad: 1}] + diffs[k][1:]
@@ -404,9 +449,9 @@ def test_zmod_complex_refuses_a_column_out_of_range():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_crosscheck_bar_differentials_match_full_row_elimination(p):
-    # every bar differential of every class mod e, built from the class's
-    # own action: complex_cohomology, which eliminates a tall one on a
-    # checked probe of its rows, equals the oracle's elimination of every
+    # every bar complex of every class mod e, built from the class's own
+    # action: bar_cohomology_finite, which eliminates a tall differential on
+    # a checked probe of its rows, equals the oracle's elimination of every
     # row and, within the budget, the full bar complex's groups; and they
     # are the groups the cross-check shares across the class's orbit
     e = p * (p - 1)
@@ -415,14 +460,14 @@ def test_crosscheck_bar_differentials_match_full_row_elimination(p):
         r, s_chk, shared = _bar_crosscheck_class(p, w, 2)
         g = units_group_data(p, r, w, 2)
         n = len(g) - 1
-        diffs = [_bar_differential(g, k) for k in range(s_chk + 1)]
-        cx = CochainComplex(BaseZMod(p, 2), tuple(n**k for k in range(s_chk + 2)), tuple(diffs))
+        diffs = [_bar_rows(g, k) for k in range(s_chk + 1)]
         tall += sum(len(d) > 2 * n**k for k, d in enumerate(diffs))
+        bar = bar_cohomology_finite(g, s_chk)
         full = None
         if len(g) ** (2 * s_chk + 1) <= DEFAULT_BAR_BUDGET:
             full = _full_bar_groups(g, s_chk)
         for s in range(s_chk + 1):
-            got = complex_cohomology(cx, s)
+            got = bar.group(s)
             dout = dense_array(diffs[s], n**s)
             din = dense_array(diffs[s - 1], n ** (s - 1)) if s else None
             assert got == cohomology_by_full_elimination(dout, din, n**s, p, 2), (w, s)
@@ -431,19 +476,114 @@ def test_crosscheck_bar_differentials_match_full_row_elimination(p):
     assert tall
 
 
-def test_bar_hot_path_eliminates_probes_only(monkeypatch):
-    # count guard: d^1 of (Z/49)^x is 1,681 x 41; a Smith form that sees
-    # more than its 82 x 41 probe means full-height elimination is back
-    sizes = []
+def _snf_sizes(monkeypatch):
+    """The shape and modulus exponent of every snf_mod call, through each
+    module that binds the name."""
+    calls = []
     real = exact_linalg.snf_mod
 
-    def spy(A, *args, **kwargs):
-        sizes.append(np.shape(A))
-        return real(A, *args, **kwargs)
+    def spy(A, p, L, *args, **kwargs):
+        calls.append((np.shape(A), L))
+        return real(A, p, L, *args, **kwargs)
 
-    monkeypatch.setattr(exact_linalg, "snf_mod", spy)
+    for module in (exact_linalg, cohomology):
+        monkeypatch.setattr(module, "snf_mod", spy)
+    return calls
+
+
+def test_bar_hot_path_eliminates_probes_only(monkeypatch):
+    # count guard: d^1 of (Z/49)^x is 1,681 x 41; a Smith form that sees
+    # more than its 82 x 41 probe means full-height elimination is back,
+    # and more than 82 emitted rows of d^1 means it is being materialized
+    calls = _snf_sizes(monkeypatch)
+    emitted = {}
+    real = _BarCoboundary.rows
+
+    def rows(self, indices):
+        out = real(self, indices)
+        emitted[self.shape] = emitted.get(self.shape, 0) + len(out)
+        return out
+
+    monkeypatch.setattr(_BarCoboundary, "rows", rows)
     bar_cohomology_finite(units_group_data(7, 2, 1, 2), 1)
-    assert sizes and max(m * n for m, n in sizes) <= 82 * 41
+    assert calls and max(m * n for (m, n), _ in calls) <= 82 * 41
+    assert (82, 41) in [shape for shape, _ in calls]
+    assert 0 < emitted[(1681, 41)] <= 82
+
+
+def _reordered_cyclic(m, elems, p, N, u):
+    """Z/m with its elements indexed in the order elems, acting on Z/p^N
+    through the unit u."""
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(index[(a + b) % m] for b in elems) for a in elems)
+    return FiniteGroupData(p, N, table, tuple(pow(u, e, p**N) for e in elems))
+
+
+def test_bar_probe_fallback_adds_the_rows_outside_its_span(monkeypatch):
+    # Z/6 listed as 0, 2, 4, 1, 3, 5: the first two non-identity elements
+    # generate the proper subgroup {0, 2, 4}, so the probe of d^k, the rows
+    # of the first 2 n^(k-1) heads, can miss rows of the whole differential.
+    # On Z/49 by 1, 48 and 3^7 (orders 1, 2 and 6) the candidate check
+    # flags rows in degrees 1 and 2, 0 and 2, and 1 and 2.  Z/9 listed as
+    # 0, 3, 6, 1, ..., 8 on Z/9 by 4 acts trivially on {0, 3, 6}, and the
+    # rows the probe misses lie off its span by 3, not by a unit: degrees 0,
+    # 1 and 2 are flagged.  Each flagged degree runs exactly one more
+    # elimination, of the probe plus the flagged rows, and the groups are
+    # those of the full bar complex and of the oracle's elimination of
+    # every row
+    z6, z9 = (0, 2, 4, 1, 3, 5), (0, 3, 6, 1, 2, 4, 5, 7, 8)
+    cases = [
+        (_reordered_cyclic(6, z6, 7, 2, 1), [(2, 1), (10, 5), (19, 5), (50, 25), (122, 25)]),
+        (_reordered_cyclic(6, z6, 7, 2, 48), [(2, 1), (5, 1), (10, 5), (50, 25), (125, 25)]),
+        (_reordered_cyclic(6, z6, 7, 2, 3**7), [(2, 1), (10, 5), (22, 5), (50, 25), (125, 25)]),
+        (_reordered_cyclic(9, z9, 3, 2, 4), [(2, 1), (8, 1), (16, 8), (52, 8), (128, 64), (512, 64)]),
+    ]
+    for g, shapes in cases:
+        n = len(g) - 1
+        with monkeypatch.context() as m:
+            calls = _snf_sizes(m)
+            bar = bar_cohomology_finite(g, 2)
+        assert [shape for shape, L in calls if L == 2] == shapes, g.action
+        full = _full_bar_groups(g, 2)
+        diffs = [dense_array(_bar_rows(g, k), n**k) for k in range(3)]
+        for s in range(3):
+            want = cohomology_by_full_elimination(diffs[s], diffs[s - 1] if s else None, n**s, g.p, 2)
+            assert bar.group(s) == full[s] == want, (g.action, s)
+
+
+def test_bar_candidate_check_flags_exactly_the_rows_outside_the_probe_span(monkeypatch):
+    # the candidate check against the span criterion it replaces: with
+    # P V = U^-1 D the probe's Smith form, a row r lies in the span of P iff
+    # (r V)_i = 0 mod p^(a_i) for every i.  The rows that
+    # bar_cohomology_finite adds to a probe are exactly the rows failing that
+    # test, on the reordered Z/6 and Z/9 tables whose probes miss rows and
+    # on unit groups whose probes do not
+    groups = [_reordered_cyclic(6, (0, 2, 4, 1, 3, 5), 7, 2, u) for u in (1, 48, 31)]
+    groups.append(_reordered_cyclic(9, (0, 3, 6, 1, 2, 4, 5, 7, 8), 3, 2, 4))
+    groups += [units_group_data(3, 2, w, 2) for w in range(6)] + [units_group_data(5, 2, 1, 2)]
+    flagged = 0
+    for g in groups:
+        p, N, n = g.p, g.N, len(g) - 1
+        s_max = 2 if n < 10 else 1
+        seen = []
+        real = exact_linalg.dense_rows
+        with monkeypatch.context() as mp:
+            mp.setattr(cohomology, "dense_rows", lambda rows, c: seen.append((c, rows)) or real(rows, c))
+            bar_cohomology_finite(g, s_max)
+        for k in range(s_max + 1):
+            c = n**k
+            rows = _bar_rows(g, k)
+            vals, _, V, _ = exact_linalg.snf_mod(dense_array(rows[: 2 * c], c).tolist(), p, N, want=("V",))
+            want = [
+                R for R, row in enumerate(rows)
+                if any(sum(x * V[j][i] for j, x in row.items()) % p**a for i, a in enumerate(vals) if a)
+            ]
+            calls = [rs for cols, rs in seen if cols == c]
+            assert calls[0] == rows[: 2 * c] and len(calls) == 1 + bool(want), (g.action, k)
+            assert calls[1:] in ([], [rows[: 2 * c] + [rows[R] for R in want]]), (g.action, k)
+            assert all(R >= 2 * c for R in want)
+            flagged += bool(want)
+    assert flagged >= 9
 
 
 def test_brute_certificate_records_the_bar_check():
@@ -925,7 +1065,9 @@ def test_brute_colimit_memo_is_exact(monkeypatch, p, weights):
         warm = [continuous_via_quotients(p, w, 3) for w in weights]
         calls = []
         real = cohomology.snf_mod
-        monkeypatch.setattr(cohomology, "snf_mod", lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(
+            cohomology, "snf_mod", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+        )
         _brute_groups.cache_clear()
         for w in weights:
             continuous_via_quotients(p, w, 3)
