@@ -56,6 +56,7 @@ from stabcoh import cohomology as C  # noqa: E402
 from stabcoh.exact_linalg import (  # noqa: E402
     BaseZMod,
     CochainComplex,
+    _identity_ll,
     complex_cohomology,
     dense_rows,
     kernel_quotient,
@@ -113,9 +114,8 @@ def bar_stages(g, s_chk: int, repeat: int) -> dict:
         kernel = candidates()
         ms[f"H{s}"] = median_ms(lambda: kernel_quotient(kernel[0], kernel[3], cols, p, N), repeat)
         if s < s_chk:
-            units = [[0] * j + [1] + [0] * (c - j - 1) for j in range(c)]
-            ms[f"cols{s}"] = median_ms(lambda: [d.apply(e) for e in units], repeat)
-            cols = [d.apply(e) for e in units]
+            ms[f"cols{s}"] = median_ms(lambda: [d.apply(e) for e in _identity_ll(c)], repeat)
+            cols = [d.apply(e) for e in _identity_ll(c)]
     return ms
 
 

@@ -513,7 +513,7 @@ def bar_cohomology_finite(
                 avals, _, _, vi = snf_mod(dense_rows(probe + d.rows(sorted(bad)), c), p, N, want=("Vi",))
         groups.append((s, kernel_quotient(avals, vi, cols, p, N)))
         if s < s_max:
-            cols = [d.apply([0] * j + [1] + [0] * (c - j - 1)) for j in range(c)]
+            cols = [d.apply(e) for e in _identity_ll(c)]
     return CohomologyResult(p, None, tuple(groups), "bar", {"precision": N, "order": len(g)})
 
 
