@@ -54,7 +54,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from stabcoh import cohomology as C  # noqa: E402
 from stabcoh.exact_linalg import (  # noqa: E402
-    BaseZMod,
     CochainComplex,
     _identity_ll,
     complex_cohomology,
@@ -79,7 +78,7 @@ def model_side(p: int, w: int, r: int, s_chk: int, N: int = 2) -> None:
     a, t = C._action_class(p, w, N)
     diffs = C._level_complex_matrices(p, a, t, r, N, s_chk)
     sparse = tuple([{j: x for j, x in enumerate(row) if x} for row in d] for d in diffs)
-    model = CochainComplex(BaseZMod(p, N), tuple(range(1, s_chk + 3)), sparse)
+    model = CochainComplex(p, N, tuple(range(1, s_chk + 3)), sparse)
     C._complex_orders(diffs, p, N, model.ranks)
     for s in range(s_chk + 1):
         complex_cohomology(model, s)

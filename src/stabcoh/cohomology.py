@@ -11,9 +11,10 @@ Two independent computational routes live here.
   complex M --(gamma^w - 1)--> M for the procyclic factor against the
   2-periodic resolution of the torsion factor.  Rescaled by p-adic units
   it becomes a small integer complex (entries 0, 1, -2, the torsion order
-  and p^v), eliminated exactly over Z under the Z_p precision contract,
-  once, at a precision read off the gcd of each differential's entries,
-  so free ranks and torsion exponents come out certified.
+  and p^v) whose differentials have rank <= 1.  ``rank_one_cohomology``
+  reads every degree off one Smith diagonal [g, 0] per differential under
+  the Z_p precision contract, at a precision read off those gcds first, so
+  free ranks and torsion exponents come out certified.
 
 * ``continuous_via_quotients`` (brute): cohomology of the finite quotients
   (Z/p^r)^x with coefficients Z/p^N(w), taken as the colimit along
@@ -54,13 +55,12 @@ from math import gcd
 from .errors import BudgetExceeded, NoStabilization, PrecisionExhausted, UnsupportedPrime
 from .exact_linalg import (
     PRECISION_CEILING,
-    BaseZMod,
-    BaseZpTrunc,
     CochainComplex,
     _identity_ll,
     complex_cohomology,
     dense_rows,
     kernel_quotient,
+    rank_one_cohomology,
     snf_mod,
     vp,
 )
@@ -186,12 +186,10 @@ def _torsion_scalars(p: int, w: int) -> tuple[int, int]:
     return 1, 0
 
 
-def _units_total_complex(
-    p: int, h: tuple[int, int], c: int, s_top: int, N: int
-) -> CochainComplex:
-    """Total complex of (2-periodic torsion resolution) x (two-term
-    procyclic complex) on Z_p(w), degrees 0..s_top, as a 2x2 integer
-    complex with small entries.
+def _units_total_complex(h: tuple[int, int], c: int, s_top: int) -> tuple:
+    """Differentials d^0..d^(s_top - 1) of the total complex of (2-periodic
+    torsion resolution) x (two-term procyclic complex) on Z_p(w), degrees
+    0..s_top of ranks 1, 2, 2, .., as integer rows with small entries.
 
     Tot^0 is one copy of the base; Tot^s for s >= 1 has cells (s, 0) and
     (s-1, 1), cyclic degree second.  The s-th differential is
@@ -218,12 +216,10 @@ def _units_total_complex(
     def h_at(i):
         return h_even if i % 2 == 0 else h_odd
 
-    ranks = tuple(1 if s == 0 else 2 for s in range(s_top + 1))
-    diffs = tuple(
+    return tuple(
         ((h_at(0),), (c,)) if s == 0 else ((h_at(s), 0), ((-1) ** s * c, h_at(s - 1)))
         for s in range(s_top)
     )
-    return CochainComplex(BaseZpTrunc(p, N), ranks, diffs)
 
 
 @lru_cache(maxsize=4096)
@@ -231,11 +227,11 @@ def _units_precision(p: int, h: tuple[int, int], c: int, s_max: int) -> int:
     """N = 1 + max v_p(g), g the gcd of the entries of d^s for s <= s_max
     (g = 0 skipped): gcd(h_even, c) for d^0, gcd(h_even, h_odd, c) above.
     h_even h_odd = 0, so each d^s has rank <= 1 and Smith diagonal [g, 0]
-    (``snf_int``), read once for the rank of d^s and once for the torsion
-    of H^(s+1) (``_cohomology_int``).  Every valuation ``snf_trunc``
-    inspects is some v_p(g): N certifies every degree <= s_max, and N - 1
-    does not.  Cached (a pure function of its arguments) because every
-    call of the route reads it, memo hit or not."""
+    (``snf_int``), which ``rank_one_cohomology`` reads once for the rank of
+    d^s and the torsion of H^(s+1).  Every valuation ``snf_trunc`` inspects
+    is some v_p(g): N certifies every degree <= s_max, and N - 1 does not.
+    Cached (a pure function of its arguments) because every call of the
+    route reads it, memo hit or not."""
     h_even, h_odd = h
     gs = [gcd(h_even, c)] + [gcd(h_even, h_odd, c)] * min(s_max, 1)
     return 1 + max((vp(g, p) for g in gs if g), default=0)
@@ -244,28 +240,30 @@ def _units_precision(p: int, h: tuple[int, int], c: int, s_max: int) -> int:
 @lru_cache(maxsize=4096)
 def _units_groups(p, h, c, s_max):
     """((s, H^s), ...) of ``_units_total_complex`` for s <= s_max, from one
-    elimination at N = ``_units_precision``; PrecisionExhausted there is an
-    internal error, raised as AssertionError and never cached.  The cache
-    is exact: the complex and N are built from the key alone and never see
-    w, so weights with the same torsion scalars h and the same c = p^v
-    share the groups, immutable module expressions that callers wrap in a
-    fresh CohomologyResult."""
+    ``rank_one_cohomology`` at N = ``_units_precision``, which reads each
+    d^s, s <= s_max, once; PrecisionExhausted there is an internal error,
+    raised as AssertionError and never cached.  The cache is exact: the
+    complex and N are built from the key alone and never see w, so weights
+    with the same torsion scalars h and the same c = p^v share the groups,
+    immutable module expressions that callers wrap in a fresh
+    CohomologyResult."""
     N = _units_precision(p, h, c, s_max)
-    cx = _units_total_complex(p, h, c, s_max + 1, N)
+    ranks = (1,) + (2,) * (s_max + 1)
     try:
-        return tuple((s, complex_cohomology(cx, s)) for s in range(s_max + 1))
+        groups = rank_one_cohomology(ranks, _units_total_complex(h, c, s_max + 1), p, N)
     except PrecisionExhausted as e:
         raise AssertionError(f"structured route not certified at precision {N}: {e}") from None
+    return tuple(enumerate(groups[: s_max + 1]))
 
 
 def units_cohomology(
     p: int, w: int, s_max: int, precision_ceiling: int = PRECISION_CEILING
 ) -> CohomologyResult:
     """H^s(Z_p^x, Z_p(w)) for 0 <= s <= s_max by the structured route: one
-    elimination (shared by the weights with the same torsion scalars and
-    v_p(gamma^|w| - 1), ``_units_groups``) at the precision
-    ``_units_precision`` reads off the complex.  A precision above the
-    ceiling is refused with PrecisionExhausted before any elimination."""
+    reading of the complex (shared by the weights with the same torsion
+    scalars and v_p(gamma^|w| - 1), ``_units_groups``) at the precision
+    ``_units_precision`` reads off it.  A precision above the ceiling is
+    refused with PrecisionExhausted before any Smith diagonal is read."""
     if s_max < 0:
         raise ValueError("s_max must be >= 0")
     h = _torsion_scalars(p, w)
@@ -724,7 +722,7 @@ def _bar_crosscheck_class(p: int, w: int, s_top: int):
         raise AssertionError(f"u -> u^{k} does not carry weight {w0} to weight {w} at level {r}")
     diffs = _level_complex_matrices(p, a, t, r, N, s_chk)
     sparse = tuple([{j: x for j, x in enumerate(row) if x} for row in d] for d in diffs)
-    model = CochainComplex(BaseZMod(p, N), tuple(range(1, s_chk + 3)), sparse)
+    model = CochainComplex(p, N, tuple(range(1, s_chk + 3)), sparse)
     orders = _complex_orders(diffs, p, N, model.ranks)[N - 1]
     for s in range(s_chk + 1):
         small = complex_cohomology(model, s)

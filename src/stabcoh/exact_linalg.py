@@ -1,24 +1,24 @@
 """Exact kernels, cokernels and cohomology via Smith normal form.
 
-Two base rings are supported; all arithmetic is on Python ints, so no
-modulus or size can overflow.
+All arithmetic is on Python ints, so no modulus or size can overflow.
+There is one complex type and one reader for integer complexes of rank
+<= 1.
 
-* ``BaseZMod(p,N)`` -- the finite ring Z/p^N; every question is decidable
-  in-ring.  Complexes over it (the brute route's model at the level its
-  bar check reads) hold sparse rows, one dict {column: value mod p^N} per
-  row, and ``_cohomology_mod`` eliminates every row.  The Smith forms
-  pivot on a globally minimal valuation at every step, so the valuation
-  chain is non-decreasing.  Every Z/p^N group, the bar complexes' too,
-  is read by ``kernel_quotient`` in the live kernel coordinates.
-* ``BaseZpTrunc(p,N)`` -- the p-adic integers at working precision N.
-  Differentials are integer matrices of rank <= 1 (higher rank raises
-  ValueError), rows of Python ints, whose Smith diagonal over Z is [g, 0,
-  ..], g the gcd of the entries, with the p-adic valuations of the one
-  over Z_p; each group is read off two such diagonals, of the map out and
-  of the map in (``_cohomology_int``).  Any rank or torsion decision that
-  rests on an invariant factor of valuation N or more aborts with
-  PrecisionExhausted.  Callers derive N from the same gcds first, so the
-  check is a safety net; an answer certified at N holds at every larger N.
+* ``CochainComplex(p, N, ranks, differentials)`` -- a complex over the
+  finite ring Z/p^N, where every question is decidable in-ring.  It holds
+  sparse rows, one dict {column: value mod p^N} per row (the brute
+  route's model at the level its bar check reads), and ``_cohomology_mod``
+  eliminates every row.  The Smith forms pivot on a globally minimal
+  valuation at every step, so the valuation chain is non-decreasing.
+  Every Z/p^N group, the bar complexes' too, is read by
+  ``kernel_quotient`` in the live kernel coordinates.
+* ``rank_one_cohomology(ranks, diffs, p, N)`` -- every H^s over Z_p, at
+  working precision N, of an integer complex whose differentials, rows
+  of Python ints, have rank <= 1, read off one Smith diagonal per
+  differential (``snf_trunc``).  A decision that rests on an invariant
+  factor of valuation N or more aborts with PrecisionExhausted.  Callers
+  derive N from the same gcds first, so the check is a safety net; an
+  answer certified at N holds at every larger N.
 
 ``snf_mod`` builds only the transforms its caller names; ``snf_int``
 builds none and eliminates nothing.  ``snf_mod`` eliminates dense lists
@@ -31,20 +31,18 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd
-from typing import Union
 
 from .errors import PrecisionExhausted
 from .modules import Frozen, ModuleExpr, zero_module
 
 __all__ = [
     "PRECISION_CEILING",
-    "BaseZMod",
-    "BaseZpTrunc",
     "snf_int",
     "snf_mod",
     "snf_trunc",
     "CochainComplex",
     "complex_cohomology",
+    "rank_one_cohomology",
     "dense_rows",
     "kernel_quotient",
     "lattice_quotient_exponents",
@@ -63,27 +61,6 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-# ---------------------------------------------------------------------------
-# bases
-
-
-class BaseZMod(Frozen):
-    __slots__ = ("p", "N")
-
-    def __init__(self, p: int, N: int):
-        self._set(p, N)
-
-
-class BaseZpTrunc(Frozen):
-    __slots__ = ("p", "N")
-
-    def __init__(self, p: int, N: int):
-        self._set(p, N)
-
-
-Base = Union[BaseZMod, BaseZpTrunc]
 
 
 # ---------------------------------------------------------------------------
@@ -223,105 +200,84 @@ def snf_trunc(rows, p: int, N: int):
             )
     return diag
 
+
 # ---------------------------------------------------------------------------
-# cochain complexes
+# integer complexes of rank <= 1 over Z_p at working precision N
+
+
+def rank_one_cohomology(ranks, diffs, p: int, N: int) -> tuple[ModuleExpr, ...]:
+    """(H^0, .., H^top), top = len(ranks) - 1, over Z_p at working
+    precision N of the integer complex Z^ranks[0] -> Z^ranks[1] -> ..,
+    diffs[s] the map from degree s to s + 1 as rows of ints, each of rank
+    <= 1.  Shapes, and d d = 0 exactly over Z on every composite entry,
+    are checked first: the groups rest on boundaries being cocycles.
+
+    ``snf_trunc`` reads the Smith diagonal [g_s, 0, ..] of each d^s once
+    (a rank above 1 raises ValueError there, a nonzero g_s of valuation N
+    or more PrecisionExhausted), and each degree is read off two of them.
+    ker d^s is saturated, so Z^n/ker d^s = im d^s is free and
+    Z^n/im d^(s-1) = H^s + Z^rank(d^s).  So H^s has free rank n_s -
+    [g_s != 0] - [g_(s-1) != 0] and, when v = v_p(g_(s-1)) >= 1, torsion
+    Z/p^v.  That holds where ker d^s = 0 too: there d^(s-1) lands in 0, so
+    g_(s-1) = 0 and H^s = 0."""
+    if len(diffs) != max(len(ranks) - 1, 0):
+        raise ValueError("need exactly len(ranks)-1 differentials")
+    for s, d in enumerate(diffs):
+        m, n = ranks[s + 1], ranks[s]
+        if len(d) != m or any(len(row) != n for row in d):
+            raise ValueError(f"differential {s} does not have shape {(m, n)}")
+    for s, (din, dout) in enumerate(zip(diffs, diffs[1:])):
+        if any(sum(x * y for x, y in zip(row, col)) for row in dout for col in zip(*din)):
+            raise ValueError(f"d did not square to zero at position {s}")
+    # g_s for s = -1..top, 0 off the ends; a diagonal [g, 0, ..] sums to g
+    gs = [0] + [sum(snf_trunc(d, p, N)) for d in diffs] + [0]
+    groups = []
+    for n, g_in, g_out in zip(ranks, gs, gs[1:]):
+        v = vp(g_in, p) if g_in else 0
+        groups.append(ModuleExpr(p, padics=n - bool(g_out) - bool(g_in), cyclics=(v,) if v else ()))
+    return tuple(groups)
+
+
+# ---------------------------------------------------------------------------
+# cochain complexes over Z/p^N
 
 
 class CochainComplex(Frozen):
-    """A finite complex of free modules in degrees 0..len(ranks)-1;
-    differentials[i] maps degree i to i + 1.
-
-    One container per base: over BaseZMod the differentials are sparse
-    rows, dicts {column: value}, over BaseZpTrunc tuples or lists of
-    integer rows of rank <= 1 (``snf_int``).  Adjacent composites are
-    checked to vanish in the base ring on construction.
+    """A finite complex of free Z/p^N-modules in degrees 0..len(ranks)-1;
+    differentials[i] maps degree i to i + 1, as sparse rows, dicts
+    {column: value}.  Shapes, and d d = 0 mod p^N on every composite
+    entry, are checked on construction.
     """
 
-    __slots__ = ("base", "ranks", "differentials")
+    __slots__ = ("p", "N", "ranks", "differentials")
 
-    def __init__(self, base: Base, ranks: tuple[int, ...], differentials: tuple):
-        self._set(base, ranks, differentials)
-        if len(self.differentials) != max(len(self.ranks) - 1, 0):
+    def __init__(self, p: int, N: int, ranks: tuple[int, ...], differentials: tuple):
+        self._set(p, N, ranks, differentials)
+        if len(differentials) != max(len(ranks) - 1, 0):
             raise ValueError("need exactly len(ranks)-1 differentials")
-        for i, d in enumerate(self.differentials):
-            m, n = self.ranks[i + 1], self.ranks[i]
-            if isinstance(self.base, BaseZMod):
-                ok = len(d) == m and set(range(n)).issuperset(chain.from_iterable(d))
-            else:
-                ok = len(d) == m and all(len(row) == n for row in d)
-            if not ok:
+        for i, d in enumerate(differentials):
+            m, n = ranks[i + 1], ranks[i]
+            if len(d) != m or not set(range(n)).issuperset(chain.from_iterable(d)):
                 raise ValueError(f"differential {i} does not have shape {(m, n)}")
-        for i in range(len(self.differentials) - 1):
-            if not _composite_vanishes(self.differentials[i + 1], self.differentials[i], self.base):
-                raise ValueError(f"d did not square to zero at position {i}")
-
-    @property
-    def degree_hi(self) -> int:
-        return len(self.ranks) - 1
-
-    def differential(self, degree: int):
-        """d : C^degree -> C^(degree+1), or None off the end."""
-        if 0 <= degree < len(self.differentials):
-            return self.differentials[degree]
-        return None
-
-    def rank(self, degree: int) -> int:
-        return self.ranks[degree] if 0 <= degree < len(self.ranks) else 0
-
-
-def _composite_vanishes(dout, din, base: Base) -> bool:
-    """dout din = 0 in the base ring."""
-    if isinstance(base, BaseZMod):
-        M = base.p**base.N
-        din_items = [row.items() for row in din]
-        for row in dout:
-            acc: dict[int, int] = {}
-            for j, x in row.items():
-                for col, y in din_items[j]:
-                    acc[col] = acc.get(col, 0) + x * y
-            for v in acc.values():
-                if v % M:
-                    return False
-        return True
-    return not any(sum(x * y for x, y in zip(row, col)) for row in dout for col in zip(*din))
+        M = p**N
+        for i, (din, dout) in enumerate(zip(differentials, differentials[1:])):
+            for row in dout:  # (row din)[col], summed over the sparse entries
+                acc: dict[int, int] = {}
+                for j, x in row.items():
+                    for col, y in din[j].items():
+                        acc[col] = acc.get(col, 0) + x * y
+                if any(v % M for v in acc.values()):
+                    raise ValueError(f"d did not square to zero at position {i}")
 
 
 def complex_cohomology(c: CochainComplex, degree: int) -> ModuleExpr:
-    """ker(d^degree)/im(d^(degree-1)) as a module expression.
-
-    Over BaseZpTrunc free atoms are Z_p, uncertifiable decisions raise
-    PrecisionExhausted and a differential of rank 2 or more read here
-    raises ValueError; over BaseZMod every summand is cyclic.
-    """
-    if not (0 <= degree <= c.degree_hi):
-        raise ValueError(f"degree {degree} outside [0, {c.degree_hi}]")
-    n = c.rank(degree)
-    dout = c.differential(degree)
-    din = c.differential(degree - 1)
-    base = c.base
-    if isinstance(base, BaseZMod):
-        return _cohomology_mod(dout, din, n, c.rank(degree - 1), base.p, base.N)
-    return _cohomology_int(dout, din, n, base.p, base.N)
-
-
-def _cohomology_int(dout, din, n: int, p: int, N: int) -> ModuleExpr:
-    """H = ker(dout)/im(din) of an integer complex, read over Z_p at working
-    precision N from two Smith diagonals.  ker(dout) is saturated, so
-    Z^n/ker(dout) = im(dout) is free and Z^n/im(din) = H + Z^rank(dout);
-    din maps into ker(dout) because d d = 0 is checked on construction.  So
-    H has free rank n - rank(dout) - rank(din), and its torsion is the
-    p-part of the invariant factors of din.  Both diagonals go through
-    ``snf_trunc``, dout's first and din's only when the kernel is nonzero,
-    so a decision at or beyond the precision raises PrecisionExhausted."""
-    if n == 0:
-        return zero_module()
-    rank = sum(1 for d in snf_trunc(dout, p, N) if d) if dout else 0
-    kdim = n - rank
-    if kdim == 0:
-        return zero_module()
-    nonzero = [d for d in snf_trunc(din, p, N) if d] if din and din[0] else []
-    cyc = tuple(v for v in (vp(d, p) for d in nonzero) if v >= 1)
-    return ModuleExpr(p, padics=kdim - len(nonzero), cyclics=cyc)
+    """ker(d^degree)/im(d^(degree-1)) over Z/p^N as a module expression,
+    every summand cyclic."""
+    if not (0 <= degree < len(c.ranks)):
+        raise ValueError(f"degree {degree} outside [0, {len(c.ranks) - 1}]")
+    dout = c.differentials[degree] if degree < len(c.differentials) else None
+    din, k = (c.differentials[degree - 1], c.ranks[degree - 1]) if degree else (None, 0)
+    return _cohomology_mod(dout, din, c.ranks[degree], k, c.p, c.N)
 
 
 def dense_rows(rows, n: int) -> list[list[int]]:

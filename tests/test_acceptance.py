@@ -19,7 +19,6 @@ from stabcoh.cohomology import (
     units_cohomology,
 )
 from stabcoh.exact_linalg import (
-    BaseZMod,
     CochainComplex,
     complex_cohomology,
     snf_mod,
@@ -193,7 +192,7 @@ def test_acceptance_5_oracle_equivalence(capsys):
                     coeff = rng.integers(0, M, size=n)
                     din[:, j] = sum(c * g for c, g in zip(coeff, gens)) % M
                 cx = CochainComplex(
-                    BaseZMod(p, N), (kcols, n, dout.shape[0]), (sparse_rows(din), sparse_rows(dout % M))
+                    p, N, (kcols, n, dout.shape[0]), (sparse_rows(din), sparse_rows(dout % M))
                 )
                 got = complex_cohomology(cx, 1)
                 want = enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)

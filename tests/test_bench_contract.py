@@ -26,6 +26,20 @@ def test_every_traced_function_resolves():
     assert TRACED and not missing, missing
 
 
+def test_every_script_loads_as_a_module(monkeypatch):
+    # the scripts measure the program by its names, each behind a
+    # __main__ guard; loading one runs its imports, so a name renamed in
+    # stabcoh fails here rather than in a later measurement
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # scripts prepend src/ or perfbench/
+    scripts = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+    assert scripts
+    for path in scripts:
+        spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
 def test_tracer_sees_every_layer_of_verify(capsys):
     # the tracer rebinds each traced name wherever stabcoh binds it; a call
     # that reaches a function some other way (a dict of route functions, a
@@ -158,10 +172,10 @@ def test_no_live_generator_skips_the_relation_smith_form(monkeypatch):
     # d^1 = diag(1, 3) over Z/8 has only unit pivots, so every kernel
     # generator is dead and H^1 = 0; the relation matrix would have no
     # rows, and it is never handed to snf_mod
-    from stabcoh.exact_linalg import BaseZMod, CochainComplex, complex_cohomology
+    from stabcoh.exact_linalg import CochainComplex, complex_cohomology
     from stabcoh.modules import zero_module
 
     seen = _snf_mod_spy(monkeypatch)
-    c = CochainComplex(BaseZMod(2, 3), (1, 2, 2), ([{}, {}], [{0: 1}, {1: 3}]))
+    c = CochainComplex(2, 3, (1, 2, 2), ([{}, {}], [{0: 1}, {1: 3}]))
     assert complex_cohomology(c, 1) == zero_module()
     assert seen == [[[1, 0], [0, 3]]]

@@ -58,16 +58,17 @@ from stabcoh.cohomology import (
     primitive_root,
     procyclic_generator,
     teichmuller,
+    torsion_order,
     units_cohomology,
     units_group_data,
 )
 from stabcoh.errors import BudgetExceeded, NoStabilization, PrecisionExhausted
 from stabcoh.exact_linalg import (
     PRECISION_CEILING,
-    BaseZMod,
     CochainComplex,
     complex_cohomology,
     lattice_quotient_exponents,
+    rank_one_cohomology,
     vp,
 )
 from stabcoh.modules import ModuleExpr, cyclic, is_prime, padic, zero_module
@@ -308,7 +309,7 @@ def _full_bar_groups(g, s_max):
     n = len(g)
     ranks = tuple(n**k for k in range(s_max + 2))
     diffs = tuple(sparse_rows(full_bar_differential(g, k)) for k in range(s_max + 1))
-    cx = CochainComplex(BaseZMod(g.p, g.N), ranks, diffs)
+    cx = CochainComplex(g.p, g.N, ranks, diffs)
     return [complex_cohomology(cx, s) for s in range(s_max + 1)]
 
 
@@ -438,13 +439,13 @@ def test_zmod_complex_refuses_a_column_out_of_range():
     d0 = [{0: 3}, {0: 6}]
     d1 = [{0: 2, 1: 8}, {}, {1: 3}]
     ranks = (1, 2, 3)
-    CochainComplex(BaseZMod(3, 2), ranks, (d0, d1))
+    CochainComplex(3, 2, ranks, (d0, d1))
     for k, n in ((0, 1), (1, 2)):
         for bad in (n, -1):
             diffs = [d0, d1]
             diffs[k] = [{**diffs[k][0], bad: 1}] + diffs[k][1:]
             with pytest.raises(ValueError, match=f"differential {k} does not have shape"):
-                CochainComplex(BaseZMod(3, 2), ranks, tuple(diffs))
+                CochainComplex(3, 2, ranks, tuple(diffs))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -705,17 +706,15 @@ def test_sweep_refuses_a_level_where_the_projection_is_no_chain_map(monkeypatch,
 
 def _fault_on_model(monkeypatch, fault):
     """Let fault rewrite every group the bar cross-check reads off the
-    periodic model's complex, whose degree s has rank s + 1; the bar
-    complexes keep their honest groups.  Returns the model degrees read."""
+    periodic model's complex, the one complex ``cohomology`` reads with
+    ``complex_cohomology``; the bar complexes keep their honest groups.
+    Returns the model degrees read."""
     real = cohomology.complex_cohomology
     degrees = []
 
     def reader(c, s):
-        got = real(c, s)
-        if c.ranks != tuple(range(1, len(c.ranks) + 1)):
-            return got
         degrees.append(s)
-        return fault(got)
+        return fault(real(c, s))
 
     monkeypatch.setattr(cohomology, "complex_cohomology", reader)
     return degrees
@@ -1427,37 +1426,35 @@ def _structured_cases(draw):
 def test_structured_derived_precision_is_minimal(case):
     # N = 1 + max v_p(gcd of a differential's entries), read here off every
     # differential of the complex: the route reports it, every degree is
-    # certified at N with the closed-form group, and at N - 1 some degree
+    # certified at N with the closed-form group, and at N - 1 the reading
     # is refused
     p, w, s_max = case
     h = _torsion_scalars(p, w)
     c = p ** _anchor_valuation(p, w) if w else 0
-    cx = _units_total_complex(p, h, c, s_max + 1, 1)
-    gs = [math.gcd(*(x for row in d for x in row)) for d in cx.differentials]
+    diffs = _units_total_complex(h, c, s_max + 1)
+    ranks = (1,) + (2,) * (s_max + 1)
+    gs = [math.gcd(*(x for row in d for x in row)) for d in diffs]
     N = 1 + max((vp(g, p) for g in gs if g), default=0)
     assert _units_precision(p, h, c, s_max) == N, (p, w, s_max)
     assert units_cohomology(p, w, s_max).certificate["precision"] == N, (p, w, s_max)
-    cx = _units_total_complex(p, h, c, s_max + 1, N)
+    groups = rank_one_cohomology(ranks, diffs, p, N)
     for s in range(s_max + 1):
-        assert complex_cohomology(cx, s) == _closed_form(p, w, s), (p, w, s)
+        assert groups[s] == _closed_form(p, w, s), (p, w, s)
     if N >= 2:
-        coarse = _units_total_complex(p, h, c, s_max + 1, N - 1)
-        refused = 0
-        for s in range(s_max + 1):
-            try:
-                complex_cohomology(coarse, s)
-            except PrecisionExhausted:
-                refused += 1
-        assert refused, (p, w, s_max, N)
+        with pytest.raises(PrecisionExhausted):
+            rank_one_cohomology(ranks, diffs, p, N - 1)
 
 
 def test_structured_refusal_precedes_elimination(monkeypatch):
-    # a ceiling below the derived precision is refused before the complex
-    # is eliminated, even with the memo empty
+    # a ceiling below the derived precision is refused before any Smith
+    # diagonal of the complex is read, even with the memo empty: neither
+    # the reader, as cohomology binds it, nor snf_trunc, as the reader
+    # binds it, is called
     def forbidden(*args):
-        raise AssertionError("complex_cohomology called")
+        raise AssertionError("the structured complex was read")
 
-    monkeypatch.setattr(cohomology, "complex_cohomology", forbidden)
+    monkeypatch.setattr(cohomology, "rank_one_cohomology", forbidden)
+    monkeypatch.setattr(exact_linalg, "snf_trunc", forbidden)
     _units_groups.cache_clear()
     for p, w, ceiling in ((2, 64, 8), (2, 4, 4), (2, 1, 1), (2, 0, 1), (3, 2 * 3**13, 14)):
         with pytest.raises(PrecisionExhausted, match=f"ceiling {ceiling} hit"):
@@ -1475,6 +1472,24 @@ def test_structured_underived_precision_is_an_internal_error(monkeypatch):
         with pytest.raises(AssertionError, match="not certified at precision 8"):
             units_cohomology(2, 64, 1)
     assert _units_groups.cache_info().currsize == 0
+
+
+def test_structured_complex_that_does_not_square_to_zero_exits_4(monkeypatch, capsys):
+    # torsion scalars with h_even h_odd != 0 make d^1 d^0 = (h_odd h_even, 0)
+    # nonzero: the reader's d d = 0 check must refuse the complex, and the
+    # CLI must exit 4 without printing a table
+    monkeypatch.setattr(cohomology, "_torsion_scalars", lambda p, w: (1, torsion_order(p)))
+    for memo in (_units_precision, _units_groups):
+        memo.cache_clear()
+    try:
+        argv = ["cohomology", "--p", "3", "--t", "4", "--smax", "2", "--route", "structured"]
+        code = cli.main(argv)
+    finally:
+        for memo in (_units_precision, _units_groups):
+            memo.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "", out
+    assert "d did not square to zero" in err, err
 
 
 def test_cohomology_result_equality_ignores_the_certificate():
@@ -1540,6 +1555,6 @@ def test_precision_monotonicity_structured():
         N = units_cohomology(2, w, 3).certificate["precision"]
         groups = []
         for n in (N, 16, 32):
-            cx = _units_total_complex(2, h, c, 4, n)
-            groups.append([complex_cohomology(cx, s) for s in range(4)])
+            diffs = _units_total_complex(h, c, 4)
+            groups.append(rank_one_cohomology((1, 2, 2, 2, 2), diffs, 2, n)[:4])
         assert groups[0] == groups[1] == groups[2], w

@@ -21,11 +21,10 @@ from oracles import (
 from stabcoh import exact_linalg
 from stabcoh.errors import PrecisionExhausted
 from stabcoh.exact_linalg import (
-    BaseZMod,
-    BaseZpTrunc,
     CochainComplex,
     complex_cohomology,
     lattice_quotient_exponents,
+    rank_one_cohomology,
     snf_int,
     snf_mod,
     snf_trunc,
@@ -236,22 +235,21 @@ def test_snf_truncated_stability_under_refinement():
 def test_complex_left_kernel_of_doubling_on_z8():
     # 0 -> Z/8 --x2--> Z/8 -> 0, leftmost degree
     assert enumerate_cohomology_type([[2]], None, 1, 2, 3) == (1,)
-    c = CochainComplex(BaseZMod(2, 3), (1, 1), ([{0: 2}],))
+    c = CochainComplex(2, 3, (1, 1), ([{0: 2}],))
     assert complex_cohomology(c, 0) == cyclic(2, 1)
     assert complex_cohomology(c, 1) == cyclic(2, 1)
 
 
-def test_bases_and_complexes_are_frozen():
-    assert BaseZMod(2, 2) != BaseZpTrunc(2, 2) and BaseZpTrunc(2, 2) != BaseZMod(2, 2)
-    c = CochainComplex(BaseZMod(2, 3), (1, 1), ([{0: 2}],))
-    for record, name in ((BaseZMod(2, 2), "N"), (BaseZpTrunc(2, 2), "p"), (c, "ranks")):
+def test_complexes_are_frozen():
+    c = CochainComplex(2, 3, (1, 1), ([{0: 2}],))
+    for name in ("p", "N", "ranks", "differentials"):
         with pytest.raises(AttributeError):
-            setattr(record, name, 3)
-    assert c.base.N == 3 and c.ranks == (1, 1)
+            setattr(c, name, 3)
+    assert c.p == 2 and c.N == 3 and c.ranks == (1, 1)
 
 
 def test_complex_zero_differentials_returns_module():
-    c = CochainComplex(BaseZMod(2, 2), (2, 2), ([{}, {}],))
+    c = CochainComplex(2, 2, (2, 2), ([{}, {}],))
     assert complex_cohomology(c, 0) == cyclic(2, 2, 2)
 
 
@@ -259,29 +257,25 @@ def test_two_term_padic_complex_times_sixteen():
     # 0 -> Z_2 --x16--> Z_2 -> 0: cokernel is Z/16, certified exactly;
     # cross-checked by enumeration one level above the torsion exponent
     assert enumerate_cohomology_type(None, [[16]], 1, 2, 6) == (4,)
-    c = CochainComplex(BaseZpTrunc(2, 8), (1, 1), ([[16]],))
-    assert complex_cohomology(c, 0) == zero_module()
-    assert complex_cohomology(c, 1) == cyclic(2, 4)
+    assert rank_one_cohomology((1, 1), ([[16]],), 2, 8) == (zero_module(), cyclic(2, 4))
 
 
 def test_truncated_free_rank_certification():
     # d = 0 exactly: free kernel of rank 2 over Z_2
-    c = CochainComplex(BaseZpTrunc(2, 8), (2, 2), ([[0, 0], [0, 0]],))
-    assert complex_cohomology(c, 0) == padic(2, 2)
+    assert rank_one_cohomology((2, 2), ([[0, 0], [0, 0]],), 2, 8)[0] == padic(2, 2)
 
 
 def test_truncated_complex_with_undetermined_entry_raises():
     # at precision 4, x16 cannot be told apart from 0: its kernel is undecided
-    coarse = CochainComplex(BaseZpTrunc(2, 4), (1, 1), ([[16]],))
     with pytest.raises(PrecisionExhausted):
-        complex_cohomology(coarse, 0)
-    fine = CochainComplex(BaseZpTrunc(2, 4), (1, 1), ([[8]],))
-    assert complex_cohomology(fine, 1) == cyclic(2, 3)
+        rank_one_cohomology((1, 1), ([[16]],), 2, 4)
+    assert rank_one_cohomology((1, 1), ([[8]],), 2, 4)[1] == cyclic(2, 3)
 
 
 def test_d_squared_is_checked_on_construction():
     good = CochainComplex(
-        BaseZMod(2, 3),
+        2,
+        3,
         (1, 1, 1),
         ([{0: 2}], [{0: 4}]),
     )
@@ -290,29 +284,30 @@ def test_d_squared_is_checked_on_construction():
     assert complex_cohomology(good, 1) == zero_module()
     with pytest.raises(ValueError):
         CochainComplex(
-            BaseZMod(2, 3),
+            2,
+            3,
             (1, 1, 1),
             ([{0: 2}], [{0: 3}]),
         )
-    # over the integer base the composite must vanish exactly: the group
-    # reader rests on boundaries being cocycles, and checks nothing itself;
-    # 16 * 16 = 2^8 is 0 mod 2^8 and still refused at N = 8
+    # over Z_p the composite must vanish exactly: the group reader rests
+    # on boundaries being cocycles, and checks nothing itself; 16 * 16 =
+    # 2^8 is 0 mod 2^8 and still refused at N = 8
     for d0, d1 in (([[2]], [[4]]), ([[16]], [[16]]), ([[1, 0], [0, 1]], [[0, 1]])):
-        with pytest.raises(ValueError):
-            CochainComplex(BaseZpTrunc(2, 8), (len(d0[0]), len(d0), len(d1)), (d0, d1))
+        with pytest.raises(ValueError, match="did not square to zero"):
+            rank_one_cohomology((len(d0[0]), len(d0), len(d1)), (d0, d1), 2, 8)
 
 
 @st.composite
 def _planted_integer_complexes(draw):
-    """(p, N, complex, groups, refusals): C^0 -> C^1 -> C^2 over
-    BaseZpTrunc(p, N), built in diagonal form and conjugated by unimodular
-    integer matrices.  C^1 = Z^(a + f + b): d^0 sends e_j to alpha_j e_j
-    for j < a, d^1 sends e_(a+f+i) to beta_i e_i, so d d = 0 and f is the
-    free block; a, b <= 1, as the integer base reads differentials of rank
-    <= 1 only.  groups[s] is the planted H^s over Z_p; refusals[s] says
-    whether reading degree s must raise PrecisionExhausted: a planted
-    factor of the map out or of the map in, of valuation N or more.  (A
-    nonzero map in implies a nonzero kernel, since d d = 0.)"""
+    """(p, N, ranks, diffs, groups, refused): an integer complex C^0 -> C^1
+    -> C^2 read over Z_p at precision N, built in diagonal form and
+    conjugated by unimodular integer matrices.  C^1 = Z^(a + f + b): d^0
+    sends e_j to alpha_j e_j for j < a, d^1 sends e_(a+f+i) to beta_i e_i,
+    so d d = 0 and f is the free block; a, b <= 1, as
+    ``rank_one_cohomology`` reads differentials of rank <= 1 only.
+    groups[s] is the planted H^s over Z_p; refused says whether reading
+    the complex must raise PrecisionExhausted: it reads every diagonal, so
+    it must exactly when some planted factor has valuation N or more."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     N = draw(st.integers(min_value=1, max_value=5))
     # a unit of Z_p, +-(p q + r) with 0 < r < p, times p^v, v up to N + 1
@@ -348,7 +343,6 @@ def _planted_integer_complexes(draw):
 
     (_, P0i), (P1, P1i), (P2, _) = unimodular(k), unimodular(n), unimodular(m)
     d0, d1 = mul(mul(P1, d0), P0i), mul(mul(P2, d1), P1i)
-    cx = CochainComplex(BaseZpTrunc(p, N), (k, n, m), (d0, d1))
 
     def torsion(factors):
         return [vp(x, p) for x in factors if vp(x, p) >= 1]
@@ -361,41 +355,30 @@ def _planted_integer_complexes(draw):
         ModuleExpr(p, padics=f, cyclics=torsion(alphas)),
         ModuleExpr(p, padics=m - b, cyclics=torsion(betas)),
     ]
-    refusals = [deep(alphas), deep(alphas) or deep(betas), deep(betas)]
-    return p, N, cx, groups, refusals
+    return p, N, (k, n, m), (d0, d1), groups, deep(alphas) or deep(betas)
 
 
 @given(_planted_integer_complexes())
-@example(
-    (
-        2,
-        3,
-        CochainComplex(BaseZpTrunc(2, 3), (1, 1, 1), ([[8]], [[0]])),
-        [zero_module(), cyclic(2, 3), padic(2, 1)],
-        [True, True, False],
-    )
-)
+@example((2, 3, (1, 1, 1), ([[8]], [[0]]), [zero_module(), cyclic(2, 3), padic(2, 1)], True))
 @settings(max_examples=120, deadline=None)
 def test_integer_cohomology_returns_the_planted_group(planted):
-    # the group of every degree, or PrecisionExhausted exactly where a
-    # planted factor that the reader must decide has valuation >= N
-    p, N, cx, groups, refusals = planted
-    for s in range(3):
-        if refusals[s]:
-            with pytest.raises(PrecisionExhausted):
-                complex_cohomology(cx, s)
-        else:
-            assert complex_cohomology(cx, s) == groups[s], (s, cx.differentials)
+    # the group of every degree, or PrecisionExhausted exactly when a
+    # planted factor, all of which the reader decides, has valuation >= N
+    p, N, ranks, diffs, groups, refused = planted
+    if refused:
+        with pytest.raises(PrecisionExhausted):
+            rank_one_cohomology(ranks, diffs, p, N)
+    else:
+        assert rank_one_cohomology(ranks, diffs, p, N) == tuple(groups), diffs
 
 
 @pytest.mark.parametrize("d", [[[2, 0], [0, 4]], [[1, 2], [3, 4]]])
 def test_integer_base_refuses_a_differential_of_rank_two(d):
-    # rank 2, read as the map out (degree 0) or as the map in (degree 1):
-    # the integer base refuses it rather than answer
-    c = CochainComplex(BaseZpTrunc(2, 8), (2, 2), (d,))
-    for s in (0, 1):
+    # rank 2, in a complex of one differential or as the map out or the map
+    # in of a middle degree: the reader refuses it rather than answer
+    for ranks, diffs in (((2, 2), (d,)), ((2, 2, 0), (d, [])), ((0, 2, 2), ([[], []], d))):
         with pytest.raises(ValueError, match="rank <= 1"):
-            complex_cohomology(c, s)
+            rank_one_cohomology(ranks, diffs, 2, 8)
 
 
 def _random_mod_complex(rng, p, N, n, dout=None):
@@ -429,7 +412,7 @@ def test_mod_cohomology_matches_enumeration(p, N):
         for _ in range(reps):
             dout, din = _random_mod_complex(rng, p, N, n)
             c = CochainComplex(
-                BaseZMod(p, N), (din.shape[1], n, dout.shape[0]), (sparse_rows(din), sparse_rows(dout))
+                p, N, (din.shape[1], n, dout.shape[0]), (sparse_rows(din), sparse_rows(dout))
             )
             got = complex_cohomology(c, 1)
             want = enumerate_cohomology_type(dout.tolist(), din.tolist(), n, p, N)
@@ -467,7 +450,7 @@ def test_tall_mod_cohomology_matches_full_elimination_and_enumeration(p, N):
             gens = np.array(V, dtype=np.int64) * p ** (N - np.array(vals)) % M
             din = gens @ rng.integers(0, M, size=(n, int(rng.integers(1, 4)))) % M
             c = CochainComplex(
-                BaseZMod(p, N), (din.shape[1], n, m), (sparse_rows(din), sparse_rows(dout))
+                p, N, (din.shape[1], n, m), (sparse_rows(din), sparse_rows(dout))
             )
             got = complex_cohomology(c, 1)
             assert got == cohomology_by_full_elimination(dout, din, n, p, N), (dout, din)
@@ -493,13 +476,12 @@ def test_tall_bar_differential_past_int64_matches_closed_form():
 
 def test_mod_cohomology_refinement_stability():
     # a complex defined over Z lifts to every precision; certified answers
-    # on the Z_p base must not move as N grows
+    # read over Z_p must not move as N grows
     dout = [[2, 4], [1, 2]]  # kernel spanned by (2, -1)
     din = [[4, 8], [-2, -4]]
     prev = None
     for N in (6, 8, 12):
-        c = CochainComplex(BaseZpTrunc(2, N), (2, 2, 2), (din, dout))
-        got = complex_cohomology(c, 1)
+        got = rank_one_cohomology((2, 2, 2), (din, dout), 2, N)[1]
         if prev is not None:
             assert got == prev
         prev = got
@@ -565,7 +547,7 @@ def test_mod_cohomology_relations_cover_the_live_generators(monkeypatch, p, N):
         live = sum(a >= 1 for a in avals)
         seen.update(avals)
         c = CochainComplex(
-            BaseZMod(p, N), (din.shape[1], n, m), (sparse_rows(din), sparse_rows(dout))
+            p, N, (din.shape[1], n, m), (sparse_rows(din), sparse_rows(dout))
         )
         calls = _snf_mod_spy(monkeypatch)
         got = complex_cohomology(c, 1)
